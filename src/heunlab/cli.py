@@ -25,7 +25,7 @@ from .errors import DomainError, HeunLabError, InputError, OutsideDomain
 from .heun import heun_eval
 from .instances import (Instance, build_document, document_bytes,
                         load_instance, render_value, write_trace)
-from .probes import term_scan, term_trace
+from .probes import term_scan
 from .proofs import H_LABELS, classify_case
 from .recurrence import limit_profile
 from .scalars import (DEFAULT_PRECISION, parse_number, parse_point,
@@ -155,12 +155,14 @@ def _cmd_boundary(instance, args, precision):
     stride = int(raw_stride) if raw_stride is not None else max(1, n_terms // 4096)
     r_star = boundary_radius(instance.limits(), prec)
     raw_r = _opt(args, instance, "radius")
-    if raw_r is not None:
-        r = float(parse_number(str(raw_r)))
-    else:
-        r = float(r_star) * float(parse_number(str(_opt(args, instance, "radius-scale", 1))))
-    probe = term_scan(instance.system, r, n_terms, which, offset)
-    rows = term_trace(instance.system, r, n_terms, stride, which, offset)
+    try:
+        if raw_r is not None:
+            r = float(parse_number(str(raw_r)))
+        else:
+            r = float(r_star) * float(parse_number(str(_opt(args, instance, "radius-scale", 1))))
+    except OverflowError as exc:
+        raise InputError("probe radius does not fit in float64") from exc
+    probe = term_scan(instance.system, r, n_terms, which, offset, stride)
     outputs = {
         "which": which,
         "offset": probe.offset,
@@ -174,7 +176,7 @@ def _cmd_boundary(instance, args, precision):
         "term_log_mags": list(probe.term_log_mags),
         "max_abs_partial": probe.max_abs_partial,
     }
-    return build_document("boundary", instance.echo, outputs, precision), rows
+    return build_document("boundary", instance.echo, outputs, precision), probe.trace
 
 
 def _cmd_proof_audit(instance, args, precision):

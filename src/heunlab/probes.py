@@ -13,16 +13,35 @@ from the final Cauchy gaps S_{2n} - S_n:
 Rescaling matters: at 0.99 of the boundary radius the terms underflow float64
 long before the last checkpoint, and without the scale channel the recurrence
 itself would degenerate to 0/0.
+
+One kernel streams the three-term recurrence for every probe, the scan and
+its CSV trace together.  Step j maps v_{j-1} = (t_{j-1}, t_{j-2}) to
+v_j = M_j v_{j-1} with M_j = [[a_{j-1} r, b_{j-1} r^2], [1, 0]], from
+v_0 = (1, 0).  The kernel works through the stream in chunks of _CHUNK terms
+and carries (state, scale exponent, running total) from one chunk to the
+next, so its memory does not grow with the number of terms.  Inside a chunk
+it is a blocked scan (Blelloch, "Prefix sums and their applications", 1990):
+
+1. the prefix products of the M_j inside each _BLOCK-term block are formed
+   for all blocks of the chunk at once, renormalised by powers of two with
+   an integer exponent per block;
+2. a sequential carry over the block totals gives each block its start state;
+3. one broadcast turns start states and prefix products into every term.
+
+Partial sums are a cumulative sum seeded with the carried total, so they add
+the terms in stream order.  The radius enters as r = m 2^k: the scan runs on
+a m and b m^2, and each term's exponent gains j k, so no radius that float64
+holds can overflow the transfer matrices.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientData, InvalidParams
+from .errors import InsufficientData, InvalidParams, MagnitudeOverflow
 from .recurrence import CoefficientStream, RecurrenceSystem, stream_coefficients
 
 VERDICT_CONVERGES = "converges-empirically"
@@ -33,34 +52,40 @@ GAP_SMALL = 1e-8
 GAP_LARGE = 1e-3
 SUSTAIN = 3
 
-_RESCALE_HI = math.ldexp(1.0, 500)
-_RESCALE_LO = math.ldexp(1.0, -500)
-_RESCALE_SHIFT = 512
+_SCAN_MIN_TERMS = 1 << 11  # the first dyadic checkpoint is 2^10; gaps need two
+
+_CHUNK = 1 << 16  # terms per chunk: bounds the kernel's working set
+_BLOCK = 128  # terms per block of the in-chunk scan; _CHUNK is a multiple
+_LN2 = math.log(2.0)
 
 
-def _lag_value_arrays(system: RecurrenceSystem, offset: int, count: int,
-                      signed: bool) -> tuple:
-    """Float64 arrays of the two lag coefficients at offset .. offset+count-1."""
+def _lag_coefficients(system: RecurrenceSystem) -> tuple:
+    """Float64 (numerator, denominator) coefficients of the two lags."""
     if system.k != 2:
         raise InvalidParams("probes are stated for three-term recurrences")
-    n = np.arange(offset, offset + count, dtype=np.float64)
+    try:
+        return tuple((tuple(float(c) for c in fn.num.coeffs),
+                      tuple(float(c) for c in fn.den.coeffs)) for fn in system.lags)
+    except OverflowError as exc:
+        raise MagnitudeOverflow("a lag coefficient does not fit in float64") from exc
 
-    def vals(fn):
-        num = np.zeros_like(n)
-        for c in fn.num.coeffs[::-1]:
-            num = num * n + float(c)
-        den = np.zeros_like(n)
-        for c in fn.den.coeffs[::-1]:
-            den = den * n + float(c)
+
+def _lag_values(coeffs: tuple, n: np.ndarray, signed: bool) -> tuple:
+    """Float64 arrays of the two lag coefficients at the indices n."""
+
+    def horner(cs):
+        acc = np.zeros_like(n)
+        for c in cs[::-1]:
+            acc = acc * n + c
+        return acc
+
+    out = []
+    for num, den in coeffs:
         # a leading pole entry can be inf/nan; the recurrence never reads it
         with np.errstate(divide="ignore", invalid="ignore"):
-            return num / den
-
-    a = vals(system.lags[0])
-    b = vals(system.lags[1])
-    if not signed:
-        a, b = np.abs(a), np.abs(b)
-    return a, b
+            vals = horner(num) / horner(den)
+        out.append(vals if signed else np.abs(vals))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -74,6 +99,8 @@ class ProbeSeries:
     term_log_mags: tuple  # natural log |t_n| at checkpoints, -inf when zero
     verdict: str
     max_abs_partial: float
+    # decimated CSV rows (see term_trace), filled when a stride is given
+    trace: tuple = field(default=(), repr=False)
 
 
 def _verdict_from_gaps(gaps) -> str:
@@ -88,69 +115,148 @@ def _verdict_from_gaps(gaps) -> str:
     return VERDICT_INCONCLUSIVE
 
 
-def _real_scale(u: float, scale_pow: int) -> float:
-    """u * 2**scale_pow in float64, saturating instead of raising."""
-    if u == 0.0:
-        return 0.0
+def _scan_chunk(a: np.ndarray, b: np.ndarray, state: tuple) -> tuple:
+    """Blocked scan of u_j = a_j u_{j-1} + b_j u_{j-2} over one chunk.
+
+    state = (u, w, e) holds the two values before the chunk as u 2^e and
+    w 2^e.  Returns (mantissas, exponents) of every u_j of the chunk and the
+    state after it.  Only the stream's last chunk can be short; it is padded
+    with zero steps, so its returned state is meaningless and never read.
+    Values past float64 range saturate to inf or nan; the caller silences
+    numpy's warnings about that.
+    """
+    count = a.size
+    nb = -(-count // _BLOCK)
+    pad = nb * _BLOCK - count
+    if pad:
+        a = np.concatenate((a, np.zeros(pad)))
+        b = np.concatenate((b, np.zeros(pad)))
+    # row i holds step i of every block
+    a = np.ascontiguousarray(a.reshape(nb, _BLOCK).T)
+    b = np.ascontiguousarray(b.reshape(nb, _BLOCK).T)
+
+    # per block, the two solutions started from (u, w) = (1, 0) and (0, 1):
+    # rows of the prefix product, scaled by 2^-shift
+    cur = np.zeros((2, nb))
+    cur[0] = 1.0
+    prev = np.zeros((2, nb))
+    prev[1] = 1.0
+    z = np.empty((_BLOCK, 2, nb))
+    zexp = np.empty((_BLOCK, nb), dtype=np.int64)
+    shift = np.zeros(nb, dtype=np.int64)
+    for i, (ai, bi) in enumerate(zip(a, b)):
+        cur, prev = ai * cur + bi * prev, cur
+        _, d = np.frexp(np.maximum(np.abs(cur), np.abs(prev)).max(axis=0))
+        d = -d
+        cur = np.ldexp(cur, d)
+        prev = np.ldexp(prev, d)
+        shift -= d
+        z[i] = cur
+        zexp[i] = shift
+
+    # carry: each block's end values, in the exponent of its last step, as a
+    # 2x2 map of its start values
+    last = z[-1].tolist()
+    before = np.ldexp(z[-2], zexp[-2] - zexp[-1]).tolist()
+    u, w, e = state
+    starts_u, starts_w, starts_e = [], [], []
+    for p, q, s, t, g in zip(last[0], last[1], before[0], before[1], zexp[-1].tolist()):
+        starts_u.append(u)
+        starts_w.append(w)
+        starts_e.append(e)
+        u, w = p * u + q * w, s * u + t * w
+        _, d = math.frexp(max(abs(u), abs(w)))
+        u, w, e = math.ldexp(u, -d), math.ldexp(w, -d), e + g + d
+
+    mant = z[:, 0] * np.array(starts_u) + z[:, 1] * np.array(starts_w)
+    expo = zexp + np.array(starts_e, dtype=np.int64)
+    return mant.T.ravel()[:count], expo.T.ravel()[:count], (u, w, e)
+
+
+def _probe(system: RecurrenceSystem, r, n_terms: int, which: str, offset: int,
+           stride, min_terms: int) -> ProbeSeries:
+    """Validate, then stream t_0 .. t_{n_terms-1} once through the kernel."""
+    if which not in ("modulus", "signed"):
+        raise InvalidParams(f"unknown probe channel {which!r}")
     try:
-        return math.ldexp(u, scale_pow)
+        rf = float(r)
     except OverflowError:
-        return math.copysign(math.inf, u)
+        rf = math.inf
+    if not (rf > 0.0 and math.isfinite(rf)):
+        raise InvalidParams("probe radius must be a positive finite number")
+    if n_terms < min_terms:
+        raise InvalidParams(f"probe needs at least {min_terms} terms")
+    if stride is not None and stride < 1:
+        raise InvalidParams("trace stride must be at least 1")
+    coeffs = _lag_coefficients(system)
+    signed = which == "signed"
+    if signed:
+        offset = 0
+    m, k = math.frexp(rf)
+    lnr = math.log(rf)
+
+    checkpoints = []
+    term_logs = []
+    marks = [(1 << p) - 1 for p in range(10, 64) if (1 << p) <= n_terms]
+    rows = [(0, 1.0, 0.0, 0.0, 1.0, 1.0)] if stride is not None else []
+    state = (1.0, 0.0, 0)  # (t_0, t_{-1}) scaled by m^j, with their exponent
+    total = 1.0  # real-scale running sum, starts with t_0 = 1
+    max_abs = 1.0
+    # terms and partial sums past float64 range saturate to +-inf (or nan)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for j0 in range(1, n_terms, _CHUNK):
+            j1 = min(j0 + _CHUNK, n_terms)
+            a, b = _lag_values(coeffs, np.arange(offset + j0 - 1, offset + j1 - 1,
+                                                 dtype=np.float64), signed)
+            a = a * m
+            b = b * (m * m)
+            if j0 == 1:
+                b[0] = 0.0  # step 1 multiplies t_{-1} = 0; b_0 may be a pole
+            mant, expo, state = _scan_chunk(a, b, state)
+            expo += np.arange(j0, j1, dtype=np.int64) * k
+            terms = np.ldexp(mant, expo)
+            first = terms[0]
+            terms[0] += total
+            sums = np.cumsum(terms)
+            terms[0] = first
+            max_abs = float(np.fmax.reduce(np.abs(sums), initial=max_abs))
+            total = float(sums[-1])
+
+            for jm in marks:
+                if j0 <= jm < j1:
+                    u = float(mant[jm - j0])
+                    checkpoints.append((jm + 1, float(sums[jm - j0])))
+                    term_logs.append(math.log(abs(u)) + int(expo[jm - j0]) * _LN2
+                                     if u != 0.0 else -math.inf)
+            if stride is not None:
+                sel = np.arange(-(-j0 // stride) * stride, j1, stride, dtype=np.int64)
+                if j0 <= n_terms - 1 < j1 and (n_terms - 1) % stride:
+                    sel = np.append(sel, n_terms - 1)
+                at = sel - j0
+                u = mant[at]
+                zero = u == 0.0  # written as 0.0, never -0.0
+                log_coef = np.log(np.abs(u)) + expo[at] * _LN2 - sel * lnr
+                value = np.where(zero, 0.0, np.copysign(np.exp(log_coef), u))
+                rows.extend(zip(sel.tolist(), value.tolist(), [0.0] * sel.size,
+                                log_coef.tolist(), np.where(zero, 0.0, terms[at]).tolist(),
+                                sums[at].tolist()))
+    gaps = tuple(s2 - s1 for (_, s1), (_, s2) in zip(checkpoints, checkpoints[1:]))
+    return ProbeSeries(which, rf, offset, n_terms, tuple(checkpoints), gaps,
+                       tuple(term_logs), _verdict_from_gaps(gaps), max_abs, tuple(rows))
 
 
 def term_scan(system: RecurrenceSystem, r: float, n_terms: int = 1 << 20,
-              which: str = "modulus", offset: int = 1) -> ProbeSeries:
+              which: str = "modulus", offset: int = 1, stride=None) -> ProbeSeries:
     """Stream t_0 .. t_{n_terms-1} at radius r and collect dyadic diagnostics.
 
     For "modulus" the recurrence is the majorant sequence from `offset` (so
     t_j = c_j r^j); for "signed" it is the true coefficient recurrence from
-    index 0 (t_n = d_n r^n).  The inner loop carries a power-of-two scale so
-    the recurrence state never leaves the representable range even when the
-    real-scale terms underflow.
+    index 0 (t_n = d_n r^n).  The kernel carries a power-of-two scale so the
+    recurrence state never leaves the representable range even when the
+    real-scale terms underflow.  With a stride the same pass also fills
+    `trace` with the rows term_trace returns.
     """
-    if which not in ("modulus", "signed"):
-        raise InvalidParams(f"unknown probe channel {which!r}")
-    if n_terms < 1 << 11:
-        raise InvalidParams("probe needs at least 2^11 terms for dyadic gaps")
-    signed = which == "signed"
-    if signed:
-        offset = 0
-    a_arr, b_arr = _lag_value_arrays(system, offset, n_terms, signed)
-    rf = float(r)
-    a_arr = a_arr * rf
-    b_arr = b_arr * (rf * rf)
-
-    checkpoints = []
-    term_logs = []
-    marks = set((1 << j) for j in range(10, 64) if (1 << j) <= n_terms)
-
-    u_prev = 0.0  # scaled t_{j-1}
-    u = 1.0  # scaled t_0
-    scale_pow = 0
-    total = 1.0  # real-scale running sum, starts with t_0 = 1
-    max_abs = 1.0
-    ln2 = math.log(2.0)
-    for j in range(1, n_terms):
-        nxt = a_arr[j - 1] * u + b_arr[j - 1] * u_prev if j >= 2 else a_arr[0] * u
-        u_prev, u = u, nxt
-        mag = max(abs(u), abs(u_prev))
-        if mag > _RESCALE_HI:
-            u = math.ldexp(u, -_RESCALE_SHIFT)
-            u_prev = math.ldexp(u_prev, -_RESCALE_SHIFT)
-            scale_pow += _RESCALE_SHIFT
-        elif 0.0 < mag < _RESCALE_LO:
-            u = math.ldexp(u, _RESCALE_SHIFT)
-            u_prev = math.ldexp(u_prev, _RESCALE_SHIFT)
-            scale_pow -= _RESCALE_SHIFT
-        total += _real_scale(u, scale_pow)
-        if abs(total) > max_abs:
-            max_abs = abs(total)
-        if j + 1 in marks:
-            checkpoints.append((j + 1, total))
-            term_logs.append(math.log(abs(u)) + scale_pow * ln2 if u != 0 else -math.inf)
-    gaps = tuple(s2 - s1 for (_, s1), (_, s2) in zip(checkpoints, checkpoints[1:]))
-    return ProbeSeries(which, rf, offset, n_terms, tuple(checkpoints), gaps,
-                       tuple(term_logs), _verdict_from_gaps(gaps), max_abs)
+    return _probe(system, r, n_terms, which, offset, stride, _SCAN_MIN_TERMS)
 
 
 def term_trace(system: RecurrenceSystem, r: float, n_terms: int,
@@ -158,57 +264,12 @@ def term_trace(system: RecurrenceSystem, r: float, n_terms: int,
     """Decimated per-term trace rows at radius r, for CSV export.
 
     Rows are (n, value_re, value_im, log_mag, term_at_r, partial_sum), where
-    value is the bare coefficient and term_at_r = value * r^n.  The value and
-    sum columns saturate to +-inf once they leave float64 range; log_mag is
-    the column that stays informative there.
+    value is the bare coefficient and term_at_r = value * r^n, for n = 0,
+    every multiple of stride, and n_terms - 1.  The value and sum columns
+    saturate to +-inf once they leave float64 range; log_mag is the column
+    that stays informative there.
     """
-    if which not in ("modulus", "signed"):
-        raise InvalidParams(f"unknown probe channel {which!r}")
-    rf = float(r)
-    if not (rf > 0.0 and math.isfinite(rf)):
-        raise InvalidParams("trace radius must be a positive finite number")
-    if stride < 1 or n_terms < 1:
-        raise InvalidParams("trace needs stride >= 1 and at least one term")
-    signed = which == "signed"
-    if signed:
-        offset = 0
-    a_arr, b_arr = _lag_value_arrays(system, offset, n_terms, signed)
-    a_arr = a_arr * rf
-    b_arr = b_arr * (rf * rf)
-    ln2 = math.log(2.0)
-    lnr = math.log(rf)
-
-    rows = [(0, 1.0, 0.0, 0.0, 1.0, 1.0)]
-    u_prev = 0.0
-    u = 1.0
-    scale_pow = 0
-    total = 1.0
-    for j in range(1, n_terms):
-        nxt = a_arr[j - 1] * u + b_arr[j - 1] * u_prev if j >= 2 else a_arr[0] * u
-        u_prev, u = u, nxt
-        mag = max(abs(u), abs(u_prev))
-        if mag > _RESCALE_HI:
-            u = math.ldexp(u, -_RESCALE_SHIFT)
-            u_prev = math.ldexp(u_prev, -_RESCALE_SHIFT)
-            scale_pow += _RESCALE_SHIFT
-        elif 0.0 < mag < _RESCALE_LO:
-            u = math.ldexp(u, _RESCALE_SHIFT)
-            u_prev = math.ldexp(u_prev, _RESCALE_SHIFT)
-            scale_pow -= _RESCALE_SHIFT
-        term = _real_scale(u, scale_pow)
-        total += term
-        if j % stride == 0 or j == n_terms - 1:
-            if u != 0.0:
-                log_coef = math.log(abs(u)) + scale_pow * ln2 - j * lnr
-                try:
-                    value = math.copysign(math.exp(log_coef), u)
-                except OverflowError:
-                    value = math.copysign(math.inf, u)
-            else:
-                log_coef = -math.inf
-                value = 0.0
-            rows.append((j, value, 0.0, log_coef, term, total))
-    return rows
+    return list(_probe(system, r, n_terms, which, offset, stride, 1).trace)
 
 
 def empirical_radius(stream: CoefficientStream, min_points: int = 64) -> float:

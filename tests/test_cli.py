@@ -1,10 +1,12 @@
 """Command-line behavior: documents, exit codes, traces, fan-out."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
+import heunlab.probes as probes
 from heunlab.cli import main
 
 F = Fraction
@@ -150,6 +152,38 @@ def test_boundary_signed_channel(a2_file, capsys):
                            "--which", "signed"])
     assert doc["outputs"]["offset"] == 0
     assert len(doc["outputs"]["gaps"]) == 4
+
+
+def test_boundary_overflowing_coefficient_exits_3(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text('{"recurrence": {"lags": [{"num": ["1e400", "1"], "den": ["1", "1"]}, '
+                    '{"num": ["1"], "den": ["4"]}]}}')
+    code, _, err = run(capsys, ["boundary", str(path), "--n-max", "4096"])
+    assert code == 3
+    assert err.count("\n") == 1 and "float64" in err
+
+
+def test_boundary_huge_radius(a2_file, capsys):
+    # r * r overflows float64 here; the transfer matrices must not
+    doc = run_doc(capsys, ["boundary", str(a2_file), "--n-max", "8192",
+                           "--radius", "1e200"])
+    out = doc["outputs"]
+    assert out["verdict"] == "diverges-empirically"
+    assert len(out["term_log_mags"]) == 4
+    assert all(math.isfinite(v) for v in out["term_log_mags"])
+
+
+@pytest.mark.parametrize("flag", ["--radius=-1", "--radius=0", "--radius=1e400",
+                                  "--radius-scale=1e400", "--stride=0", "--n-max=100"])
+def test_boundary_rejects_probe_arguments_before_streaming(a2_file, capsys,
+                                                           monkeypatch, flag):
+    def no_streaming(*args):
+        raise AssertionError("streamed before the arguments were checked")
+
+    monkeypatch.setattr(probes, "_scan_chunk", no_streaming)
+    code, _, err = run(capsys, ["boundary", str(a2_file), flag])
+    assert code == 3
+    assert err.startswith("heunlab: ") and err.count("\n") == 1
 
 
 def test_gauss_convergent(capsys, tmp_path):

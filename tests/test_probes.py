@@ -71,12 +71,34 @@ def test_scan_saturates_instead_of_overflowing(a2_params):
     assert all(math.isfinite(lm) for lm in scan.term_log_mags)
 
 
+def test_scan_tiny_radius_keeps_log_magnitudes(a2_params):
+    # r * r underflows float64 here; the transfer matrices must not
+    scan = term_scan(heun_recurrence(a2_params), 1e-200, 1 << 13)
+    assert scan.verdict == "converges-empirically"
+    assert scan.max_abs_partial == 1.0
+    assert all(math.isfinite(lm) and lm < -4e5 for lm in scan.term_log_mags)
+
+
+def test_scan_stride_fills_trace_rows(a2_params):
+    system = heun_recurrence(a2_params)
+    scan = term_scan(system, 0.5, 1 << 12, stride=1000)
+    assert scan.trace == tuple(term_trace(system, 0.5, 1 << 12, stride=1000))
+    assert [row[0] for row in scan.trace] == [0, 1000, 2000, 3000, 4000, 4095]
+    assert scan.trace[-1][5] == scan.checkpoints[-1][1]
+    assert term_scan(system, 0.5, 1 << 12).trace == ()
+
+
 def test_scan_input_guards(a2_params):
     system = heun_recurrence(a2_params)
     with pytest.raises(InvalidParams):
         term_scan(system, 0.5, 100)
     with pytest.raises(InvalidParams):
         term_scan(system, 0.5, 1 << 12, which="absolute")
+    for bad_r in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(InvalidParams):
+            term_scan(system, bad_r, 1 << 12)
+    with pytest.raises(InvalidParams):
+        term_scan(system, 0.5, 1 << 12, stride=0)
     one_lag = RecurrenceSystem((RationalFnInN(poly_from(F(1, 2)), poly_from(F(1))),))
     with pytest.raises(InvalidParams):
         term_scan(one_lag, 0.5, 1 << 12)
