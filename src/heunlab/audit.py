@@ -38,11 +38,6 @@ def _safe_float(x) -> float:
         return math.inf if x > 0 else -math.inf
 
 
-def _system_exact(system) -> bool:
-    return all(is_exact(c) for fn in system.lags
-               for c in (*fn.num.coeffs, *fn.den.coeffs))
-
-
 def run_proof_audit(params: HeunParams, root=0, eps=Fraction(1, 100),
                     N_check: int = 10 ** 5, M: int = 30, m_trunc: int = 2,
                     K=Fraction(1, 2), j_max: int = 64, k_max: int = 4096,
@@ -69,7 +64,7 @@ def run_system_audit(system, limits, *, root_echo=None, eps=Fraction(1, 100),
                      prec: int = 256, enum_depth: int = 14,
                      instance_echo: dict | None = None):
     """Audit any three-term system with known lag limits; see run_proof_audit."""
-    if not (_system_exact(system) and all(is_exact(v) for v in limits)):
+    if not (system.is_exact() and all(is_exact(v) for v in limits)):
         raise InputError("the audit needs rational coefficients; its certificates are exact")
     constants = find_proof_constants(system, eps, N_check)
     reverify = verify_proof_constants(system, constants)

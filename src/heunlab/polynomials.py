@@ -6,6 +6,7 @@ or mpmath float) is whatever the caller put in; arithmetic never converts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -49,7 +50,30 @@ class PolynomialInN:
             raise InvalidParams("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
+    @cached_property
+    def _cleared(self):
+        """(integer numerators, common denominator) for rational coefficients.
+
+        None unless every coefficient is an int or a Fraction and at least one
+        is a Fraction: only then does Horner return a Fraction, which the
+        cleared form reproduces with one gcd instead of one per step.
+        """
+        coeffs = self.coeffs
+        if not (all(isinstance(c, (int, Fraction)) for c in coeffs)
+                and any(isinstance(c, Fraction) for c in coeffs)):
+            return None
+        fracs = [Fraction(c) for c in coeffs]
+        den = math.lcm(*(f.denominator for f in fracs))
+        return tuple(f.numerator * (den // f.denominator) for f in fracs), den
+
     def __call__(self, n):
+        cleared = self._cleared if isinstance(n, int) else None
+        if cleared is not None:
+            nums, den = cleared
+            acc = 0
+            for c in reversed(nums):
+                acc = acc * n + c
+            return Fraction(acc, den)
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * n + c

@@ -162,7 +162,10 @@ def _margin_sweep(num_m: PolynomialInN, den: PolynomialInN, h: int,
             nv = start + int(idx)
             if exact:
                 rechecked += 1
-                ok = abs(Fraction(num_m(nv))) * nv > (nv - h) * abs(Fraction(den(nv)))
+                # |p/q| * n > (n - h) * |s/t| with q, t > 0, cross-multiplied in ints
+                a, b = Fraction(num_m(nv)), Fraction(den(nv))
+                ok = (abs(a.numerator) * b.denominator * nv
+                      > (nv - h) * abs(b.numerator) * a.denominator)
             else:
                 ok = margins[idx] > 0
             if not ok and nv > last_violation:
@@ -214,7 +217,7 @@ def find_proof_constants(system: RecurrenceSystem, eps=Fraction(1, 100),
         raise InvalidParams("eps must lie in (0, 1)")
     profile = limit_profile(system)
     report = classify_case(profile)
-    exact = all(is_exact(c) for fn in system.lags for c in fn.num.coeffs + fn.den.coeffs)
+    exact = system.is_exact()
 
     num1_m, den1 = _monic(system.lags[0].num), _monic(system.lags[0].den)
     num2_m, den2 = _monic(system.lags[1].num), _monic(system.lags[1].den)
@@ -267,7 +270,7 @@ def verify_proof_constants(system: RecurrenceSystem, pc: ProofConstants,
     hi = pc.N_check if n_hi is None else n_hi
     if lo > hi:
         raise InvalidParams("empty verification window")
-    exact = all(is_exact(c) for fn in system.lags for c in fn.num.coeffs + fn.den.coeffs)
+    exact = system.is_exact()
     num1_m, den1 = _monic(system.lags[0].num), _monic(system.lags[0].den)
     num2_m, den2 = _monic(system.lags[1].num), _monic(system.lags[1].den)
     s1 = _margin_sweep(num1_m, den1, pc.h_lag1, lo, hi, exact)
@@ -283,16 +286,33 @@ def verify_proof_constants(system: RecurrenceSystem, pc: ProofConstants,
 
 
 def z_power_tail(z, h2: int, m: int, k_max: int, prec: int = DEFAULT_PRECISION):
-    """(sum_{k=m}^{k_max} z^k / k^(h2/2), bound on the dropped remainder)."""
-    if m < 1 or k_max < m:
-        raise InvalidParams("need 1 <= m <= k_max")
+    """(sum_{k=m}^{k_max} z^k / k^(h2/2), bound on the dropped remainder).
+
+    z^k is carried as a running product at prec + 32 guard bits and rounded
+    once per term, and k^(h2/2) is the integer k^(h2 // 2), times sqrt(k) when
+    h2 is odd, so each term is within an ulp of z**k / k**(h2/2) at prec.
+    The terms decrease, so once one leaves the rounded total unchanged no
+    later term can move it: the loop stops there, and the sum is bit for bit
+    the sum of all terms up to k_max at that precision.
+    """
+    if m < 1 or k_max < m or not isinstance(h2, int) or h2 < 0:
+        raise InvalidParams("need 1 <= m <= k_max and an integer h2 >= 0")
     with mp.workprec(prec):
         zv = as_mp(z, prec)
         if not (0 < zv < 1):
             raise DomainError("z-power tail needs 0 < z < 1")
+        half, odd = divmod(h2, 2)
+        guard = prec + 32
+        with mp.workprec(guard):
+            zk = zv ** m
         total = mp.mpf(0)
         for k in range(m, k_max + 1):
-            total += zv ** k / mp.mpf(k) ** (mp.mpf(h2) / 2)
+            den = k ** half * mp.sqrt(k) if odd else k ** half
+            new = total + (+zk) / den
+            if new == total:
+                break
+            total = new
+            zk = mp.fmul(zk, zv, prec=guard)
         rem = zv ** (k_max + 1) / ((1 - zv) * mp.mpf(k_max + 1) ** (mp.mpf(h2) / 2))
         return total, rem
 

@@ -12,7 +12,7 @@ majorants drive the domination bound used by the boundary analysis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -50,6 +50,11 @@ class RecurrenceSystem:
     def coefficient(self, i: int, n: int):
         """alpha_i(n) for 1-based lag i."""
         return self.lags[i - 1](n)
+
+    def is_exact(self) -> bool:
+        """Whether every lag polynomial has rational coefficients."""
+        return all(is_exact(c) for fn in self.lags
+                   for c in (*fn.num.coeffs, *fn.den.coeffs))
 
 
 @dataclass(frozen=True)
@@ -156,13 +161,24 @@ class ModulusRecurrence:
 
     base: RecurrenceSystem
     offset: int
+    _exact_factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.offset < 0:
             raise InvalidParams("modulus offset must be nonnegative")
 
     def coefficient(self, i: int, j: int):
-        return scalar_abs(self.base.coefficient(i, j + self.offset))
+        """|alpha_i(j + offset)|, evaluated once per (i, j) when it is exact.
+
+        Floating values are not kept: they depend on the working precision
+        of the call that evaluates them.
+        """
+        value = self._exact_factors.get((i, j))
+        if value is None:
+            value = scalar_abs(self.base.coefficient(i, j + self.offset))
+            if is_exact(value):
+                self._exact_factors[(i, j)] = value
+        return value
 
 
 def modulus_stream(mod: ModulusRecurrence, count: int,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 from mpmath import mp
@@ -84,6 +85,26 @@ def hyp2f1_series(params: Hyp2F1Params, x, tol, n_max: int, prec: int = DEFAULT_
     return total, False
 
 
+@lru_cache(maxsize=16)  # an audit searches six parameter sets, one after another
+def _ratio_base(N, h2, r, i2r, prec: int):
+    """Validated (h2, x1, x2, loggamma(x1), loggamma(x2)) of one ratio bound.
+
+    The part that does not depend on the index i2r1: a floor search probes
+    one parameter set at many indices and computes it once.
+    """
+    with mp.workprec(prec):
+        N, h2, r, i2r = (as_mp(v, prec) for v in (N, h2, r, i2r))
+        if not (N - h2 > 0):
+            raise DomainError(f"need N - h2 > 0, got N = {N}, h2 = {h2}")
+        if h2 < 0 or r < 0 or i2r < 0:
+            raise DomainError("h2, r, i2r must be nonnegative")
+        x1 = (2 + r + N - h2) / 2 + i2r
+        x2 = (2 + r + N) / 2 + i2r
+        if x1 <= 0:
+            raise DomainError(f"gamma argument {x1} is not positive")
+        return h2, x1, x2, mp.loggamma(x1), mp.loggamma(x2)
+
+
 def pochhammer_ratio_lower_bound(N, h2, r, i2r, i2r1: int, prec: int = DEFAULT_PRECISION):
     """Evaluate both sides of the Pochhammer-ratio lower bound.
 
@@ -94,7 +115,9 @@ def pochhammer_ratio_lower_bound(N, h2, r, i2r, i2r1: int, prec: int = DEFAULT_P
 
     and holds (strictly) for every i2r1 past a parameter-dependent floor, see
     :func:`min_index_for_ratio_bound`.  Evaluation goes through loggamma so
-    large indices neither overflow nor underflow.
+    large indices neither overflow nor underflow; loggamma(x1) and
+    loggamma(x2) are kept for the last few parameter sets, so the probes of a
+    floor search compute them once.
 
     Returns:
         (lhs, rhs, holds) as mpmath reals and a bool.
@@ -102,21 +125,13 @@ def pochhammer_ratio_lower_bound(N, h2, r, i2r, i2r1: int, prec: int = DEFAULT_P
     Raises:
         DomainError: if N - h2 <= 0 or any argument leaves the positive region.
     """
+    h2, x1, x2, lg_x1, lg_x2 = _ratio_base(N, h2, r, i2r, prec)
+    if i2r1 < 1:
+        raise DomainError("i2r1 must be a positive integer")
     with mp.workprec(prec):
-        N, h2, r, i2r = (as_mp(v, prec) for v in (N, h2, r, i2r))
-        if not (N - h2 > 0):
-            raise DomainError(f"need N - h2 > 0, got N = {N}, h2 = {h2}")
-        if h2 < 0 or r < 0 or i2r < 0:
-            raise DomainError("h2, r, i2r must be nonnegative")
-        if i2r1 < 1:
-            raise DomainError("i2r1 must be a positive integer")
-        x1 = (2 + r + N - h2) / 2 + i2r
-        x2 = (2 + r + N) / 2 + i2r
-        if x1 <= 0:
-            raise DomainError(f"gamma argument {x1} is not positive")
         lg = mp.loggamma
-        lhs = mp.exp(lg(x1 + i2r1) - lg(x1) - lg(x2 + i2r1) + lg(x2))
-        rhs = mp.exp(lg(x2) - lg(x1) - (h2 / 2) * mp.log(i2r1)) / 2
+        lhs = mp.exp(lg(x1 + i2r1) - lg_x1 - lg(x2 + i2r1) + lg_x2)
+        rhs = mp.exp(lg_x2 - lg_x1 - (h2 / 2) * mp.log(i2r1)) / 2
         return lhs, rhs, bool(lhs > rhs)
 
 

@@ -1,5 +1,6 @@
 """The end-to-end audit document: structure, verdicts, determinism."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from mpmath import mp
 from heunlab import (DegreeMismatch, HeunParams, InputError, document_bytes,
                      heun_recurrence, run_proof_audit, run_system_audit,
                      series_limits)
+from heunlab.cli import main as cli_main
 
 F = Fraction
 
@@ -123,3 +125,39 @@ def test_audit_echoes_instance(a2_audit):
     document, _ = run_proof_audit(params, instance_echo=echo)
     assert document["instance"] == echo
     assert a2_audit[0]["instance"] == {}
+
+
+# sha256 of the proof-audit JSON and CSV, recorded before the audit stages were
+# sped up (running z-power product, integer-cleared Horner, memoized modulus
+# factors, shared loggamma base).  Speedups must not move a rendered digit;
+# a deliberate document change (a new field, a version bump) updates these.
+GOLDEN_AUDITS = {
+    # the a=2 worked sample, h2 = 3
+    "sample": (
+        '{"heun": {"a": "2", "q": "1", "alpha": "1", "beta": "1", '
+        '"gamma": "1", "delta": "1", "lambda": "0"}, "precision": "exact"}',
+        "3436c613725b9b1c1bad659f48c873ea549ff3677871ae983245f5e08348af5d",
+        "cd3b59a4d4fa5c84b21bacedb9e43106909edd401cf62a2c8992006f92393fec",
+    ),
+    # PROBE_POOL instance (2, 0, 2, 2, 1, 1), h2 = 1
+    "pool06": (
+        '{"heun": {"a": "2", "q": "0", "alpha": "2", "beta": "2", '
+        '"gamma": "1", "delta": "1", "lambda": "0"}}',
+        "01db317c0ea2a1fcf3ce082546f77c74fdeadde0f6601d61a6a6588bf905be24",
+        "c961ed15044e6b4878c6cce3fb4609bc3f5b06c37c55db6bf329b235562b4097",
+    ),
+}
+
+
+@pytest.mark.parametrize("stem", sorted(GOLDEN_AUDITS))
+def test_audit_documents_golden_bytes(stem, tmp_path, capsys):
+    text, json_sha, csv_sha = GOLDEN_AUDITS[stem]
+    instance = tmp_path / f"{stem}.json"
+    instance.write_text(text)
+    out = tmp_path / "out"
+    code = cli_main(["proof-audit", str(instance), "--out", str(out),
+                     "--n-check", "100000"])
+    assert code == 0, capsys.readouterr().err
+    digest = lambda suffix: hashlib.sha256(
+        (out / f"{stem}.proof-audit.{suffix}").read_bytes()).hexdigest()
+    assert (digest("json"), digest("csv")) == (json_sha, csv_sha)

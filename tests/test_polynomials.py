@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from mpmath import mp
 
 from heunlab import (InvalidParams, PoleAtIndex, PolynomialInN, RationalFnInN,
                      monic_quadratic, nonneg_integer_roots, poly_from)
@@ -113,3 +114,36 @@ def test_rational_fn_rejects_zero_denominator():
 def test_monic_quadratic():
     p = monic_quadratic(Fraction(3), Fraction(2))
     assert p(1) == 6 and p.coeffs == (Fraction(2), Fraction(3), 1)
+
+
+def _generic_horner(coeffs, n):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * n + c
+    return acc
+
+
+@pytest.mark.parametrize("coeffs", [
+    (Fraction(-3, 4), Fraction(5, 6), Fraction(1, 8), Fraction(7, 3)),
+    (4, -2, 0, 9),
+    (Fraction(1, 2), 3, Fraction(-5, 7), 2),
+    (2, Fraction(1, 3), 5),
+    (mp.mpf("0.25"), mp.mpf(3), mp.mpf("-1.5")),
+    (mp.mpc(1, 2), mp.mpf("0.5"), mp.mpc(0, -1)),
+    (),
+], ids=["fractions", "ints", "mixed-int-top", "mixed-fraction-top", "mpf", "mpc", "zero"])
+def test_evaluation_matches_generic_horner(coeffs):
+    p = PolynomialInN(coeffs)
+    for n in (-7, -1, 0, 1, 2, 10 ** 6, Fraction(-3, 2)):
+        expected = _generic_horner(p.coeffs, n)
+        got = p(n)
+        assert got == expected and type(got) is type(expected), (coeffs, n)
+
+
+def test_rational_fn_pole_with_fraction_coefficients():
+    # (n/2 + 1) / ((n - 3)(n + 1/3)): a pole at 3 and nowhere else on n >= 0
+    fn = RationalFnInN(poly_from(Fraction(1), Fraction(1, 2)),
+                       poly_from(Fraction(-1), Fraction(-8, 3), Fraction(1)))
+    with pytest.raises(PoleAtIndex):
+        fn(3)
+    assert fn(5) == Fraction(21, 64)  # (7/2) / (32/3)

@@ -2,6 +2,7 @@
 
 import dataclasses
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from mpmath import mp
@@ -13,6 +14,8 @@ from heunlab import (CASE1, CASE2, CASE3, CASE4, DegreeMismatch, DomainError,
                      heun_recurrence, limit_profile, minorant_partial,
                      poly_from, series_limits, verify_proof_constants,
                      z_power_tail)
+from heunlab.instances import render_value
+from heunlab.scalars import DEFAULT_PRECISION, as_mp
 
 F = Fraction
 
@@ -141,6 +144,75 @@ def test_z_power_tail_guards():
         z_power_tail(F(1, 10), 3, 5, 4)
     with pytest.raises(DomainError):
         z_power_tail(F(3, 2), 3, 1, 10)
+    with pytest.raises(InvalidParams):
+        z_power_tail(F(1, 10), -1, 1, 10)
+    with pytest.raises(InvalidParams):
+        z_power_tail(F(1, 10), F(3, 2), 1, 10)
+
+
+# z from small (early stop after ~85 terms) to 1 - 2^-10 (no stop before k ~ 2^17)
+PARITY_Z = (F(1, 8), F(1, 2), F(9, 10), 1 - F(1, 1024))
+
+
+@lru_cache(maxsize=None)
+def _z_powers(z, prec):
+    with mp.workprec(prec):
+        zv = as_mp(z, prec)
+        return tuple(zv ** k for k in range(1, 4097))
+
+
+@lru_cache(maxsize=None)
+def _k_powers(h2, prec):
+    with mp.workprec(prec):
+        return tuple(mp.mpf(k) ** (mp.mpf(h2) / 2) for k in range(1, 4097))
+
+
+@lru_cache(maxsize=None)
+def _reference_terms(z, h2, prec=DEFAULT_PRECISION):
+    """Terms k = 1..4096 as the plain per-term loop computed them,
+    z ** k / mp.mpf(k) ** (mp.mpf(h2) / 2), with both operands cached."""
+    with mp.workprec(prec):
+        return tuple(zk / kh for zk, kh in zip(_z_powers(z, prec), _k_powers(h2, prec)))
+
+
+def _reference_tails(z, h2, m, prec=DEFAULT_PRECISION):
+    """{k_max: (total, last k whose term moved it)} for k_max in (m, 50, 4096),
+    summed term by term as the full loop summed them."""
+    terms = _reference_terms(z, h2, prec)
+    out = {}
+    with mp.workprec(prec):
+        total = mp.mpf(0)
+        last_moved = None
+        for k in range(m, 4097):
+            new = total + terms[k - 1]
+            if new != total:
+                last_moved = k
+            total = new
+            if k in (m, 50, 4096):
+                out[k] = (total, last_moved)
+    return out
+
+
+@pytest.mark.parametrize("z", PARITY_Z, ids=str)
+@pytest.mark.parametrize("h2", (1, 2, 3, 4, 5))
+def test_z_power_tail_matches_per_term_loop(z, h2):
+    prec = DEFAULT_PRECISION
+    for m in (1, 2):
+        for k_max, (ref, _) in _reference_tails(z, h2, m).items():
+            total, rem = z_power_tail(z, h2, m, k_max)
+            case = (m, k_max)
+            assert render_value(total, prec) == render_value(ref, prec), case
+            with mp.workprec(prec):
+                assert mp.fabs(total - ref) <= mp.mpf(2) ** (4 - prec) * ref, case
+                zv = as_mp(z, prec)
+                ref_rem = zv ** (k_max + 1) / ((1 - zv) * mp.mpf(k_max + 1) ** (mp.mpf(h2) / 2))
+            assert rem == ref_rem, case
+
+
+def test_z_power_tail_parity_covers_both_stops():
+    # past its last moving term the loop may stop; near z = 1 every term counts
+    assert _reference_tails(F(1, 2), 3, 2)[4096][1] < 4096
+    assert _reference_tails(1 - F(1, 1024), 3, 2)[50][1] == 50
 
 
 @pytest.fixture()
