@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import re
 import sys
 from pathlib import Path
 
@@ -37,9 +38,18 @@ EXIT_INPUT = 3
 PROG = "heunlab"
 
 
+# a minus sign then a digit: a negative value such as -1/5, -2e-3 or -.5,
+# never a flag (argparse alone knows only -12 and -1.5)
+_NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on bad flags; 2 is reserved here for
     domain refusals, so parser errors are remapped to the input-error code."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -353,8 +363,14 @@ def build_parser() -> _Parser:
     return parser
 
 
+_parser = None  # built by the first main() call and reused after it
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except (OutsideDomain, DomainError) as exc:

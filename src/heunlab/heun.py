@@ -17,12 +17,14 @@ denominators.  Tests play them against each other.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from mpmath import mp
 
-from .errors import InputError, InvalidParams, OutsideDomain
+from .errors import InputError, InvalidParams, OutsideDomain, PoleAtIndex
 from .polynomials import PolynomialInN, RationalFnInN
 from .recurrence import CoefficientStream, RecurrenceSystem, stream_coefficients
 from .scalars import (DEFAULT_PRECISION, as_mp, is_exact, parse_precision,
@@ -76,8 +78,20 @@ def heun_recurrence(params: HeunParams, root=0) -> RecurrenceSystem:
     lag-1 numerator is quadratic with leading coefficient (1+a)/a and the
     lag-2 numerator is -1/a times a monic quadratic; the numerators are built
     un-divided so that a = -1 (vanishing lag-1 limit) stays representable.
+
+    The last rational system built is kept and returned again for the same
+    (params, root), so parsing an instance and then evaluating or auditing
+    it builds the system and finds its poles once.  Keeping only one bounds
+    what a long-lived process retains.  Floating coefficients depend on the
+    working precision of the call and are built afresh.
     """
     lam = _check_root(params, root)
+    if params.is_exact() and is_exact(lam):
+        return _exact_recurrence(params, lam)
+    return _build_recurrence(params, lam)
+
+
+def _build_recurrence(params: HeunParams, lam) -> RecurrenceSystem:
     a, q = params.a, params.q
     al, be, ga, de = params.alpha, params.beta, params.gamma, params.delta
     den = PolynomialInN(((1 + lam) * (ga + lam), 1 + ga + 2 * lam, 1))
@@ -92,6 +106,9 @@ def heun_recurrence(params: HeunParams, root=0) -> RecurrenceSystem:
         -1 / (Fraction(a) if is_exact(a) else a),
     ))
     return RecurrenceSystem((RationalFnInN(num1, den), RationalFnInN(num2, den)))
+
+
+_exact_recurrence = lru_cache(maxsize=1)(_build_recurrence)
 
 
 def series_limits(params: HeunParams):
@@ -195,6 +212,124 @@ def absolute_profile_sum(params: HeunParams, x, prec: int = DEFAULT_PRECISION):
         return scalar_abs(A, prec) * ax + scalar_abs(B, prec) * ax * ax
 
 
+def _integer_lags(system: RecurrenceSystem):
+    """Integer polynomials A1, A2, G with alpha_i(n) = A_i(n) / G(n).
+
+    Both Heun lags share one denominator polynomial, so one G clears them;
+    the integers come from each polynomial's cleared form (integer
+    numerators over a common denominator).
+    """
+    lag1, lag2 = system.lags
+    (num1, c1), (num2, c2), (den, e) = (
+        poly._cleared or (poly.coeffs, 1) for poly in (lag1.num, lag2.num, lag1.den))
+    lcm = math.lcm(c1, c2)
+    return (PolynomialInN([c * e * (lcm // c1) for c in num1]),
+            PolynomialInN([c * e * (lcm // c2) for c in num2]),
+            PolynomialInN([c * lcm for c in den]))
+
+
+def _sum_exact(system, x: Fraction, lam: int, tol: Fraction, n_max: int):
+    """The exact tier summed in integers; returns (value, n_used, converged).
+
+    d_n = P_n / Q_n is carried unreduced with Q_{n+1} = Q_n |G(n)|, which
+    gives P_{n+1} = +-(A1(n) P_n + A2(n) |G(n-1)| P_{n-1}) with no division
+    (P_{-1} = 0 drops the lag-2 term at n = 0).
+    The partial sum is U / V over V = Q_n xd^(n+lam) for x = xn / xd, and a
+    term is T = P_n xn^(n+lam) over the same V.  The stop test
+    |T| td < tn max(V, |U|) for tol = tn / td is the rational comparison
+    |term| < tol max(1, |sum|) multiplied through by V td > 0.  One gcd at
+    the end reduces the value.
+    """
+    a1, a2, g = _integer_lags(system)
+    xn, xd = x.numerator, x.denominator
+    tn, td = tol.numerator, tol.denominator
+    power, U, V = xn ** lam, 0, xd ** lam
+    p, p_prev, q_prev = 1, 0, 1
+    small_run = n_used = 0
+    converged = False
+    for n in range(n_max):
+        t = p * power
+        U += t
+        n_used = n + 1
+        if abs(t) * td < tn * max(V, abs(U)):
+            small_run += 1
+            if small_run >= 3:
+                converged = True
+                break
+        else:
+            small_run = 0
+        q = g(n)
+        if q == 0:
+            raise PoleAtIndex(n)
+        nxt = a1(n) * p + a2(n) * q_prev * p_prev
+        if q < 0:
+            q, nxt = -q, -nxt
+        U *= q * xd
+        V *= q * xd
+        p_prev, p, q_prev = p, nxt, q
+        power *= xn
+    return Fraction(U, V), n_used, converged
+
+
+def _mp_lag_values(system: RecurrenceSystem, prec: int):
+    """n -> (alpha_1(n), alpha_2(n) or None at n = 0) at the working precision.
+
+    For rational lags each value is mpf(p) / mpf(q) of the gcd-reduced pair,
+    the rounding `as_mp` gives a Fraction.  Call it inside workprec(prec).
+    """
+    lag1, lag2 = system.lags
+    if not system.is_exact():
+        return lambda n: (as_mp(lag1(n), prec), as_mp(lag2(n), prec) if n else None)
+    a1, a2, g = _integer_lags(system)
+    mpf, gcd = mp.mpf, math.gcd
+
+    def ratio(num, den):
+        h = gcd(num, den) if den > 0 else -gcd(num, den)
+        return mpf(num // h) / mpf(den // h)
+
+    def values(n):
+        den = g(n)
+        if den == 0:
+            raise PoleAtIndex(n)
+        return ratio(a1(n), den), (ratio(a2(n), den) if n else None)
+
+    return values
+
+
+def _sum_mp(system, x, lam, tol, n_max: int, prec: int):
+    """The fixed-precision tier in one workprec block; returns (value, n_used, converged)."""
+    with mp.workprec(prec):
+        xv = as_mp(x, prec)
+        total = mp.mpf(0)
+        lam_v = as_mp(lam, prec)
+        power = mp.power(xv, lam_v) if xv != 0 else (mp.mpf(1) if lam_v == 0 else mp.mpf(0))
+        d_prev, d_curr = None, mp.mpf(1)
+        tol_v = as_mp(tol, prec)
+        lag_values = _mp_lag_values(system, prec)
+        fabs = mp.fabs
+        small_run = n_used = 0
+        converged = False
+        for n in range(n_max):
+            term = d_curr * power
+            total = total + term
+            n_used = n + 1
+            scale = fabs(total)
+            if fabs(term) < (tol_v if scale < 1 else tol_v * scale):
+                small_run += 1
+                if small_run >= 3:
+                    converged = True
+                    break
+            else:
+                small_run = 0
+            c1, c2 = lag_values(n)
+            nxt = c1 * d_curr
+            if c2 is not None:
+                nxt = nxt + c2 * d_prev
+            d_prev, d_curr = d_curr, nxt
+            power = power * xv
+    return total, n_used, converged
+
+
 def heun_eval(params: HeunParams, x, root=0, tol=Fraction(1, 10 ** 30),
               n_max: int = 10 ** 5, force: bool = False,
               precision: int | str = DEFAULT_PRECISION) -> EvalResult:
@@ -204,7 +339,16 @@ def heun_eval(params: HeunParams, x, root=0, tol=Fraction(1, 10 ** 30),
     unless force=True: outside that region a partial sum can look settled
     while the tail is not summable, so a silent number would be a lie.
     Summation stops once three consecutive terms fall below tol relative to
-    max(1, |partial sum|).
+    max(1, |partial sum|).  That stop is a heuristic, not a bound on the
+    tail: `converged` means the terms looked settled, not that the error
+    is below tol.
+
+    The exact tier works in integers: the coefficients and the partial sum
+    are carried as unreduced numerators over a running common denominator
+    (the lag values' shared integer denominator times the point's), the stop
+    test is decided on those integers, and the value is reduced once at the
+    end.  The floating tier runs the whole sum at the working precision,
+    rounding each rational lag value as mpf(p) / mpf(q).
 
     Returns:
         EvalResult with the value, terms consumed, and convergence flag.
@@ -224,53 +368,11 @@ def heun_eval(params: HeunParams, x, root=0, tol=Fraction(1, 10 ** 30),
             f"absolute-convergence domain (use force to evaluate anyway)"
         )
     system = heun_recurrence(params, lam)
-    exact_mode = precision == "exact"
-    if exact_mode and not (is_exact(x) and params.is_exact() and is_exact(tol)):
+    if precision != "exact":
+        return EvalResult(*_sum_mp(system, x, lam, tol, n_max, prec), dsum, inside)
+    if not (is_exact(x) and params.is_exact() and is_exact(tol)):
         raise InputError("exact evaluation needs rational parameters, point, and tolerance")
-    if exact_mode and not (is_exact(lam) and Fraction(lam).denominator == 1 and lam >= 0):
+    if not (is_exact(lam) and Fraction(lam).denominator == 1 and lam >= 0):
         raise InputError("exact evaluation needs a nonnegative integer exponent; use a bit precision")
-
-    with mp.workprec(prec):
-        if exact_mode:
-            xv = Fraction(x)
-            total = Fraction(0)
-            power = xv ** int(Fraction(lam))  # x^lam exact for integer lam
-            d_prev = None
-            d_curr = Fraction(1)
-            tol_v = Fraction(tol)
-        else:
-            xv = as_mp(x, prec)
-            total = mp.mpf(0)
-            lam_v = as_mp(lam, prec)
-            power = mp.power(xv, lam_v) if xv != 0 else (mp.mpf(1) if lam_v == 0 else mp.mpf(0))
-            d_prev = None
-            d_curr = mp.mpf(1)
-            tol_v = as_mp(tol, prec)
-        lag1, lag2 = system.lags
-        small_run = 0
-        n_used = 0
-        converged = False
-        for n in range(n_max):
-            term = d_curr * power
-            total = total + term
-            n_used = n + 1
-            scale = scalar_abs(total, prec)
-            if scale < 1:
-                scale = scale * 0 + 1
-            if scalar_abs(term, prec) < tol_v * scale:
-                small_run += 1
-                if small_run >= 3:
-                    converged = True
-                    break
-            else:
-                small_run = 0
-            if exact_mode:
-                nxt = lag1(n) * d_curr + (lag2(n) * d_prev if n >= 1 else Fraction(0))
-            else:
-                c1 = as_mp(lag1(n), prec)
-                nxt = c1 * d_curr
-                if n >= 1:
-                    nxt = nxt + as_mp(lag2(n), prec) * d_prev
-            d_prev, d_curr = d_curr, nxt
-            power = power * xv
-    return EvalResult(total, n_used, converged, dsum, inside)
+    value = _sum_exact(system, Fraction(x), int(lam), Fraction(tol), n_max)
+    return EvalResult(*value, dsum, inside)

@@ -120,12 +120,38 @@ def poly_from(*coeffs) -> PolynomialInN:
     return PolynomialInN(coeffs)
 
 
+def _low_degree_roots(coeffs) -> set:
+    """Nonnegative integer roots of c0 + c1 n or c0 + c1 n + c2 n^2, exactly.
+
+    The coefficients are rational; cleared to integers, a linear root is one
+    division and a quadratic's roots are rational only when the discriminant
+    is a perfect square, which math.isqrt decides.
+    """
+    fracs = [Fraction(c) for c in coeffs]
+    den = math.lcm(*(f.denominator for f in fracs))
+    ints = [f.numerator * (den // f.denominator) for f in fracs]
+    if len(ints) == 2:
+        pairs = [(-ints[0], ints[1])]
+    else:
+        c, b, a = ints
+        disc = b * b - 4 * a * c
+        root = math.isqrt(disc) if disc >= 0 else -1
+        if root * root != disc:
+            return set()
+        pairs = [(-b + root, 2 * a), (-b - root, 2 * a)]
+    return {num // d for num, d in pairs if num % d == 0 and num // d >= 0}
+
+
 def nonneg_integer_roots(poly: PolynomialInN, tol: float = 1e-9) -> frozenset:
     """Nonnegative integer roots of a polynomial.
 
-    Candidates come from a numeric root solve; each candidate is then verified
-    in the polynomial's own scalar tier, so exact-tier results are exact.  The
-    numeric localization is reliable for the low degrees (<= 4) used here.
+    Rational polynomials of degree <= 2 (once a factor n^v is split off) are
+    solved exactly, which covers every Heun denominator.  Otherwise candidates
+    come from a numeric root solve; each candidate is then verified in the
+    polynomial's own scalar tier, so exact-tier results are exact.  The
+    numeric localization can miss a root: it looks only at the integers next
+    to each numeric root, and clustered or multiple roots far from the origin
+    can land farther away.
     """
     if poly.is_zero:
         raise InvalidParams("zero polynomial has every integer as a root")
@@ -140,6 +166,8 @@ def nonneg_integer_roots(poly: PolynomialInN, tol: float = 1e-9) -> frozenset:
         v += 1
     if v:
         cand.add(0)
+    if 1 < len(coeffs) <= 3 and all(is_exact(c) for c in coeffs):
+        return frozenset(cand | _low_degree_roots(coeffs))
     if len(coeffs) > 1:
         try:
             floats = [float(c) for c in coeffs]

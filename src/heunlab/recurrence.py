@@ -28,6 +28,9 @@ class RecurrenceSystem:
     """Lag coefficients alpha_1 .. alpha_k as rational functions of n."""
 
     lags: tuple
+    # offset -> (exact majorant factors by (i, j), exact majorant values),
+    # shared by every ModulusRecurrence of this system at that offset
+    _majorants: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.lags:
@@ -157,15 +160,25 @@ class ModulusRecurrence:
 
     Offset N gives the sequence dominating |d_{N+j}| / |d_N| contributions;
     offset N+1 gives the companion sequence attached to the d_{N-1} term.
+
+    Exact factors and exact values are kept on the base system, so every
+    majorant of one system at one offset computes them once: an audit needs
+    the majorant at offset N for the path table, the regroup sum and the
+    domination bound.  The base does not refer back, so no cycle keeps
+    them alive.
     """
 
     base: RecurrenceSystem
     offset: int
-    _exact_factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.offset < 0:
             raise InvalidParams("modulus offset must be nonnegative")
+
+    @cached_property
+    def _exact(self) -> tuple:
+        """(exact factors by (i, j), exact values c_0, c_1, ...) for this offset."""
+        return self.base._majorants.setdefault(self.offset, ({}, []))
 
     def coefficient(self, i: int, j: int):
         """|alpha_i(j + offset)|, evaluated once per (i, j) when it is exact.
@@ -173,35 +186,42 @@ class ModulusRecurrence:
         Floating values are not kept: they depend on the working precision
         of the call that evaluates them.
         """
-        value = self._exact_factors.get((i, j))
+        factors = self._exact[0]
+        value = factors.get((i, j))
         if value is None:
             value = scalar_abs(self.base.coefficient(i, j + self.offset))
             if is_exact(value):
-                self._exact_factors[(i, j)] = value
+                factors[(i, j)] = value
         return value
 
 
 def modulus_stream(mod: ModulusRecurrence, count: int,
                    precision: int | str = "exact") -> CoefficientStream:
-    """First `count` values of the majorant sequence (all nonnegative)."""
+    """First `count` values of the majorant sequence (all nonnegative).
+
+    The exact values are kept (see ModulusRecurrence) and a later call
+    extends them.
+    """
     precision = parse_precision(precision)
     if count < 1:
         raise InvalidParams("count must be at least 1")
     k = mod.base.k
     if precision == "exact":
-        values = [Fraction(1)]
+        values = mod._exact[1]
+        if not values:
+            values.append(Fraction(1))
         convert = lambda v: v
     else:
         with mp.workprec(precision):
             values = [mp.mpf(1)]
         convert = lambda v: as_mp(v, precision)
     with _work_ctx(precision):
-        for j in range(count - 1):
+        for j in range(len(values) - 1, count - 1):
             acc = values[0] * 0
             for i in range(1, min(k, j + 1) + 1):
                 acc += convert(mod.coefficient(i, j)) * values[j + 1 - i]
             values.append(acc)
-    return CoefficientStream(tuple(values), precision)
+    return CoefficientStream(tuple(values[:count]), precision)
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import heunlab
 import heunlab.probes as probes
 from heunlab.cli import main
 
@@ -279,3 +284,65 @@ def test_bad_flag_exits_3(a2_file, capsys):
 def test_missing_file_exits_3(tmp_path, capsys):
     code, _, err = run(capsys, ["domain", str(tmp_path / "absent.json")])
     assert code == 3
+
+
+@pytest.mark.parametrize("point, value", [("-1/5", "-1/5"), ("-2e-1", "-1/5"),
+                                          ("-.2", "-1/5"), ("-0.2", "-1/5")])
+def test_negative_point_as_separate_argument(a2_file, capsys, point, value):
+    # the spaced form reads the same as --x=<point>
+    doc = run_doc(capsys, ["eval", str(a2_file), "--x", point])
+    assert doc["outputs"]["x"] == value
+    assert doc == run_doc(capsys, ["eval", str(a2_file), f"--x={point}"])
+
+
+def test_negative_complex_point_as_separate_argument(a2_file, capsys):
+    doc = run_doc(capsys, ["eval", str(a2_file), "--x", "-0.1-0.2j", "--precision", "64"])
+    assert doc["outputs"]["converged"]
+
+
+def test_negative_gauss_parameters(capsys):
+    doc = run_doc(capsys, ["gauss", "-1/2", "1/2", "2", "--n-max", "4096"])
+    assert doc["instance"] == {"gauss": {"a": "-1/2", "b": "1/2", "c": "2"}}
+    assert run_doc(capsys, ["gauss", "-5e-1", "1/2", "2", "--n-max", "4096"])["outputs"] \
+        == doc["outputs"]
+
+
+def test_unknown_dash_argument_is_still_a_flag(a2_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", str(a2_file), "--x", "-y"])
+    assert exc.value.code == 3
+    capsys.readouterr()
+
+
+def test_main_builds_the_parser_once(a2_file, capsys, monkeypatch):
+    import heunlab.cli as cli
+    built = []
+
+    def counting():
+        built.append(1)
+        return build_parser()
+
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting)
+    run_doc(capsys, ["classify", str(a2_file)])
+    run_doc(capsys, ["domain", str(a2_file)])
+    assert len(built) == 1
+
+
+def test_import_builds_no_parser():
+    code = ("import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def spy(self, *a, **k):\n"
+            "    built.append(1)\n"
+            "    init(self, *a, **k)\n"
+            "argparse.ArgumentParser.__init__ = spy\n"
+            "import heunlab, heunlab.cli\n"
+            "assert heunlab.cli._parser is None and not built, built\n")
+    src = str(Path(heunlab.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

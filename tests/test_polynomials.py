@@ -68,6 +68,29 @@ def test_nonneg_integer_roots_with_huge_coefficients():
     assert nonneg_integer_roots(p) == frozenset({2, 5})
 
 
+def test_exact_double_root_far_out():
+    # (n - 10^9)^2: a float64 solve splits the double root to about
+    # 10^9 +- 11, outside the +-1 window around each candidate; the exact
+    # discriminant is 0
+    p = poly_from(-10 ** 9, 1) * poly_from(-10 ** 9, 1)
+    assert nonneg_integer_roots(p) == frozenset({10 ** 9})
+    assert nonneg_integer_roots(p.scale(Fraction(3, 7))) == frozenset({10 ** 9})
+
+
+def test_exact_roots_of_low_degree_denominators():
+    assert nonneg_integer_roots(poly_from(0, -10 ** 6, 1)) == frozenset({0, 10 ** 6})
+    # (2n - 3)(n - 4): one rational root and one integer root
+    assert nonneg_integer_roots(poly_from(12, -11, 2)) == frozenset({4})
+    # n^2 - 2 and n^2 + 1: no rational roots at all
+    assert nonneg_integer_roots(poly_from(-2, 0, 1)) == frozenset()
+    assert nonneg_integer_roots(poly_from(1, 0, 1)) == frozenset()
+    # linear, negative leading coefficient, and a negative root
+    assert nonneg_integer_roots(poly_from(Fraction(21, 2), Fraction(-3, 2))) == frozenset({7})
+    assert nonneg_integer_roots(poly_from(3, 1)) == frozenset()
+    # n^3 (n - 5)(n + 5) reduces to a quadratic after the n^3 factor
+    assert nonneg_integer_roots(poly_from(0, 0, 0, -25, 0, 1)) == frozenset({0, 5})
+
+
 def test_near_integer_root_is_rejected_exactly():
     # (n - 2) shifted by a tiny rational: float localization would say 2
     p = poly_from(Fraction(-2) + Fraction(1, 10 ** 12), 1)
