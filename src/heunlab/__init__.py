@@ -12,35 +12,30 @@ boundary test provide the empirical counterpart.
 
 from ._version import __version__
 from .audit import run_proof_audit, run_system_audit
-from .convergence import (GaussReport, MembershipReport, boundary_radius,
-                          domain_membership, eta_z, gauss_test,
-                          membership_sum)
+from .convergence import (boundary_radius, domain_membership, eta_z,
+                          gauss_test, membership_sum)
 from .errors import (AllZeroLimits, DegreeMismatch, DomainError, HeunLabError,
                      IndicialPole, InputError, InsufficientData, InvalidC,
                      InvalidParams, MagnitudeOverflow, NotFoundWithin,
                      OutsideDomain, PoleAtIndex, TruncationTooLarge)
-from .heun import (EvalResult, HeunParams, absolute_profile_sum, heun_eval,
+from .heun import (HeunParams, absolute_profile_sum, heun_eval,
                    heun_recurrence, heun_series, indicial_roots, ode_residual,
                    series_limits)
-from .instances import (Instance, build_document, document_bytes,
-                        load_instance, parse_instance, render_value,
-                        trace_bytes, write_document, write_trace)
+from .instances import (Instance, document_bytes, load_instance,
+                        parse_instance, render_value, trace_bytes,
+                        write_trace)
 from .polynomials import (PolynomialInN, RationalFnInN, monic_quadratic,
                           nonneg_integer_roots, poly_from)
-from .probes import (DiscrepancyReport, ProbeSeries, discrepancy_report,
-                     empirical_radius, term_scan, term_trace)
-from .proofs import (CASE1, CASE2, CASE3, CASE4, H_LABELS, BoundCertificate,
-                     CaseReport, ConstantsVerification, MinorantReport,
-                     ProofConstants, SweepResult, classify_case,
+from .probes import (discrepancy_report, empirical_radius, term_scan,
+                     term_trace)
+from .proofs import (CASE1, CASE2, CASE3, CASE4, H_LABELS, classify_case,
                      find_proof_constants, minorant_partial,
                      verify_proof_constants, z_power_tail)
-from .rearrange import (PathTable, grouped_partial_sum, path_table,
+from .rearrange import (grouped_partial_sum, path_table,
                         path_table_enumerate, row_series_coefficients,
                         table_matches_stream)
-from .recurrence import (CoefficientStream, DominationReport, LimitProfile,
-                         ModulusRecurrence, RecurrenceSystem,
-                         dominating_series_check, limit_profile,
-                         modulus_stream, modulus_system,
+from .recurrence import (RecurrenceSystem, dominating_series_check,
+                         limit_profile, modulus_stream, modulus_system,
                          recurrence_residuals, stream_coefficients)
 from .scalars import (DEFAULT_PRECISION, as_mp, fmt_scalar, is_exact,
                       parse_number, parse_point, parse_precision,
@@ -51,33 +46,27 @@ from .special import (Hyp2F1Params, hyp2f1_series, min_index_for_ratio_bound,
 __all__ = [
     "__version__",
     "run_proof_audit", "run_system_audit",
-    "GaussReport", "MembershipReport", "boundary_radius", "domain_membership",
-    "eta_z", "gauss_test", "membership_sum",
+    "boundary_radius", "domain_membership", "eta_z", "gauss_test",
+    "membership_sum",
     "AllZeroLimits", "DegreeMismatch", "DomainError", "HeunLabError",
     "IndicialPole", "InputError", "InsufficientData", "InvalidC",
     "InvalidParams", "MagnitudeOverflow", "NotFoundWithin", "OutsideDomain",
     "PoleAtIndex", "TruncationTooLarge",
-    "EvalResult", "HeunParams", "absolute_profile_sum", "heun_eval",
-    "heun_recurrence", "heun_series", "indicial_roots", "ode_residual",
-    "series_limits",
-    "Instance", "build_document", "document_bytes", "load_instance",
-    "parse_instance", "render_value", "trace_bytes", "write_document",
-    "write_trace",
+    "HeunParams", "absolute_profile_sum", "heun_eval", "heun_recurrence",
+    "heun_series", "indicial_roots", "ode_residual", "series_limits",
+    "Instance", "document_bytes", "load_instance", "parse_instance",
+    "render_value", "trace_bytes", "write_trace",
     "PolynomialInN", "RationalFnInN", "monic_quadratic",
     "nonneg_integer_roots", "poly_from",
-    "DiscrepancyReport", "ProbeSeries", "discrepancy_report",
-    "empirical_radius", "term_scan", "term_trace",
-    "CASE1", "CASE2", "CASE3", "CASE4", "H_LABELS",
-    "BoundCertificate", "CaseReport", "ConstantsVerification",
-    "MinorantReport", "ProofConstants", "SweepResult", "classify_case",
+    "discrepancy_report", "empirical_radius", "term_scan", "term_trace",
+    "CASE1", "CASE2", "CASE3", "CASE4", "H_LABELS", "classify_case",
     "find_proof_constants", "minorant_partial", "verify_proof_constants",
     "z_power_tail",
-    "PathTable", "grouped_partial_sum", "path_table", "path_table_enumerate",
+    "grouped_partial_sum", "path_table", "path_table_enumerate",
     "row_series_coefficients", "table_matches_stream",
-    "CoefficientStream", "DominationReport", "LimitProfile",
-    "ModulusRecurrence", "RecurrenceSystem", "dominating_series_check",
-    "limit_profile", "modulus_stream", "modulus_system",
-    "recurrence_residuals", "stream_coefficients",
+    "RecurrenceSystem", "dominating_series_check", "limit_profile",
+    "modulus_stream", "modulus_system", "recurrence_residuals",
+    "stream_coefficients",
     "DEFAULT_PRECISION", "as_mp", "fmt_scalar", "is_exact", "parse_number",
     "parse_point", "parse_precision", "precision_from_env", "to_scalar",
     "Hyp2F1Params", "hyp2f1_series", "min_index_for_ratio_bound",

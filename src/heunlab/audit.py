@@ -16,7 +16,7 @@ from mpmath import mp
 
 from ._version import __version__
 from .convergence import boundary_radius, eta_z
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, TruncationTooLarge
 from .heun import HeunParams, heun_recurrence, series_limits
 from .instances import render_value as _num
 from .proofs import (find_proof_constants, minorant_partial,
@@ -29,6 +29,10 @@ from .scalars import as_mp, is_exact, log_abs, scalar_abs
 from .special import min_index_for_ratio_bound, pochhammer_ratio_lower_bound
 
 DOMINATION_EXACT_CAP = 5000  # exact streams beyond this get the floating tier
+# the audit's path table holds (M+1)^2 Fractions whose size grows with M: on
+# the a=2 sample a whole proof-audit peaks at 38 MB up to depth 100, then at
+# 50, 82 and 143 MB at depths 200, 300 and 400
+AUDIT_DEPTH_CAP = 256
 
 
 def _safe_float(x) -> float:
@@ -38,24 +42,18 @@ def _safe_float(x) -> float:
         return math.inf if x > 0 else -math.inf
 
 
-def run_proof_audit(params: HeunParams, root=0, eps=Fraction(1, 100),
-                    N_check: int = 10 ** 5, M: int = 30, m_trunc: int = 2,
-                    K=Fraction(1, 2), j_max: int = 64, k_max: int = 4096,
-                    prec: int = 256, enum_depth: int = 14,
-                    instance_echo: dict | None = None):
+def run_proof_audit(params: HeunParams, root=0, **options):
     """Audit one Heun instance; returns (document, trace_rows).
 
-    trace_rows carry (n, value_re, value_im, log_mag, term_at_r, partial_sum)
-    for the coefficient stream used by the domination stage, evaluated at the
+    The options and their defaults are run_system_audit's.  trace_rows
+    carry (n, value_re, value_im, log_mag, term_at_r, partial_sum) for the
+    coefficient stream used by the domination stage, evaluated at the
     boundary radius.
     """
     if not (params.is_exact() and is_exact(root)):
         raise InputError("the audit needs rational parameters; its certificates are exact")
-    return run_system_audit(
-        heun_recurrence(params, root), series_limits(params),
-        root_echo=Fraction(root), eps=eps, N_check=N_check, M=M,
-        m_trunc=m_trunc, K=K, j_max=j_max, k_max=k_max, prec=prec,
-        enum_depth=enum_depth, instance_echo=instance_echo)
+    return run_system_audit(heun_recurrence(params, root), series_limits(params),
+                            root_echo=Fraction(root), **options)
 
 
 def run_system_audit(system, limits, *, root_echo=None, eps=Fraction(1, 100),
@@ -64,6 +62,10 @@ def run_system_audit(system, limits, *, root_echo=None, eps=Fraction(1, 100),
                      prec: int = 256, enum_depth: int = 14,
                      instance_echo: dict | None = None):
     """Audit any three-term system with known lag limits; see run_proof_audit."""
+    if M > AUDIT_DEPTH_CAP:
+        raise TruncationTooLarge(
+            f"audit depth {M} would build a {M + 1} x {M + 1} exact path table; "
+            f"cap is {AUDIT_DEPTH_CAP}")
     if not (system.is_exact() and all(is_exact(v) for v in limits)):
         raise InputError("the audit needs rational coefficients; its certificates are exact")
     constants = find_proof_constants(system, eps, N_check)

@@ -109,6 +109,9 @@ def _cmd_eval(instance, args, precision):
 def _cmd_domain(instance, args, precision):
     prec = _bits(precision)
     limits = instance.limits()
+    if len(limits) != 2:
+        raise InputError(f"domain is stated for three-term recurrences (k = 2 lags); "
+                         f"this one has k = {len(limits)}")
     r_star = boundary_radius(limits, prec)
     with mp.workprec(prec):
         eta, z = eta_z(limits, r_star, prec)

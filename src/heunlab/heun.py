@@ -17,7 +17,6 @@ denominators.  Tests play them against each other.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -26,7 +25,8 @@ from mpmath import mp
 
 from .errors import InputError, InvalidParams, OutsideDomain, PoleAtIndex
 from .polynomials import PolynomialInN, RationalFnInN
-from .recurrence import CoefficientStream, RecurrenceSystem, stream_coefficients
+from .recurrence import (CoefficientStream, RecurrenceSystem, iter_values,
+                         stream_coefficients)
 from .scalars import (DEFAULT_PRECISION, as_mp, is_exact, parse_precision,
                       scalar_abs, to_scalar)
 
@@ -212,27 +212,12 @@ def absolute_profile_sum(params: HeunParams, x, prec: int = DEFAULT_PRECISION):
         return scalar_abs(A, prec) * ax + scalar_abs(B, prec) * ax * ax
 
 
-def _integer_lags(system: RecurrenceSystem):
-    """Integer polynomials A1, A2, G with alpha_i(n) = A_i(n) / G(n).
-
-    Both Heun lags share one denominator polynomial, so one G clears them;
-    the integers come from each polynomial's cleared form (integer
-    numerators over a common denominator).
-    """
-    lag1, lag2 = system.lags
-    (num1, c1), (num2, c2), (den, e) = (
-        poly._cleared or (poly.coeffs, 1) for poly in (lag1.num, lag2.num, lag1.den))
-    lcm = math.lcm(c1, c2)
-    return (PolynomialInN([c * e * (lcm // c1) for c in num1]),
-            PolynomialInN([c * e * (lcm // c2) for c in num2]),
-            PolynomialInN([c * lcm for c in den]))
-
-
 def _sum_exact(system, x: Fraction, lam: int, tol: Fraction, n_max: int):
     """The exact tier summed in integers; returns (value, n_used, converged).
 
-    d_n = P_n / Q_n is carried unreduced with Q_{n+1} = Q_n |G(n)|, which
-    gives P_{n+1} = +-(A1(n) P_n + A2(n) |G(n-1)| P_{n-1}) with no division
+    With the system's cleared lags alpha_i(n) = A_i(n) / G(n), d_n = P_n / Q_n
+    is carried unreduced with Q_{n+1} = Q_n |G(n)|, which gives
+    P_{n+1} = +-(A1(n) P_n + A2(n) |G(n-1)| P_{n-1}) with no division
     (P_{-1} = 0 drops the lag-2 term at n = 0).
     The partial sum is U / V over V = Q_n xd^(n+lam) for x = xn / xd, and a
     term is T = P_n xn^(n+lam) over the same V.  The stop test
@@ -240,7 +225,7 @@ def _sum_exact(system, x: Fraction, lam: int, tol: Fraction, n_max: int):
     |term| < tol max(1, |sum|) multiplied through by V td > 0.  One gcd at
     the end reduces the value.
     """
-    a1, a2, g = _integer_lags(system)
+    (a1, a2), g = system.cleared
     xn, xd = x.numerator, x.denominator
     tn, td = tol.numerator, tol.denominator
     power, U, V = xn ** lam, 0, xd ** lam
@@ -271,31 +256,6 @@ def _sum_exact(system, x: Fraction, lam: int, tol: Fraction, n_max: int):
     return Fraction(U, V), n_used, converged
 
 
-def _mp_lag_values(system: RecurrenceSystem, prec: int):
-    """n -> (alpha_1(n), alpha_2(n) or None at n = 0) at the working precision.
-
-    For rational lags each value is mpf(p) / mpf(q) of the gcd-reduced pair,
-    the rounding `as_mp` gives a Fraction.  Call it inside workprec(prec).
-    """
-    lag1, lag2 = system.lags
-    if not system.is_exact():
-        return lambda n: (as_mp(lag1(n), prec), as_mp(lag2(n), prec) if n else None)
-    a1, a2, g = _integer_lags(system)
-    mpf, gcd = mp.mpf, math.gcd
-
-    def ratio(num, den):
-        h = gcd(num, den) if den > 0 else -gcd(num, den)
-        return mpf(num // h) / mpf(den // h)
-
-    def values(n):
-        den = g(n)
-        if den == 0:
-            raise PoleAtIndex(n)
-        return ratio(a1(n), den), (ratio(a2(n), den) if n else None)
-
-    return values
-
-
 def _sum_mp(system, x, lam, tol, n_max: int, prec: int):
     """The fixed-precision tier in one workprec block; returns (value, n_used, converged)."""
     with mp.workprec(prec):
@@ -303,14 +263,12 @@ def _sum_mp(system, x, lam, tol, n_max: int, prec: int):
         total = mp.mpf(0)
         lam_v = as_mp(lam, prec)
         power = mp.power(xv, lam_v) if xv != 0 else (mp.mpf(1) if lam_v == 0 else mp.mpf(0))
-        d_prev, d_curr = None, mp.mpf(1)
         tol_v = as_mp(tol, prec)
-        lag_values = _mp_lag_values(system, prec)
         fabs = mp.fabs
         small_run = n_used = 0
         converged = False
-        for n in range(n_max):
-            term = d_curr * power
+        for n, d in zip(range(n_max), iter_values(system, prec)):
+            term = d * power
             total = total + term
             n_used = n + 1
             scale = fabs(total)
@@ -321,11 +279,6 @@ def _sum_mp(system, x, lam, tol, n_max: int, prec: int):
                     break
             else:
                 small_run = 0
-            c1, c2 = lag_values(n)
-            nxt = c1 * d_curr
-            if c2 is not None:
-                nxt = nxt + c2 * d_prev
-            d_prev, d_curr = d_curr, nxt
             power = power * xv
     return total, n_used, converged
 
@@ -363,8 +316,12 @@ def heun_eval(params: HeunParams, x, root=0, tol=Fraction(1, 10 ** 30),
     dsum = absolute_profile_sum(params, x, prec)
     inside = bool(dsum < 1)
     if not inside and not force:
+        try:
+            shown = f"{float(dsum):.6g}"
+        except OverflowError:
+            shown = mp.nstr(as_mp(dsum, prec), 6)
         raise OutsideDomain(
-            f"membership sum {float(dsum):.6g} >= 1: outside the guaranteed "
+            f"membership sum {shown} >= 1: outside the guaranteed "
             f"absolute-convergence domain (use force to evaluate anyway)"
         )
     system = heun_recurrence(params, lam)

@@ -112,6 +112,10 @@ class PolynomialInN:
             result = result * x_plus + PolynomialInN((c,))
         return result
 
+    def as_float(self) -> "PolynomialInN":
+        """The polynomial with float64 coefficients, to evaluate on numpy arrays."""
+        return PolynomialInN(tuple(float(c) for c in self.coeffs))
+
     def abs_coeffs(self):
         return PolynomialInN(tuple(abs(c) for c in self.coeffs))
 

@@ -60,30 +60,23 @@ _LN2 = math.log(2.0)
 
 
 def _lag_coefficients(system: RecurrenceSystem) -> tuple:
-    """Float64 (numerator, denominator) coefficients of the two lags."""
+    """(numerator, denominator) of the two lags with float64 coefficients."""
     if system.k != 2:
         raise InvalidParams("probes are stated for three-term recurrences")
     try:
-        return tuple((tuple(float(c) for c in fn.num.coeffs),
-                      tuple(float(c) for c in fn.den.coeffs)) for fn in system.lags)
+        return tuple((fn.num.as_float(), fn.den.as_float()) for fn in system.lags)
     except OverflowError as exc:
         raise MagnitudeOverflow("a lag coefficient does not fit in float64") from exc
 
 
 def _lag_values(coeffs: tuple, n: np.ndarray, signed: bool) -> tuple:
     """Float64 arrays of the two lag coefficients at the indices n."""
-
-    def horner(cs):
-        acc = np.zeros_like(n)
-        for c in cs[::-1]:
-            acc = acc * n + c
-        return acc
-
     out = []
     for num, den in coeffs:
-        # a leading pole entry can be inf/nan; the recurrence never reads it
+        # a leading pole entry can be inf/nan; the recurrence never reads it.
+        # out= keeps an array when both polynomials are zero after rounding
         with np.errstate(divide="ignore", invalid="ignore"):
-            vals = horner(num) / horner(den)
+            vals = np.divide(num(n), den(n), out=np.empty_like(n))
         out.append(vals if signed else np.abs(vals))
     return tuple(out)
 
@@ -188,6 +181,8 @@ def _probe(system: RecurrenceSystem, r, n_terms: int, which: str, offset: int,
         raise InvalidParams(f"probe needs at least {min_terms} terms")
     if stride is not None and stride < 1:
         raise InvalidParams("trace stride must be at least 1")
+    if offset < 0:
+        raise InvalidParams("probe offset must be nonnegative")
     coeffs = _lag_coefficients(system)
     signed = which == "signed"
     if signed:

@@ -115,17 +115,6 @@ def _bound_certificate(num_m: PolynomialInN, den: PolynomialInN, h: int) -> Boun
     return BoundCertificate(h, cleared.leading, bound)
 
 
-def _float_poly(poly: PolynomialInN) -> np.ndarray:
-    return np.array([float(c) for c in poly.coeffs], dtype=np.float64)
-
-
-def _polyval(arr: np.ndarray, n: np.ndarray) -> np.ndarray:
-    acc = np.zeros_like(n)
-    for c in arr[::-1]:
-        acc = acc * n + c
-    return acc
-
-
 @dataclass(frozen=True)
 class SweepResult:
     last_violation: int  # 0 when the bound holds on the whole range
@@ -143,7 +132,7 @@ def _margin_sweep(num_m: PolynomialInN, den: PolynomialInN, h: int,
     last violation is exact.  Margins far from zero dwarf float error (they
     shrink like 1/n, which at n = 1e5 is still 1e9 times the rounding noise).
     """
-    fn_num, fn_den = _float_poly(num_m), _float_poly(den)
+    fn_num, fn_den = num_m.as_float(), den.as_float()
     last_violation = 0
     min_margin = math.inf
     argmin = n_lo
@@ -152,7 +141,7 @@ def _margin_sweep(num_m: PolynomialInN, den: PolynomialInN, h: int,
     for start in range(n_lo, n_hi + 1, chunk):
         stop = min(start + chunk - 1, n_hi)
         n = np.arange(start, stop + 1, dtype=np.float64)
-        margins = np.abs(_polyval(fn_num, n)) / np.abs(_polyval(fn_den, n)) - (1.0 - h / n)
+        margins = np.abs(fn_num(n)) / np.abs(fn_den(n)) - (1.0 - h / n)
         i = int(np.argmin(margins))
         if margins[i] < min_margin:
             min_margin = float(margins[i])

@@ -8,10 +8,32 @@ reproduces the usual seeding (d_1 = alpha_1(0) d_0, and so on).
 The module also builds the modulus-majorant sequences: replace every
 coefficient by its absolute value evaluated from a base offset upward.  Those
 majorants drive the domination bound used by the boundary analysis.
+
+One stepper, iter_values, runs every such sequence in every tier: the
+solution d_n or a majorant, exact or at a bit count.  It reads the lags
+through one evaluator, cached on each exact system: alpha_i(n) = A_i(n) / G(n)
+with integer polynomials A_i over one shared denominator G
+(RecurrenceSystem.cleared).  The exact tier forms sum_i A_i(n) d_{n+1-i} in
+reduced Fractions and divides by G(n) once; a bit count rounds each lag value
+once, as mpf(p) / mpf(q) of the reduced pair, which is what as_mp does to a
+Fraction.  Systems with floating coefficients evaluate each lag with
+PolynomialInN at the working precision.  recurrence_residuals keeps the
+per-lag RationalFnInN evaluation as the reference the stepper is checked
+against.
+
+Streams return every value, so they keep reduced Fraction state.  On the
+exact streams of 232 to 632 terms of 31 seeded audits, that took 1.35 s;
+reduced Fraction lag values took 1.58 s, and unreduced integers reduced once
+per returned value 1.68 s (minimum of 3 runs each, one 2-core x86 machine).
+heun_eval's exact sum returns one value, so it carries unreduced integers
+and reduces once at the end (heun._sum_exact).
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -19,8 +41,8 @@ from functools import cached_property
 from mpmath import mp
 
 from .errors import DegreeMismatch, IndicialPole, InsufficientData, InvalidParams
-from .polynomials import RationalFnInN
-from .scalars import DEFAULT_PRECISION, as_mp, is_exact, log_abs, parse_precision, scalar_abs
+from .polynomials import PolynomialInN, RationalFnInN
+from .scalars import as_mp, is_exact, log_abs, parse_precision, scalar_abs
 
 
 @dataclass(frozen=True)
@@ -59,6 +81,40 @@ class RecurrenceSystem:
         return all(is_exact(c) for fn in self.lags
                    for c in (*fn.num.coeffs, *fn.den.coeffs))
 
+    @cached_property
+    def cleared(self):
+        """((A_1, .., A_k), G): integer polynomials with alpha_i(n) = A_i(n) / G(n).
+
+        G is the lcm of the numerators' denominators times the product of the
+        lags' distinct denominators cleared to integers, so lags that share
+        one (every Heun system) share it once.  None for floating coefficients.
+        """
+        if not self.is_exact():
+            return None
+        nums = [fn.num._cleared or (fn.num.coeffs, 1) for fn in self.lags]
+        dens = [fn.den._cleared or (fn.den.coeffs, 1) for fn in self.lags]
+        lcm = math.lcm(*(c for _, c in nums))
+        distinct = [PolynomialInN(d) for d in dict.fromkeys(d for d, _ in dens)]
+        lags = tuple(PolynomialInN(num) * math.prod([p for p in distinct if p.coeffs != den],
+                                                    start=PolynomialInN((e * (lcm // c),)))
+                     for (num, c), (den, e) in zip(nums, dens))
+        return lags, math.prod(distinct, start=PolynomialInN((lcm,)))
+
+    def cleared_at(self, n: int, m: int):
+        """Integers ([A_1(n), .., A_m(n)], G(n)) of the first m lags, G(n) > 0.
+
+        G vanishes at every lag's poles; where it does, the lags that fire at
+        n are cleared over their own common denominator instead.
+        """
+        lags, den = self.cleared
+        g = den(n)
+        if g == 0:
+            values = [Fraction(fn.num(n), fn.den(n)) for fn in self.lags[:m]]
+            g = math.lcm(*(v.denominator for v in values))
+            return [v.numerator * (g // v.denominator) for v in values], g
+        sign = 1 if g > 0 else -1
+        return [sign * a(n) for a in lags[:m]], sign * g
+
 
 @dataclass(frozen=True)
 class CoefficientStream:
@@ -81,22 +137,51 @@ class CoefficientStream:
         return tuple(log_abs(v) for v in self.values)
 
 
-def _mp_lags(system: RecurrenceSystem, prec: int):
-    """Convert lag polynomials to mpmath coefficients once, for fast streaming."""
-    out = []
-    with mp.workprec(prec):
-        for fn in system.lags:
-            num = tuple(as_mp(c, prec) for c in fn.num.coeffs)
-            den = tuple(as_mp(c, prec) for c in fn.den.coeffs)
-            out.append((num, den, fn.pole_set))
-    return out
+def _rounded(num: int, den: int):
+    """num / den (den > 0) as mpf(p) / mpf(q) of the reduced pair, like as_mp."""
+    h = math.gcd(num, den)
+    return mp.mpf(num // h) / mp.mpf(den // h)
 
 
-def _horner(coeffs, n):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * n + c
-    return acc
+def iter_values(system: RecurrenceSystem, precision: int | str = "exact",
+                offset: int | None = None, known=()):
+    """Yield the sequence's values that follow `known`: d_0 = 1, d_1, ...
+
+    With an offset N the sequence is the majorant c_0 = 1,
+    c_{j+1} = sum_i |alpha_i(j + N)| c_{j+1-i}.  `known` holds values already
+    computed, read before the first value is yielded.  Values are reduced
+    Fractions in the exact tier and mpmath numbers at a bit count, computed
+    at the working precision in force when the generator is advanced, so
+    callers advance it inside workprec(precision).
+    """
+    k, exact, majorant = system.k, precision == "exact", offset is not None
+    history = list(known[-k:])
+    if not history:
+        history.append(Fraction(1) if exact else mp.mpf(1))
+        yield history[0]
+    for j in itertools.count(max(len(known), 1) - 1):
+        n, m = j + (offset or 0), min(k, j + 1)
+        if system.cleared is None:
+            factors, divisor = [system.coefficient(i, n) for i in range(1, m + 1)], None
+            if majorant:
+                factors = [scalar_abs(v) for v in factors]
+            if not exact:
+                factors = [as_mp(v, precision) for v in factors]
+        else:
+            factors, divisor = system.cleared_at(n, m)
+            if majorant:
+                factors = [abs(a) for a in factors]
+            if not exact:
+                factors, divisor = [_rounded(a, divisor) for a in factors], None
+        acc = factors[0] * history[-1]
+        for i in range(1, m):
+            acc = acc + factors[i] * history[-1 - i]
+        if divisor is not None:
+            acc = acc / divisor
+        history.append(acc)
+        if len(history) > k:
+            del history[0]
+        yield acc
 
 
 def stream_coefficients(system: RecurrenceSystem, count: int,
@@ -110,26 +195,9 @@ def stream_coefficients(system: RecurrenceSystem, count: int,
     precision = parse_precision(precision)
     if count < 1:
         raise InvalidParams("count must be at least 1")
-    k = system.k
-    if precision == "exact":
-        values = [Fraction(1)]
-        for n in range(count - 1):
-            acc = Fraction(0)
-            for i in range(1, min(k, n + 1) + 1):
-                acc += system.coefficient(i, n) * values[n + 1 - i]
-            values.append(acc)
-        return CoefficientStream(tuple(values), "exact")
-    prec = precision
-    lags = _mp_lags(system, prec)
-    with mp.workprec(prec):
-        values = [mp.mpf(1)]
-        for n in range(count - 1):
-            acc = mp.mpf(0)
-            for i in range(1, min(k, n + 1) + 1):
-                num, den, _ = lags[i - 1]
-                acc += _horner(num, n) / _horner(den, n) * values[n + 1 - i]
-            values.append(acc)
-    return CoefficientStream(tuple(values), prec)
+    with nullcontext() if precision == "exact" else mp.workprec(precision):
+        values = tuple(itertools.islice(iter_values(system, precision), count))
+    return CoefficientStream(values, precision)
 
 
 def _work_ctx(precision):
@@ -205,22 +273,11 @@ def modulus_stream(mod: ModulusRecurrence, count: int,
     precision = parse_precision(precision)
     if count < 1:
         raise InvalidParams("count must be at least 1")
-    k = mod.base.k
-    if precision == "exact":
-        values = mod._exact[1]
-        if not values:
-            values.append(Fraction(1))
-        convert = lambda v: v
-    else:
-        with mp.workprec(precision):
-            values = [mp.mpf(1)]
-        convert = lambda v: as_mp(v, precision)
+    values = mod._exact[1] if precision == "exact" else []
     with _work_ctx(precision):
-        for j in range(len(values) - 1, count - 1):
-            acc = values[0] * 0
-            for i in range(1, min(k, j + 1) + 1):
-                acc += convert(mod.coefficient(i, j)) * values[j + 1 - i]
-            values.append(acc)
+        if len(values) < count:
+            steps = iter_values(mod.base, precision, mod.offset, values)
+            values.extend(itertools.islice(steps, count - len(values)))
     return CoefficientStream(tuple(values[:count]), precision)
 
 

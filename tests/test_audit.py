@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from heunlab import (DegreeMismatch, HeunParams, InputError, document_bytes,
-                     heun_recurrence, run_proof_audit, run_system_audit,
-                     series_limits)
+from heunlab import (DegreeMismatch, HeunParams, InputError, TruncationTooLarge,
+                     document_bytes, heun_recurrence, run_proof_audit,
+                     run_system_audit, series_limits)
+from heunlab.audit import AUDIT_DEPTH_CAP
 from heunlab.cli import main as cli_main
 
 F = Fraction
@@ -111,6 +112,12 @@ def test_audit_needs_rational_input():
     params = HeunParams(2, 1, 1, 1, 1, 1)
     with pytest.raises(InputError):
         run_proof_audit(params, root=mp.mpf(0))
+
+
+def test_audit_depth_is_capped():
+    params = HeunParams(2, 1, 1, 1, 1, 1)
+    with pytest.raises(TruncationTooLarge):
+        run_proof_audit(params, M=AUDIT_DEPTH_CAP + 1)
 
 
 def test_audit_rejects_out_of_hypothesis_systems():

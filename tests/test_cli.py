@@ -76,6 +76,15 @@ def test_eval_outside_domain_exits_2(a2_file, capsys):
     assert "membership sum" in err and "force" in err
 
 
+@pytest.mark.parametrize("precision", ["exact", "64"])
+def test_eval_huge_point_exits_2(a2_file, capsys, precision):
+    # the membership sum is about 1e800, past float64 range
+    code, out, err = run(capsys, ["eval", str(a2_file), "--x", "1e400",
+                                  "--precision", precision])
+    assert code == 2 and out == ""
+    assert err.startswith("heunlab: membership sum 5.0e+799 >= 1") and err.count("\n") == 1
+
+
 def test_eval_force(a2_file, capsys):
     doc = run_doc(capsys, ["eval", str(a2_file), "--x", "9/10", "--force",
                            "--precision", "128"])
@@ -113,6 +122,19 @@ def test_domain_document(a2_file, capsys):
 def test_domain_works_for_recurrence_kind(rec_file, capsys):
     doc = run_doc(capsys, ["domain", str(rec_file)])
     assert doc["outputs"]["limits"] == ["3/2", "-1/2"]
+
+
+@pytest.mark.parametrize("lags", [
+    '[{"num": ["1/2"], "den": ["1"]}]',
+    '[{"num": ["1/2"], "den": ["1"]}, {"num": ["1/4"], "den": ["1"]}, '
+    '{"num": ["1/8"], "den": ["1"]}]',
+])
+def test_domain_needs_three_terms(tmp_path, capsys, lags):
+    path = tmp_path / "k.json"
+    path.write_text('{"recurrence": {"lags": %s}}' % lags)
+    code, out, err = run(capsys, ["domain", str(path)])
+    assert code == 3 and out == ""
+    assert "three-term" in err and err.count("\n") == 1
 
 
 def test_classify_document(a2_file, capsys):
@@ -179,7 +201,8 @@ def test_boundary_huge_radius(a2_file, capsys):
 
 
 @pytest.mark.parametrize("flag", ["--radius=-1", "--radius=0", "--radius=1e400",
-                                  "--radius-scale=1e400", "--stride=0", "--n-max=100"])
+                                  "--radius-scale=1e400", "--stride=0", "--n-max=100",
+                                  "--offset=-1"])
 def test_boundary_rejects_probe_arguments_before_streaming(a2_file, capsys,
                                                            monkeypatch, flag):
     def no_streaming(*args):
@@ -228,6 +251,17 @@ def test_proof_audit_recurrence(rec_file, capsys):
     doc = run_doc(capsys, ["proof-audit", str(rec_file), "--n-check", "5000"])
     assert doc["root"] is None
     assert doc["verdicts"]["overall"] is True
+
+
+def test_proof_audit_depth_cap_exits_3(a2_file, capsys, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("an audit stage ran past the depth cap")
+
+    monkeypatch.setattr(heunlab.audit, "path_table", unreachable)
+    monkeypatch.setattr(heunlab.audit, "find_proof_constants", unreachable)
+    code, out, err = run(capsys, ["proof-audit", str(a2_file), "--depth", "100000"])
+    assert code == 3 and out == ""
+    assert "cap is 256" in err and err.count("\n") == 1
 
 
 def test_directory_fan_out(tmp_path, capsys):

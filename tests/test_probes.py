@@ -99,6 +99,8 @@ def test_scan_input_guards(a2_params):
             term_scan(system, bad_r, 1 << 12)
     with pytest.raises(InvalidParams):
         term_scan(system, 0.5, 1 << 12, stride=0)
+    with pytest.raises(InvalidParams):
+        term_scan(system, 0.5, 1 << 12, offset=-1)
     one_lag = RecurrenceSystem((RationalFnInN(poly_from(F(1, 2)), poly_from(F(1))),))
     with pytest.raises(InvalidParams):
         term_scan(one_lag, 0.5, 1 << 12)

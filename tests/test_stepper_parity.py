@@ -1,0 +1,225 @@
+"""The one recurrence stepper against the per-tier loops it replaced.
+
+The reference loops below are the stepping code the package used before
+every tier moved onto `iter_values`: the exact `Fraction` stream, the
+mpmath stream with the lag polynomials converted once and evaluated by
+Horner, and the modulus-majorant loop.  Exact and majorant values must equal
+them in value and type.  mpmath streams of exact systems round each lag value
+once, so they must equal a loop that rounds the exact lag values once, bit
+for bit, and stay within 2^(10-p) of the Horner loop relative to the
+majorant c_n >= |d_n|.
+"""
+
+from fractions import Fraction
+
+import pytest
+from mpmath import mp
+
+from heunlab import (RationalFnInN, RecurrenceSystem,
+                     heun_recurrence, modulus_stream, modulus_system,
+                     poly_from, stream_coefficients)
+from heunlab.recurrence import iter_values
+from heunlab.scalars import as_mp, is_exact, scalar_abs
+
+from conftest import admissible_roots
+
+F = Fraction
+COUNT = 60
+
+
+def reference_exact(system, count):
+    values = [Fraction(1)]
+    for n in range(count - 1):
+        acc = Fraction(0)
+        for i in range(1, min(system.k, n + 1) + 1):
+            acc += system.coefficient(i, n) * values[n + 1 - i]
+        values.append(acc)
+    return values
+
+
+def _horner(coeffs, n):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * n + c
+    return acc
+
+
+def reference_horner(system, count, prec):
+    with mp.workprec(prec):
+        lags = [(tuple(as_mp(c, prec) for c in fn.num.coeffs),
+                 tuple(as_mp(c, prec) for c in fn.den.coeffs)) for fn in system.lags]
+        values = [mp.mpf(1)]
+        for n in range(count - 1):
+            acc = mp.mpf(0)
+            for i in range(1, min(system.k, n + 1) + 1):
+                num, den = lags[i - 1]
+                acc += _horner(num, n) / _horner(den, n) * values[n + 1 - i]
+            values.append(acc)
+    return values
+
+
+def reference_rounded_once(system, count, prec):
+    """Each exact lag value rounded once to the working precision."""
+    with mp.workprec(prec):
+        values = [mp.mpf(1)]
+        for n in range(count - 1):
+            acc = mp.mpf(0)
+            for i in range(1, min(system.k, n + 1) + 1):
+                acc += as_mp(system.coefficient(i, n), prec) * values[n + 1 - i]
+            values.append(acc)
+    return values
+
+
+def reference_modulus(system, offset, count, precision):
+    convert = (lambda v: v) if precision == "exact" else (lambda v: as_mp(v, precision))
+    with mp.workprec(53 if precision == "exact" else precision):
+        values = [Fraction(1) if precision == "exact" else mp.mpf(1)]
+        for j in range(count - 1):
+            acc = values[0] * 0
+            for i in range(1, min(system.k, j + 1) + 1):
+                factor = scalar_abs(system.coefficient(i, j + offset))
+                acc += convert(factor) * values[j + 1 - i]
+            values.append(acc)
+    return values
+
+
+def assert_same(values, expected):
+    assert len(values) == len(expected)
+    for v, e in zip(values, expected):
+        assert type(v) is type(e)
+        assert v == e
+
+
+def assert_close(values, expected, system, prec):
+    """|v - e| <= 2^(10-p) c_n, with c_n the exact majorant at offset 0.
+
+    c_n >= |d_n| bounds how rounding errors carry through the recurrence, so
+    it is the scale of both loops' error; where d_n is much smaller than its
+    terms, the difference relative to d_n itself reaches 2e-12 at 53 bits
+    and 6e-74 at 256 bits on the pool.
+    """
+    majorant = modulus_stream(modulus_system(system, 0), len(values)).values
+    slack = mp.mpf(2) ** (10 - prec)
+    with mp.workprec(prec):
+        for v, e, c in zip(values, expected, majorant):
+            assert abs(v - e) <= slack * as_mp(c, prec)
+
+
+def lag(num, den):
+    return RationalFnInN(poly_from(*num), poly_from(*den))
+
+
+def user_systems():
+    """Non-Heun exact systems: k = 1, k = 3, early poles, the geometric case."""
+    return {
+        "k1": RecurrenceSystem((lag((F(1, 2), F(3)), (F(2), F(1))),)),
+        "k3": RecurrenceSystem((
+            lag((F(1), F(-3, 2), F(1)), (F(2), F(3), F(1))),
+            lag((F(-1, 3), F(2, 5)), (F(7, 2), F(1))),
+            lag((F(1, 4),), (F(5), F(1, 2))),
+        )),
+        # lag 3 fires from n = 2, so its pole at n = 1 is harmless
+        "k3_pole": RecurrenceSystem((
+            lag((F(1), F(1)), (F(1), F(2))),
+            lag((F(-1, 2),), (F(3), F(1))),
+            lag((F(1), F(1, 3)), (F(-1), F(1))),
+        )),
+        # lag 2 fires from n = 1, so its pole at n = 0 is harmless
+        "lag2_pole_at_0": RecurrenceSystem((
+            lag((F(1),), (F(1),)),
+            lag((F(1),), (F(0), F(1))),
+        )),
+        "geometric": RecurrenceSystem((
+            lag((F(1, 2),), (F(1),)),
+            lag((F(0),), (F(1),)),
+        )),
+    }
+
+
+def pool_systems(instance_pool):
+    return [heun_recurrence(p, root) for p in instance_pool for root in admissible_roots(p)]
+
+
+def all_systems(instance_pool):
+    return pool_systems(instance_pool) + list(user_systems().values())
+
+
+def test_exact_streams_match_fraction_loop(instance_pool):
+    for system in all_systems(instance_pool):
+        stream = stream_coefficients(system, COUNT)
+        assert_same(stream.values, reference_exact(system, COUNT))
+
+
+# at 12 bits the cleared lag integers are wider than the precision, so a
+# value rounded from an unreduced pair would differ
+@pytest.mark.parametrize("prec", [12, 53, 256])
+def test_mp_streams_round_each_lag_value_once(instance_pool, prec):
+    for system in all_systems(instance_pool):
+        stream = stream_coefficients(system, COUNT, prec)
+        assert_same(stream.values, reference_rounded_once(system, COUNT, prec))
+        assert_close(stream.values, reference_horner(system, COUNT, prec), system, prec)
+
+
+@pytest.mark.parametrize("offset", [0, 1, 40])
+def test_majorants_match_modulus_loop(instance_pool, offset):
+    for system in all_systems(instance_pool):
+        for precision in ("exact", 53):
+            mod = modulus_system(system, offset)
+            stream = modulus_stream(mod, 40, precision)
+            assert_same(stream.values, reference_modulus(system, offset, 40, precision))
+
+
+def test_majorant_resumes_from_its_memo(a2_params):
+    system = heun_recurrence(a2_params)
+    mod = modulus_system(system, 3)
+    head = modulus_stream(mod, 7)
+    full = modulus_stream(modulus_system(system, 3), 50)
+    assert full.values[:7] == head.values
+    assert_same(full.values, reference_modulus(system, 3, 50, "exact"))
+
+
+def test_known_values_resume_the_stepper(a2_params):
+    system = heun_recurrence(a2_params)
+    whole = list(zip(range(30), iter_values(system)))
+    head = [v for _, v in whole[:12]]
+    tail = list(zip(range(18), iter_values(system, known=head)))
+    assert [v for _, v in tail] == [v for _, v in whole[12:]]
+
+
+def test_floating_system_steps_at_working_precision():
+    with mp.workprec(80):
+        third = mp.mpf(1) / 3
+    system = RecurrenceSystem((
+        lag((third, F(1)), (F(2), F(1))),
+        lag((F(-1, 4),), (F(1), F(1))),
+    ))
+    assert not system.is_exact() and system.cleared is None
+    stream = stream_coefficients(system, 30, 64)
+    assert_same(stream.values, reference_rounded_once(system, 30, 64))
+    majorant = modulus_stream(modulus_system(system, 2), 30, 64)
+    assert_same(majorant.values, reference_modulus(system, 2, 30, 64))
+
+
+def test_cleared_lags_reproduce_every_lag(instance_pool):
+    for system in all_systems(instance_pool):
+        lags, den = system.cleared
+        assert all(is_exact(c) and Fraction(c).denominator == 1
+                   for poly in (*lags, den) for c in poly.coeffs)
+        for n in range(system.k - 1, 40):
+            nums, g = system.cleared_at(n, system.k)
+            assert [Fraction(a, g) for a in nums] == [
+                system.coefficient(i, n) for i in range(1, system.k + 1)]
+
+
+def test_heun_lags_share_one_denominator(a2_params):
+    system = heun_recurrence(a2_params)
+    (a1, a2), g = system.cleared
+    assert g.degree == 2 and a1.degree == 2 and a2.degree == 2
+
+
+def test_cleared_at_skips_a_silent_lag_pole():
+    # G vanishes at lag 2's pole n = 0, where only lag 1 fires
+    system = user_systems()["lag2_pole_at_0"]
+    assert system.cleared[1](0) == 0
+    assert system.cleared_at(0, 1) == ([1], 1)
+    assert stream_coefficients(system, 4).values == (1, 1, 2, F(5, 2))
