@@ -16,7 +16,7 @@ from mpmath import mp
 
 from ._version import __version__
 from .convergence import boundary_radius, eta_z
-from .errors import DomainError, InputError, TruncationTooLarge
+from .errors import DomainError, InputError, InvalidParams, TruncationTooLarge
 from .heun import HeunParams, heun_recurrence, series_limits
 from .instances import render_value as _num
 from .proofs import (find_proof_constants, minorant_partial,
@@ -62,6 +62,8 @@ def run_system_audit(system, limits, *, root_echo=None, eps=Fraction(1, 100),
                      prec: int = 256, enum_depth: int = 14,
                      instance_echo: dict | None = None):
     """Audit any three-term system with known lag limits; see run_proof_audit."""
+    if M < 1:
+        raise InvalidParams(f"audit depth {M} must be at least 1")
     if M > AUDIT_DEPTH_CAP:
         raise TruncationTooLarge(
             f"audit depth {M} would build a {M + 1} x {M + 1} exact path table; "

@@ -214,7 +214,11 @@ class RationalFnInN:
     def __call__(self, n):
         if n in self.pole_set:
             raise PoleAtIndex(n)
-        return self.num(n) / self.den(n)
+        num, den = self.num(n), self.den(n)
+        # int / int is the one exact pair that true division turns into a float
+        if isinstance(num, int) and isinstance(den, int):
+            return Fraction(num, den)
+        return num / den
 
     def shift(self, offset) -> "RationalFnInN":
         return RationalFnInN(self.num.shift(offset), self.den.shift(offset))

@@ -14,13 +14,22 @@ Rescaling matters: at 0.99 of the boundary radius the terms underflow float64
 long before the last checkpoint, and without the scale channel the recurrence
 itself would degenerate to 0/0.
 
-One kernel streams the three-term recurrence for every probe, the scan and
-its CSV trace together.  Step j maps v_{j-1} = (t_{j-1}, t_{j-2}) to
-v_j = M_j v_{j-1} with M_j = [[a_{j-1} r, b_{j-1} r^2], [1, 0]], from
-v_0 = (1, 0).  The kernel works through the stream in chunks of _CHUNK terms
-and carries (state, scale exponent, running total) from one chunk to the
-next, so its memory does not grow with the number of terms.  Inside a chunk
-it is a blocked scan (Blelloch, "Prefix sums and their applications", 1990):
+One driver, stream_terms, streams every float64 scan: the probes, their CSV
+trace and convergence.gauss_test.  It works through the stream in chunks of
+_CHUNK terms and carries (state, running total) from one chunk to the next;
+a step rule turns the carried state into the chunk's terms.  Partial sums
+are a cumulative sum seeded with the carried total, so they add the terms in
+stream order, and the driver records them at the dyadic checkpoints.  Every
+per-chunk buffer (indices, coefficients, prefix products, mantissas and
+exponents, terms, sums) lives in one workspace that
+is allocated once and reused through out=, so a stream's memory does not
+grow with the number of terms and no chunk-sized array is allocated afresh
+for each chunk.
+
+The probes' step rule is the three-term recurrence.  Step j maps
+v_{j-1} = (t_{j-1}, t_{j-2}) to v_j = M_j v_{j-1} with
+M_j = [[a_{j-1} r, b_{j-1} r^2], [1, 0]], from v_0 = (1, 0), as a blocked
+scan (Blelloch, "Prefix sums and their applications", 1990):
 
 1. the prefix products of the M_j inside each _BLOCK-term block are formed
    for all blocks of the chunk at once, renormalised by powers of two with
@@ -28,10 +37,10 @@ it is a blocked scan (Blelloch, "Prefix sums and their applications", 1990):
 2. a sequential carry over the block totals gives each block its start state;
 3. one broadcast turns start states and prefix products into every term.
 
-Partial sums are a cumulative sum seeded with the carried total, so they add
-the terms in stream order.  The radius enters as r = m 2^k: the scan runs on
-a m and b m^2, and each term's exponent gains j k, so no radius that float64
-holds can overflow the transfer matrices.
+The radius enters as r = m 2^k: the scan runs on a m and b m^2, and each
+term's exponent gains j k, so no radius that float64 holds can overflow the
+transfer matrices.  The Gauss series' rule is the scalar (k = 1) case: a
+cumulative product of the term ratio seeded with the carried term.
 """
 
 from __future__ import annotations
@@ -60,25 +69,38 @@ _LN2 = math.log(2.0)
 
 
 def _lag_coefficients(system: RecurrenceSystem) -> tuple:
-    """(numerator, denominator) of the two lags with float64 coefficients."""
+    """(numerator, denominator) float64 coefficient tuples of the two lags."""
     if system.k != 2:
         raise InvalidParams("probes are stated for three-term recurrences")
     try:
-        return tuple((fn.num.as_float(), fn.den.as_float()) for fn in system.lags)
+        return tuple((fn.num.as_float().coeffs, fn.den.as_float().coeffs) for fn in system.lags)
     except OverflowError as exc:
         raise MagnitudeOverflow("a lag coefficient does not fit in float64") from exc
 
 
-def _lag_values(coeffs: tuple, n: np.ndarray, signed: bool) -> tuple:
-    """Float64 arrays of the two lag coefficients at the indices n."""
-    out = []
-    for num, den in coeffs:
-        # a leading pole entry can be inf/nan; the recurrence never reads it.
-        # out= keeps an array when both polynomials are zero after rounding
+def _horner(coeffs: tuple, n: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """p(n) into out, by the operations PolynomialInN.__call__ does on arrays."""
+    out.fill(coeffs[-1] if coeffs else 0.0)
+    for c in reversed(coeffs[:-1]):
+        np.multiply(out, n, out=out)
+        np.add(out, c, out=out)
+    return out
+
+
+def _lag_values(coeffs: tuple, n: np.ndarray, signed: bool, out=None) -> tuple:
+    """Float64 arrays of the two lag coefficients at the indices n.
+
+    out = (a, b, scratch), arrays shaped like n, receives them; without it
+    fresh arrays are made.
+    """
+    a, b, den = out if out is not None else (np.empty_like(n) for _ in range(3))
+    for vals, (num, dnm) in zip((a, b), coeffs):
+        # a leading pole entry can be inf/nan; the recurrence never reads it
         with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.divide(num(n), den(n), out=np.empty_like(n))
-        out.append(vals if signed else np.abs(vals))
-    return tuple(out)
+            np.divide(_horner(num, n, vals), _horner(dnm, n, den), out=vals)
+        if not signed:
+            np.abs(vals, out=vals)
+    return a, b
 
 
 @dataclass(frozen=True)
@@ -108,44 +130,85 @@ def _verdict_from_gaps(gaps) -> str:
     return VERDICT_INCONCLUSIVE
 
 
-def _scan_chunk(a: np.ndarray, b: np.ndarray, state: tuple) -> tuple:
+def _view(buf: np.ndarray, *shape) -> np.ndarray:
+    """The leading elements of a flat buffer, as a C-ordered array of this shape."""
+    return buf[:math.prod(shape)].reshape(shape)
+
+
+class _Workspace:
+    """Every per-chunk buffer of stream_terms and its step rules.
+
+    One workspace serves chunks of up to `size` terms and is reused from
+    stream to stream: steps, the driver and visits write into these buffers
+    through out=, so no chunk-sized array is allocated per chunk.  A visit
+    may overwrite any of them except the terms, sums, mant and expo it is
+    handed.
+    """
+
+    def __init__(self, size: int):
+        nb = size // _BLOCK
+        self.size = size
+        self.base = np.arange(size, dtype=np.float64)  # 0, 1, .. as floats
+        self.ibase = np.arange(size, dtype=np.int64)
+        # the same indices block-transposed: row i holds step i of every block
+        self.tbase = np.ascontiguousarray(self.base.reshape(nb, _BLOCK).T)
+        self.idx = np.empty(size)  # a step's indices
+        self.a, self.b, self.spare = np.empty((3, size))  # a step's coefficients, scratch
+        self.z = np.empty(2 * (size + nb))  # per-block prefix products of the scan
+        self.zexp = np.empty(size + nb, dtype=np.int64)
+        self.mant, self.terms, self.sums = np.empty((3, size))
+        self.expo, self.iscratch = np.empty((2, size), dtype=np.int64)
+        self.c1, self.c2 = np.empty((2, size), dtype=np.complex128)
+        self.keep = np.empty(size, dtype=bool)
+        # per block: the scan's previous values, a product and four magnitudes
+        self.prev, self.prod = np.empty((2, 2 * nb))
+        self.mags = np.empty(4 * nb)
+        self.peak, self.frac = np.empty((2, nb))
+        self.drop = np.empty(nb, dtype=np.intc)
+
+
+# Workspaces between streams, kept for the life of the process: one in steady
+# state, one per stream running at the same time in other threads.  Buffers
+# allocated afresh for every stream would be mapped and faulted in again by
+# each op (about 1000-3500 minor faults per 2^20-term probe).
+_IDLE: list = []
+
+
+def _scan_chunk(ws: _Workspace, a: np.ndarray, b: np.ndarray, count: int,
+                state: tuple) -> tuple:
     """Blocked scan of u_j = a_j u_{j-1} + b_j u_{j-2} over one chunk.
 
-    state = (u, w, e) holds the two values before the chunk as u 2^e and
-    w 2^e.  Returns (mantissas, exponents) of every u_j of the chunk and the
-    state after it.  Only the stream's last chunk can be short; it is padded
-    with zero steps, so its returned state is meaningless and never read.
-    Values past float64 range saturate to inf or nan; the caller silences
-    numpy's warnings about that.
+    a and b hold the chunk's steps block-transposed, shape (_BLOCK, blocks):
+    row i is step i of every block.  Steps past `count`, which pad the
+    stream's last chunk, must be zero; its returned state is then
+    meaningless and never read.  state = (u, w, e) holds the two values
+    before the chunk as u 2^e and w 2^e.  Returns (mantissas, exponents) of
+    every u_j of the chunk, views into ws, and the state after it.  Values
+    past float64 range saturate to inf or nan; the caller silences numpy's
+    warnings about that.
     """
-    count = a.size
-    nb = -(-count // _BLOCK)
-    pad = nb * _BLOCK - count
-    if pad:
-        a = np.concatenate((a, np.zeros(pad)))
-        b = np.concatenate((b, np.zeros(pad)))
-    # row i holds step i of every block
-    a = np.ascontiguousarray(a.reshape(nb, _BLOCK).T)
-    b = np.ascontiguousarray(b.reshape(nb, _BLOCK).T)
-
+    nb = a.shape[1]
     # per block, the two solutions started from (u, w) = (1, 0) and (0, 1):
-    # rows of the prefix product, scaled by 2^-shift
-    cur = np.zeros((2, nb))
-    cur[0] = 1.0
-    prev = np.zeros((2, nb))
-    prev[1] = 1.0
-    z = np.empty((_BLOCK, 2, nb))
-    zexp = np.empty((_BLOCK, nb), dtype=np.int64)
-    shift = np.zeros(nb, dtype=np.int64)
-    for i, (ai, bi) in enumerate(zip(a, b)):
-        cur, prev = ai * cur + bi * prev, cur
-        _, d = np.frexp(np.maximum(np.abs(cur), np.abs(prev)).max(axis=0))
-        d = -d
-        cur = np.ldexp(cur, d)
-        prev = np.ldexp(prev, d)
-        shift -= d
-        z[i] = cur
-        zexp[i] = shift
+    # rows of the prefix product, scaled by 2^-zexp; z[0] is the start and
+    # z[i] the values after step i
+    z = _view(ws.z, _BLOCK + 1, 2, nb)
+    zexp = _view(ws.zexp, _BLOCK + 1, nb)
+    prev, prod, mags = _view(ws.prev, 2, nb), _view(ws.prod, 2, nb), _view(ws.mags, 4, nb)
+    peak, frac, drop = ws.peak[:nb], ws.frac[:nb], ws.drop[:nb]
+    z[0, 0], z[0, 1], prev[0], prev[1] = 1.0, 0.0, 0.0, 1.0
+    zexp[0] = 0
+    for i in range(1, _BLOCK + 1):
+        cur, new = z[i - 1], z[i]
+        np.multiply(a[i - 1], cur, out=new)
+        np.add(new, np.multiply(b[i - 1], prev, out=prod), out=new)
+        # one power of two per block keeps both values in range
+        np.maximum.reduce(np.abs(z[i - 1:i + 1].reshape(4, nb), out=mags), axis=0, out=peak)
+        np.frexp(peak, out=(frac, drop))
+        np.negative(drop, out=drop)
+        np.ldexp(cur, drop, out=prev)
+        np.ldexp(new, drop, out=new)
+        np.subtract(zexp[i - 1], drop, out=zexp[i])
+    z, zexp = z[1:], zexp[1:]
 
     # carry: each block's end values, in the exponent of its last step, as a
     # 2x2 map of its start values
@@ -161,9 +224,87 @@ def _scan_chunk(a: np.ndarray, b: np.ndarray, state: tuple) -> tuple:
         _, d = math.frexp(max(abs(u), abs(w)))
         u, w, e = math.ldexp(u, -d), math.ldexp(w, -d), e + g + d
 
-    mant = z[:, 0] * np.array(starts_u) + z[:, 1] * np.array(starts_w)
-    expo = zexp + np.array(starts_e, dtype=np.int64)
-    return mant.T.ravel()[:count], expo.T.ravel()[:count], (u, w, e)
+    # written through transposed views, so the chunk comes out in step order;
+    # the steps a are read by now and hold the second product
+    mant = _view(ws.mant, nb, _BLOCK).T
+    np.multiply(z[:, 0], np.array(starts_u), out=mant)
+    np.add(mant, np.multiply(z[:, 1], np.array(starts_w), out=a), out=mant)
+    np.add(zexp, np.array(starts_e, dtype=np.int64), out=_view(ws.expo, nb, _BLOCK).T)
+    return ws.mant[:count], ws.expo[:count], (u, w, e)
+
+
+def stream_terms(step, state, n_terms: int, mark_limit: int, visit=None) -> tuple:
+    """Stream t_0 = 1 and t_1 .. t_{n_terms-1} chunk by chunk; return the checkpoints.
+
+    The driver of every float64 scan.  For each chunk of at most _CHUNK
+    indices j0 <= j < j1, step(ws, j0, j1, state) returns (mant, expo,
+    state), views into the workspace ws with t_j = mant[j - j0] 2^expo[j - j0];
+    expo is None when mant holds the terms themselves.  The driver forms the
+    partial sums, seeded with the carried total so that they add the terms
+    in stream order, and records at each dyadic mark n = 2^p <= mark_limit,
+    p >= 10, the checkpoint (n, S_{n-1}) and ln |t_{n-1}| (-inf when zero).
+    Then visit(ws, j0, mant, expo, terms, sums) sees the chunk, if given.
+    Returns (checkpoints, term_log_mags).
+    """
+    try:
+        ws = _IDLE.pop()
+    except IndexError:
+        ws = None
+    if ws is None or ws.size != _CHUNK:
+        ws = _Workspace(_CHUNK)
+    marks = [(1 << p) - 1 for p in range(10, 64) if (1 << p) <= mark_limit]
+    checkpoints, term_logs = [], []
+    total = 1.0  # running sum, starts with t_0 = 1
+    try:
+        # terms and partial sums past float64 range saturate to +-inf (or nan)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for j0 in range(1, n_terms, _CHUNK):
+                j1 = min(j0 + _CHUNK, n_terms)
+                mant, expo, state = step(ws, j0, j1, state)
+                terms = mant if expo is None else np.ldexp(mant, expo, out=ws.terms[:j1 - j0])
+                sums = ws.sums[:j1 - j0]
+                first = terms[0]
+                terms[0] += total
+                np.cumsum(terms, out=sums)
+                terms[0] = first
+                total = float(sums[-1])
+                for jm in marks:
+                    if j0 <= jm < j1:
+                        u = float(mant[jm - j0])
+                        e = 0 if expo is None else int(expo[jm - j0])
+                        checkpoints.append((jm + 1, float(sums[jm - j0])))
+                        term_logs.append(math.log(abs(u)) + e * _LN2 if u != 0.0 else -math.inf)
+                if visit is not None:
+                    visit(ws, j0, mant, expo, terms, sums)
+    finally:
+        _IDLE.append(ws)
+    return checkpoints, term_logs
+
+
+def _lag_step(coeffs: tuple, signed: bool, offset: int, m: float, k: int):
+    """The 2x2 step rule: lag values at radius r = m 2^k through the blocked scan."""
+    mm = m * m
+
+    def step(ws, j0, j1, state):
+        count = j1 - j0
+        nb = -(-count // _BLOCK)
+        # the lags are evaluated block-transposed, as the scan reads them
+        n = np.add(ws.tbase[:, :nb], offset + j0 - 1, out=_view(ws.idx, _BLOCK, nb))
+        a, b = _lag_values(coeffs, n, signed, tuple(_view(buf, _BLOCK, nb)
+                                                    for buf in (ws.a, ws.b, ws.spare)))
+        np.multiply(a, m, out=a)
+        np.multiply(b, mm, out=b)
+        if j0 == 1:
+            b[0, 0] = 0.0  # step 1 multiplies t_{-1} = 0; b_0 may be a pole
+        # zero steps pad the last block
+        a[count - (nb - 1) * _BLOCK:, -1] = 0.0
+        b[count - (nb - 1) * _BLOCK:, -1] = 0.0
+        mant, expo, state = _scan_chunk(ws, a, b, count, state)
+        shift = np.add(ws.ibase[:count], j0, out=ws.iscratch[:count])
+        expo += np.multiply(shift, k, out=shift)
+        return mant, expo, state
+
+    return step
 
 
 def _probe(system: RecurrenceSystem, r, n_terms: int, which: str, offset: int,
@@ -190,51 +331,30 @@ def _probe(system: RecurrenceSystem, r, n_terms: int, which: str, offset: int,
     m, k = math.frexp(rf)
     lnr = math.log(rf)
 
-    checkpoints = []
-    term_logs = []
-    marks = [(1 << p) - 1 for p in range(10, 64) if (1 << p) <= n_terms]
     rows = [(0, 1.0, 0.0, 0.0, 1.0, 1.0)] if stride is not None else []
-    state = (1.0, 0.0, 0)  # (t_0, t_{-1}) scaled by m^j, with their exponent
-    total = 1.0  # real-scale running sum, starts with t_0 = 1
     max_abs = 1.0
-    # terms and partial sums past float64 range saturate to +-inf (or nan)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for j0 in range(1, n_terms, _CHUNK):
-            j1 = min(j0 + _CHUNK, n_terms)
-            a, b = _lag_values(coeffs, np.arange(offset + j0 - 1, offset + j1 - 1,
-                                                 dtype=np.float64), signed)
-            a = a * m
-            b = b * (m * m)
-            if j0 == 1:
-                b[0] = 0.0  # step 1 multiplies t_{-1} = 0; b_0 may be a pole
-            mant, expo, state = _scan_chunk(a, b, state)
-            expo += np.arange(j0, j1, dtype=np.int64) * k
-            terms = np.ldexp(mant, expo)
-            first = terms[0]
-            terms[0] += total
-            sums = np.cumsum(terms)
-            terms[0] = first
-            max_abs = float(np.fmax.reduce(np.abs(sums), initial=max_abs))
-            total = float(sums[-1])
 
-            for jm in marks:
-                if j0 <= jm < j1:
-                    u = float(mant[jm - j0])
-                    checkpoints.append((jm + 1, float(sums[jm - j0])))
-                    term_logs.append(math.log(abs(u)) + int(expo[jm - j0]) * _LN2
-                                     if u != 0.0 else -math.inf)
-            if stride is not None:
-                sel = np.arange(-(-j0 // stride) * stride, j1, stride, dtype=np.int64)
-                if j0 <= n_terms - 1 < j1 and (n_terms - 1) % stride:
-                    sel = np.append(sel, n_terms - 1)
-                at = sel - j0
-                u = mant[at]
-                zero = u == 0.0  # written as 0.0, never -0.0
-                log_coef = np.log(np.abs(u)) + expo[at] * _LN2 - sel * lnr
-                value = np.where(zero, 0.0, np.copysign(np.exp(log_coef), u))
-                rows.extend(zip(sel.tolist(), value.tolist(), [0.0] * sel.size,
-                                log_coef.tolist(), np.where(zero, 0.0, terms[at]).tolist(),
-                                sums[at].tolist()))
+    def visit(ws, j0, mant, expo, terms, sums):
+        nonlocal max_abs
+        max_abs = float(np.fmax.reduce(np.abs(sums, out=ws.spare[:sums.size]), initial=max_abs))
+        if stride is None:
+            return
+        j1 = j0 + sums.size
+        sel = np.arange(-(-j0 // stride) * stride, j1, stride, dtype=np.int64)
+        if j0 <= n_terms - 1 < j1 and (n_terms - 1) % stride:
+            sel = np.append(sel, n_terms - 1)
+        at = sel - j0
+        u = mant[at]
+        zero = u == 0.0  # written as 0.0, never -0.0
+        log_coef = np.log(np.abs(u)) + expo[at] * _LN2 - sel * lnr
+        value = np.where(zero, 0.0, np.copysign(np.exp(log_coef), u))
+        rows.extend(zip(sel.tolist(), value.tolist(), [0.0] * sel.size,
+                        log_coef.tolist(), np.where(zero, 0.0, terms[at]).tolist(),
+                        sums[at].tolist()))
+
+    # the state is (t_0, t_{-1}) scaled by m^j, with their exponent
+    checkpoints, term_logs = stream_terms(_lag_step(coeffs, signed, offset, m, k),
+                                          (1.0, 0.0, 0), n_terms, n_terms, visit)
     gaps = tuple(s2 - s1 for (_, s1), (_, s2) in zip(checkpoints, checkpoints[1:]))
     return ProbeSeries(which, rf, offset, n_terms, tuple(checkpoints), gaps,
                        tuple(term_logs), _verdict_from_gaps(gaps), max_abs, tuple(rows))

@@ -264,6 +264,17 @@ def test_proof_audit_depth_cap_exits_3(a2_file, capsys, monkeypatch):
     assert "cap is 256" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("depth", ["-1", "0"])
+def test_proof_audit_depth_below_one_exits_3(a2_file, capsys, monkeypatch, depth):
+    def unreachable(*args):
+        raise AssertionError("an audit stage ran with a depth below 1")
+
+    monkeypatch.setattr(heunlab.audit, "find_proof_constants", unreachable)
+    code, out, err = run(capsys, ["proof-audit", str(a2_file), "--depth", depth])
+    assert code == 3 and out == ""
+    assert f"audit depth {depth} must be at least 1" in err and err.count("\n") == 1
+
+
 def test_directory_fan_out(tmp_path, capsys):
     (tmp_path / "one.json").write_text(A2_JSON)
     (tmp_path / "two.json").write_text(REC_JSON)

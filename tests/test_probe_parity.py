@@ -9,13 +9,16 @@ places where values saturate to inf or turn nan must agree exactly.
 """
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import heunlab.probes as probes
 from heunlab import (HeunParams, RationalFnInN, RecurrenceSystem,
-                     boundary_radius, heun_recurrence, poly_from,
+                     boundary_radius, gauss_test, heun_recurrence, poly_from,
                      series_limits, term_scan, term_trace)
 
 from test_acceptance import PROBE_POOL
@@ -183,3 +186,23 @@ def test_step_one_never_reads_b0(small_chunks):
     scan = term_scan(system, 1.0, 1 << 12, "signed", stride=100)
     assert all(math.isfinite(s) for _, s in scan.checkpoints)
     assert_scan_matches(scan, reference_probe(system, 1.0, 1 << 12, "signed", stride=100), 1.0)
+
+
+def test_concurrent_streams_keep_their_own_workspace(a2_params, small_chunks):
+    # threads interleave inside numpy calls; each stream must take its own
+    # workspace from the idle pool, or one would overwrite another's chunk
+    system = heun_recurrence(a2_params)
+    r = 0.5615528128088303
+    calls = [(term_scan, (system, r, 1 << 13, "modulus", 1, 97)),
+             (term_scan, (system, r, 1 << 13, "signed", 0, 97)),
+             (gauss_test, (Fraction(1, 2), Fraction(1, 3), Fraction(5, 2), 1 << 13))] * 4
+    expected = [fn(*args) for fn, args in calls[:3]] * 4
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(calls)) as pool:
+            futures = [pool.submit(fn, *args) for fn, args in calls]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == expected

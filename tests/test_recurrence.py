@@ -177,3 +177,15 @@ def test_limit_profile_rejects_growth():
     fn = RationalFnInN(poly_from(F(0), F(0), F(1)), poly_from(F(1), 1))
     with pytest.raises(DegreeMismatch):
         limit_profile(RecurrenceSystem((fn,)))
+
+
+def test_int_only_lags_stay_exact():
+    # lags (1 + 2n)/(3 + n) and 1/(2 + n) with int coefficients only
+    system = RecurrenceSystem((RationalFnInN(poly_from(1, 2), poly_from(3, 1)),
+                               RationalFnInN(poly_from(1), poly_from(2, 1))))
+    value = system.coefficient(1, 2)
+    assert type(value) is Fraction and value == F(1, 1)
+    assert system.coefficient(2, 3) == F(1, 5)
+    stream = stream_coefficients(system, 40)
+    residuals = recurrence_residuals(system, stream)
+    assert all(type(r) is Fraction and r == 0 for r in residuals)
