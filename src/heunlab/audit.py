@@ -134,9 +134,9 @@ def run_system_audit(system, limits, *, root_echo=None, eps=Fraction(1, 100),
     tbl = path_table(mod_at_N, M)
     tbl_ok = table_matches_stream(tbl, mod_at_N)
     enum_d = min(enum_depth, M)
-    tbl_small = path_table(mod_at_N, enum_d)
     enum_tbl = path_table_enumerate(mod_at_N, enum_d)
-    enum_ok = tbl_small.table == enum_tbl.table
+    # the DP at depth enum_d is tbl's top-left corner: entry n reads only smaller n
+    enum_ok = tuple(row[:enum_d + 1] for row in tbl.table[:enum_d + 1]) == enum_tbl.table
     with mp.workprec(prec):
         a_mag = scalar_abs(A, prec)
         b_mag = scalar_abs(B, prec)

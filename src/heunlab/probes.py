@@ -33,7 +33,15 @@ scan (Blelloch, "Prefix sums and their applications", 1990):
 
 1. the prefix products of the M_j inside each _BLOCK-term block are formed
    for all blocks of the chunk at once, renormalised by powers of two with
-   an integer exponent per block;
+   an integer exponent per block.  The renormalisation runs once per
+   segment of R steps, R = min(_RENORM, R_safe): between two rescales a
+   block's values move by at most g^R up and c^R down, with g and c taken
+   from the chunk's own steps (see _segment_steps), and R_safe keeps both
+   within 2^+-_HEADROOM.  A chunk with a zero second lag or extreme
+   coefficients gets R = 1, a rescale per step.  Power-of-two scaling is
+   exact, so terms and sums do not depend on R; only the split of a term
+   into mantissa and exponent does, so every log is read from the
+   canonical split (f, e) = frexp(mantissa), ln |t| = ln |f| + (e + expo) ln 2;
 2. a sequential carry over the block totals gives each block its start state;
 3. one broadcast turns start states and prefix products into every term.
 
@@ -65,6 +73,8 @@ _SCAN_MIN_TERMS = 1 << 11  # the first dyadic checkpoint is 2^10; gaps need two
 
 _CHUNK = 1 << 16  # terms per chunk: bounds the kernel's working set
 _BLOCK = 128  # terms per block of the in-chunk scan; _CHUNK is a multiple
+_RENORM = 16  # most steps of the scan between two rescales
+_HEADROOM = 200  # binary orders a block's values may drift between two rescales
 _LN2 = math.log(2.0)
 
 
@@ -174,6 +184,37 @@ class _Workspace:
 _IDLE: list = []
 
 
+def _segment_steps(ws: _Workspace, a: np.ndarray, b: np.ndarray, count: int) -> int:
+    """Steps of one chunk's scan between two rescales: _RENORM, or fewer when needed.
+
+    A step maps a solution's pair (prev, cur) to (cur, new) with
+    new = a cur + b prev, so the larger of |cur| and |new| is at most
+    g = max(1, |a| + |b|) times the larger of |prev| and |cur|, and at least
+    c = min(1, |b| / (1 + |a|)) times it.  Over R steps a block's pair
+    maximum therefore stays within [c^R, g^R] of its value at the last
+    rescale; R is the largest count, up to _RENORM, that keeps both bounds
+    within 2^+-_HEADROOM, far from float64's overflow and subnormal ranges.
+    A zero b or a non-finite step gives 1, a rescale per step.  Padding
+    steps past `count` and the first step of each block are left out of c:
+    padding is never read, and a block's first step keeps the start value 1
+    of its first solution in the pair.  ws.spare and ws.mant, which
+    _scan_chunk fills only after the loop, serve as scratch.
+    """
+    nb = a.shape[1]
+    mag_a, mag_b = _view(ws.mant, _BLOCK, nb), _view(ws.spare, _BLOCK, nb)
+    np.abs(a, out=mag_a)
+    np.add(mag_a, np.abs(b, out=mag_b), out=mag_b)
+    grow = float(np.maximum.reduce(mag_b, axis=None))
+    np.add(mag_a, 1.0, out=mag_a)
+    np.divide(np.abs(b, out=mag_b), mag_a, out=mag_b)
+    mag_b[count - (nb - 1) * _BLOCK:, -1] = 1.0
+    shrink = float(np.minimum.reduce(mag_b[1:], axis=None, initial=1.0))
+    if not (grow < math.inf and shrink > 0.0):  # also catches nan
+        return 1
+    span = max(math.log2(max(grow, 1.0)), -math.log2(shrink))
+    return _RENORM if span * _RENORM <= _HEADROOM else max(1, int(_HEADROOM / span))
+
+
 def _scan_chunk(ws: _Workspace, a: np.ndarray, b: np.ndarray, count: int,
                 state: tuple) -> tuple:
     """Blocked scan of u_j = a_j u_{j-1} + b_j u_{j-2} over one chunk.
@@ -188,26 +229,35 @@ def _scan_chunk(ws: _Workspace, a: np.ndarray, b: np.ndarray, count: int,
     warnings about that.
     """
     nb = a.shape[1]
+    seg = _segment_steps(ws, a, b, count)
     # per block, the two solutions started from (u, w) = (1, 0) and (0, 1):
     # rows of the prefix product, scaled by 2^-zexp; z[0] is the start and
-    # z[i] the values after step i
+    # z[i] the values after step i.  Rows between two rescales share the
+    # exponent of the segment's first row.
     z = _view(ws.z, _BLOCK + 1, 2, nb)
     zexp = _view(ws.zexp, _BLOCK + 1, nb)
     prev, prod, mags = _view(ws.prev, 2, nb), _view(ws.prod, 2, nb), _view(ws.mags, 4, nb)
     peak, frac, drop = ws.peak[:nb], ws.frac[:nb], ws.drop[:nb]
     z[0, 0], z[0, 1], prev[0], prev[1] = 1.0, 0.0, 0.0, 1.0
     zexp[0] = 0
+    # back: the values before z[i - 1], in its exponent; start: the segment's first row
+    back, start = prev, 0
     for i in range(1, _BLOCK + 1):
         cur, new = z[i - 1], z[i]
         np.multiply(a[i - 1], cur, out=new)
-        np.add(new, np.multiply(b[i - 1], prev, out=prod), out=new)
-        # one power of two per block keeps both values in range
+        np.add(new, np.multiply(b[i - 1], back, out=prod), out=new)
+        if i % seg and i < _BLOCK:
+            back = cur
+            continue
+        # one power of two per block brings both values back to range
         np.maximum.reduce(np.abs(z[i - 1:i + 1].reshape(4, nb), out=mags), axis=0, out=peak)
         np.frexp(peak, out=(frac, drop))
         np.negative(drop, out=drop)
         np.ldexp(cur, drop, out=prev)
         np.ldexp(new, drop, out=new)
-        np.subtract(zexp[i - 1], drop, out=zexp[i])
+        zexp[start + 1:i] = zexp[start]
+        np.subtract(zexp[start], drop, out=zexp[i])
+        back, start = prev, i
     z, zexp = z[1:], zexp[1:]
 
     # carry: each block's end values, in the exponent of its last step, as a
@@ -242,7 +292,9 @@ def stream_terms(step, state, n_terms: int, mark_limit: int, visit=None) -> tupl
     expo is None when mant holds the terms themselves.  The driver forms the
     partial sums, seeded with the carried total so that they add the terms
     in stream order, and records at each dyadic mark n = 2^p <= mark_limit,
-    p >= 10, the checkpoint (n, S_{n-1}) and ln |t_{n-1}| (-inf when zero).
+    p >= 10, the checkpoint (n, S_{n-1}) and ln |t_{n-1}| (-inf when zero),
+    the latter from frexp of the mantissa so that it does not depend on how
+    the step split the term.
     Then visit(ws, j0, mant, expo, terms, sums) sees the chunk, if given.
     Returns (checkpoints, term_log_mags).
     """
@@ -270,8 +322,10 @@ def stream_terms(step, state, n_terms: int, mark_limit: int, visit=None) -> tupl
                 total = float(sums[-1])
                 for jm in marks:
                     if j0 <= jm < j1:
-                        u = float(mant[jm - j0])
-                        e = 0 if expo is None else int(expo[jm - j0])
+                        u, e = float(mant[jm - j0]), 0
+                        if expo is not None:
+                            u, e = math.frexp(u)
+                            e += int(expo[jm - j0])
                         checkpoints.append((jm + 1, float(sums[jm - j0])))
                         term_logs.append(math.log(abs(u)) + e * _LN2 if u != 0.0 else -math.inf)
                 if visit is not None:
@@ -324,10 +378,13 @@ def _probe(system: RecurrenceSystem, r, n_terms: int, which: str, offset: int,
         raise InvalidParams("trace stride must be at least 1")
     if offset < 0:
         raise InvalidParams("probe offset must be nonnegative")
-    coeffs = _lag_coefficients(system)
     signed = which == "signed"
     if signed:
         offset = 0
+    if offset + n_terms > 1 << 53:
+        raise InvalidParams("probe offset plus terms must not exceed 2**53, "
+                            "past which float64 indices are not exact")
+    coeffs = _lag_coefficients(system)
     m, k = math.frexp(rf)
     lnr = math.log(rf)
 
@@ -344,9 +401,9 @@ def _probe(system: RecurrenceSystem, r, n_terms: int, which: str, offset: int,
         if j0 <= n_terms - 1 < j1 and (n_terms - 1) % stride:
             sel = np.append(sel, n_terms - 1)
         at = sel - j0
-        u = mant[at]
+        u, e = np.frexp(mant[at])  # the canonical split, as at the checkpoints
         zero = u == 0.0  # written as 0.0, never -0.0
-        log_coef = np.log(np.abs(u)) + expo[at] * _LN2 - sel * lnr
+        log_coef = np.log(np.abs(u)) + (expo[at] + e) * _LN2 - sel * lnr
         value = np.where(zero, 0.0, np.copysign(np.exp(log_coef), u))
         rows.extend(zip(sel.tolist(), value.tolist(), [0.0] * sel.size,
                         log_coef.tolist(), np.where(zero, 0.0, terms[at]).tolist(),

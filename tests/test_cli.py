@@ -202,7 +202,8 @@ def test_boundary_huge_radius(a2_file, capsys):
 
 @pytest.mark.parametrize("flag", ["--radius=-1", "--radius=0", "--radius=1e400",
                                   "--radius-scale=1e400", "--stride=0", "--n-max=100",
-                                  "--offset=-1"])
+                                  "--offset=-1", "--offset=9007199254740992",
+                                  "--offset=" + "9" * 401])
 def test_boundary_rejects_probe_arguments_before_streaming(a2_file, capsys,
                                                            monkeypatch, flag):
     def no_streaming(*args):

@@ -1,14 +1,18 @@
 """Instance parsing, document rendering, and deterministic serialization."""
 
+import csv
+import io
 import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from mpmath import mp
 
 from heunlab import (InputError, document_bytes, load_instance,
                      parse_instance, render_value, trace_bytes)
+from heunlab.instances import TRACE_HEADER
 
 F = Fraction
 
@@ -160,3 +164,29 @@ def test_trace_bytes_layout():
     assert lines[2].startswith("3,0.125,0.0,")
     assert "inf" in lines[3]
     assert trace_bytes(rows) == trace_bytes(list(rows))
+
+
+def reference_trace_bytes(rows) -> bytes:
+    """The csv.writer renderer: an int that is not a bool prints as str,
+    anything else as repr(float(v))."""
+    def cell(v):
+        if isinstance(v, int) and not isinstance(v, bool):
+            return str(v)
+        return repr(float(v))
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(TRACE_HEADER)
+    for row in rows:
+        writer.writerow([cell(v) for v in row])
+    return buf.getvalue().encode("utf-8")
+
+
+def test_trace_bytes_match_csv_writer():
+    cells = [0, 7, -12345678901234567890, True, False, 0.0, -0.0, math.inf, -math.inf,
+             math.nan, 1e-300, -1e300, 5e-324, 0.1, np.float64(2.5), np.float64(-0.0),
+             np.int64(3), Fraction(1, 3), Fraction(-7), mp.mpf("0.1"), mp.mpf("-inf")]
+    rows = [tuple(cells[i:i + 6]) for i in range(len(cells))]
+    rows += [(), (1.5,), tuple(cells), [3, 0.25, 0.0, -1.0, 0.5, 2.0]]
+    assert trace_bytes(rows) == reference_trace_bytes(rows)
+    assert trace_bytes([]) == reference_trace_bytes([])

@@ -206,3 +206,72 @@ def test_concurrent_streams_keep_their_own_workspace(a2_params, small_chunks):
     finally:
         sys.setswitchinterval(interval)
     assert results == expected
+
+
+@pytest.fixture
+def segments(monkeypatch):
+    """Every segment length the kernel picks, in call order."""
+    picked = []
+    pick = probes._segment_steps
+
+    def record(*args):
+        picked.append(pick(*args))
+        return picked[-1]
+
+    monkeypatch.setattr(probes, "_segment_steps", record)
+    return picked
+
+
+def _scan_fields(scan):
+    # repr is exact for floats and equates nan with nan
+    return repr((scan.checkpoints, scan.gaps, scan.term_log_mags, scan.verdict,
+                 scan.max_abs_partial, scan.trace))
+
+
+@pytest.mark.parametrize("chunk", [None, 2 * B], ids=["default-chunk", "two-block-chunk"])
+@pytest.mark.parametrize("which", ["modulus", "signed"])
+@pytest.mark.parametrize("ptuple", PROBE_POOL,
+                         ids=[f"{i:02d}-a={s[0]}" for i, s in enumerate(PROBE_POOL, 1)])
+def test_rescale_schedule_leaves_results_unchanged(ptuple, which, chunk, monkeypatch, segments):
+    # rescaling by powers of two is exact and the logs read the canonical
+    # frexp split, so a rescale per step and one per segment agree exactly
+    params = HeunParams(*ptuple)
+    system = heun_recurrence(params)
+    r_star = float(boundary_radius(series_limits(params)))
+    if chunk is not None:
+        monkeypatch.setattr(probes, "_CHUNK", chunk)
+    for r in (r_star, 0.99 * r_star, 2.0):
+        segmented = term_scan(system, r, (1 << 14) - 3, which, stride=97)
+        with monkeypatch.context() as m:
+            m.setattr(probes, "_RENORM", 1)
+            per_step = term_scan(system, r, (1 << 14) - 3, which, stride=97)
+        assert _scan_fields(segmented) == _scan_fields(per_step)
+    assert max(segments) == probes._RENORM > 1
+
+
+def _coefficient_system(a_num, a_den, b_num, b_den):
+    return RecurrenceSystem((RationalFnInN(poly_from(*a_num), poly_from(*a_den)),
+                             RationalFnInN(poly_from(*b_num), poly_from(*b_den))))
+
+
+@pytest.mark.parametrize("which", ["modulus", "signed"])
+def test_huge_lag_coefficient_rescales_every_step(small_chunks, segments, which):
+    # a_n = 1e200 (n + 1) / (n + 2): at r = 1e-200 the terms decay like 1/n,
+    # but the scaled steps grow by about 2^664 each, so 16 would overflow
+    system = _coefficient_system((1e200, 1e200), (2, 1), (1,), (1,))
+    r, n_terms = 1e-200, (1 << 12) + 5 * B + 3
+    scan = term_scan(system, r, n_terms, which, stride=61)
+    assert set(segments) == {1}
+    assert all(math.isfinite(s) for _, s in scan.checkpoints)
+    assert_scan_matches(scan, reference_probe(system, r, n_terms, which, stride=61), r)
+
+
+@pytest.mark.parametrize("which", ["modulus", "signed"])
+def test_vanishing_second_lag_rescales_every_step_in_its_chunk(small_chunks, segments, which):
+    # b_n = (n - 300) / (4 (n + 1)) vanishes at n = 300, inside the second
+    # two-block chunk; only that chunk falls back to a rescale per step
+    system = _coefficient_system((1,), (2,), (-300, 1), (4, 4))
+    r, n_terms = 0.5, (1 << 12) + 5 * B + 3
+    scan = term_scan(system, r, n_terms, which, stride=61)
+    assert segments[1] == 1 and segments.count(1) == 1
+    assert_scan_matches(scan, reference_probe(system, r, n_terms, which, stride=61), r)

@@ -101,6 +101,14 @@ def test_scan_input_guards(a2_params):
         term_scan(system, 0.5, 1 << 12, stride=0)
     with pytest.raises(InvalidParams):
         term_scan(system, 0.5, 1 << 12, offset=-1)
+    # float64 indices are exact up to 2^53; the signed channel ignores offset
+    top = (1 << 53) - (1 << 12)
+    assert term_scan(system, 0.5, 1 << 12, offset=top).offset == top
+    with pytest.raises(InvalidParams):
+        term_scan(system, 0.5, 1 << 12, offset=top + 1)
+    with pytest.raises(InvalidParams):
+        term_scan(system, 0.5, 1 << 12, offset=10 ** 400)
+    assert term_scan(system, 0.5, 1 << 12, "signed", offset=10 ** 400).offset == 0
     one_lag = RecurrenceSystem((RationalFnInN(poly_from(F(1, 2)), poly_from(F(1))),))
     with pytest.raises(InvalidParams):
         term_scan(one_lag, 0.5, 1 << 12)
