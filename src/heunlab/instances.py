@@ -21,6 +21,7 @@ inputs always serialize to the same bytes.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -192,12 +193,14 @@ def trace_bytes(rows) -> bytes:
     """CSV with the fixed column set; floats rendered shortest round-trip.
 
     No cell needs quoting (digits, signs, '.', 'e', 'inf', 'nan'), so a
-    comma join per row gives the bytes csv.writer would.
+    comma join per row gives the bytes csv.writer would.  Each line is
+    encoded and written as it is made, so the one large buffer is the
+    BytesIO's, which getvalue hands back without a copy.
     """
-    lines = [",".join(TRACE_HEADER)]
-    lines += [",".join(map(_cell, row)) for row in rows]
-    lines.append("")
-    return "\n".join(lines).encode("utf-8")
+    buf = io.BytesIO()
+    buf.write((",".join(TRACE_HEADER) + "\n").encode())
+    buf.writelines((",".join(map(_cell, row)) + "\n").encode() for row in rows)
+    return buf.getvalue()
 
 
 def write_trace(rows, path) -> None:

@@ -322,9 +322,8 @@ def stream_terms(step, state, n_terms: int, mark_limit: int, visit=None) -> tupl
                 total = float(sums[-1])
                 for jm in marks:
                     if j0 <= jm < j1:
-                        u, e = float(mant[jm - j0]), 0
+                        u, e = math.frexp(float(mant[jm - j0]))
                         if expo is not None:
-                            u, e = math.frexp(u)
                             e += int(expo[jm - j0])
                         checkpoints.append((jm + 1, float(sums[jm - j0])))
                         term_logs.append(math.log(abs(u)) + e * _LN2 if u != 0.0 else -math.inf)
