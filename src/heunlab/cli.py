@@ -351,7 +351,7 @@ def build_parser() -> _Parser:
                               help="run every stage of the divergence argument"))
     p.add_argument("--eps", help="margin parameter (default 1/100)")
     p.add_argument("--n-check", type=int,
-                   help="exhaustive verification ceiling (default 10^5)")
+                   help="cap on the certificate start index and on N (default 10^5)")
     p.add_argument("--depth", type=int,
                    help="rearrangement and domination depth (default 30)")
 

@@ -331,5 +331,9 @@ def heun_eval(params: HeunParams, x, root=0, tol=Fraction(1, 10 ** 30),
         raise InputError("exact evaluation needs rational parameters, point, and tolerance")
     if not (is_exact(lam) and Fraction(lam).denominator == 1 and lam >= 0):
         raise InputError("exact evaluation needs a nonnegative integer exponent; use a bit precision")
-    value = _sum_exact(system, Fraction(x), int(lam), Fraction(tol), n_max)
+    x = Fraction(x)
+    # about 19,700 digits: past what a document renders, and a huge lam never finishes
+    if lam * max(x.numerator.bit_length(), x.denominator.bit_length()) > 1 << 16:
+        raise InputError("exact x^lam would be wider than 2^16 bits; use a bit precision")
+    value = _sum_exact(system, x, int(lam), Fraction(tol), n_max)
     return EvalResult(*value, dsum, inside)

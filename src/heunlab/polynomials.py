@@ -124,75 +124,81 @@ def poly_from(*coeffs) -> PolynomialInN:
     return PolynomialInN(coeffs)
 
 
-def _low_degree_roots(coeffs) -> set:
-    """Nonnegative integer roots of c0 + c1 n or c0 + c1 n + c2 n^2, exactly.
+def exact_div(a, b):
+    """a / b, as a Fraction when both are ints (true division would give a float)."""
+    if isinstance(a, int) and isinstance(b, int):
+        return Fraction(a, b)
+    return a / b
 
-    The coefficients are rational; cleared to integers, a linear root is one
-    division and a quadratic's roots are rational only when the discriminant
-    is a perfect square, which math.isqrt decides.
+
+def _taylor_shift(ints, a) -> list:
+    """Coefficients of p(n + a), lowest power first."""
+    c = list(ints)
+    for i in range(len(c) - 1):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] += a * c[j + 1]
+    return c
+
+
+def _sign_changes(coeffs) -> bool:
+    """Whether the nonzero coefficients change sign; if not, by Descartes' rule
+    of signs, the polynomial has no positive root."""
+    signs = [c > 0 for c in coeffs if c]
+    return any(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _positive_integer_roots(ints) -> set:
+    """Positive integer roots of an integer polynomial p with p(0) != 0.
+
+    Bisects (0, 2^k), 2^k past the Cauchy root bound, into dyadic intervals
+    and tests each midpoint exactly.  An interval (lo, lo + w) is dropped when
+    (1 + x)^d p(lo + w / (1 + x)), whose positive roots are p's roots in it,
+    has no sign change, or when w = 1, as it then holds no integer; so every
+    integer root is the midpoint of an interval that is kept.
     """
-    fracs = [Fraction(c) for c in coeffs]
-    den = math.lcm(*(f.denominator for f in fracs))
-    ints = [f.numerator * (den // f.denominator) for f in fracs]
-    if len(ints) == 2:
-        pairs = [(-ints[0], ints[1])]
-    else:
-        c, b, a = ints
-        disc = b * b - 4 * a * c
-        root = math.isqrt(disc) if disc >= 0 else -1
-        if root * root != disc:
-            return set()
-        pairs = [(-b + root, 2 * a), (-b - root, 2 * a)]
-    return {num // d for num, d in pairs if num % d == 0 and num // d >= 0}
+    roots = set()
+    bound = 2 + max(abs(c) for c in ints[:-1]) // abs(ints[-1])
+    stack = [(0, 1 << bound.bit_length(), ints)] if _sign_changes(ints) else []
+    while stack:
+        lo, width, shifted = stack.pop()  # shifted holds p(lo + n)
+        if width == 1 or not _sign_changes(
+                _taylor_shift([c * width ** i for i, c in enumerate(shifted)][::-1], 1)):
+            continue
+        half = width // 2
+        right = _taylor_shift(shifted, half)
+        if right[0] == 0:
+            roots.add(lo + half)
+        stack += [(lo, half, shifted), (lo + half, half, right)]
+    return roots
 
 
 def nonneg_integer_roots(poly: PolynomialInN, tol: float = 1e-9) -> frozenset:
     """Nonnegative integer roots of a polynomial.
 
-    Rational polynomials of degree <= 2 (once a factor n^v is split off) are
-    solved exactly, which covers every Heun denominator.  Otherwise candidates
-    come from a numeric root solve; each candidate is then verified in the
-    polynomial's own scalar tier, so exact-tier results are exact.  The
-    numeric localization can miss a root: it looks only at the integers next
-    to each numeric root, and clustered or multiple roots far from the origin
-    can land farther away.
+    Rational coefficients are cleared to integers and the roots isolated
+    exactly (see _positive_integer_roots), so no root is missed, however
+    large, multiple or clustered.  mpmath coefficients get candidates from a
+    numeric root solve, each verified to within tol of zero; that path can
+    miss clustered or multiple roots far from the origin.
     """
     if poly.is_zero:
         raise InvalidParams("zero polynomial has every integer as a root")
-    if poly.degree == 0:
-        return frozenset()
-    cand = set()
+    exact = all(is_exact(c) for c in poly.coeffs)
+    coeffs = (poly._cleared or (poly.coeffs, 1))[0] if exact else poly.coeffs
     # strip a factor n^v exactly
-    v = 0
-    coeffs = list(poly.coeffs)
-    while coeffs and coeffs[0] == 0:
-        coeffs.pop(0)
-        v += 1
-    if v:
-        cand.add(0)
-    if 1 < len(coeffs) <= 3 and all(is_exact(c) for c in coeffs):
-        return frozenset(cand | _low_degree_roots(coeffs))
-    if len(coeffs) > 1:
-        try:
-            floats = [float(c) for c in coeffs]
-        except OverflowError:
-            big = max(abs(Fraction(c)) for c in coeffs)
-            floats = [float(Fraction(c) / big) for c in coeffs]
-        arr = np.array(list(reversed(floats)), dtype=float)
-        for root in np.roots(arr):
-            if abs(root.imag) > 1e-6 * (1 + abs(root.real)):
-                continue
-            k = round(root.real)
-            if k >= 0 and abs(root.real - k) < 0.5:
-                cand.update(j for j in (k - 1, k, k + 1) if j >= 0)
-    roots = set()
-    for k in cand:
-        val = poly(k)
-        if is_exact(val):
-            if val == 0:
-                roots.add(k)
-        elif abs(val) <= tol * max(1.0, float(max(abs(c) for c in poly.coeffs))):
-            roots.add(k)
+    v = next(i for i, c in enumerate(coeffs) if c != 0)
+    coeffs = coeffs[v:]
+    roots = {0} if v else set()
+    if len(coeffs) == 1:
+        return frozenset(roots)
+    if exact:
+        return frozenset(roots | _positive_integer_roots(coeffs))
+    scale = max(1.0, float(max(abs(c) for c in poly.coeffs)))
+    for root in np.roots([complex(c) for c in reversed(coeffs)]):
+        k = round(root.real)
+        if abs(root.imag) > 1e-6 * (1 + abs(root.real)) or k < 0:
+            continue
+        roots.update(j for j in (k - 1, k, k + 1) if j >= 0 and abs(poly(j)) <= tol * scale)
     return frozenset(roots)
 
 
@@ -214,11 +220,7 @@ class RationalFnInN:
     def __call__(self, n):
         if n in self.pole_set:
             raise PoleAtIndex(n)
-        num, den = self.num(n), self.den(n)
-        # int / int is the one exact pair that true division turns into a float
-        if isinstance(num, int) and isinstance(den, int):
-            return Fraction(num, den)
-        return num / den
+        return exact_div(self.num(n), self.den(n))
 
     def shift(self, offset) -> "RationalFnInN":
         return RationalFnInN(self.num.shift(offset), self.den.shift(offset))
@@ -238,7 +240,7 @@ class RationalFnInN:
         if dn < dd:
             nl = self.num.leading if not self.num.is_zero else 0
             return 0 * nl if not is_exact(nl) else Fraction(0)
-        return self.num.leading / self.den.leading
+        return exact_div(self.num.leading, self.den.leading)
 
 
 def monic_quadratic(c1, c0) -> PolynomialInN:

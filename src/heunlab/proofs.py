@@ -7,8 +7,8 @@ argument quotes can be found, certified, and re-verified mechanically:
 1. classify the recurrence by comparing sub-leading coefficients of the
    normalized lag numerators and denominators (four sign cases);
 2. find positive integers h and a start index N with |A_n| > 1 - h/n > 1 - eps
-   for all n >= N, certified on a finite range by sweeping and beyond it by an
-   exact polynomial positivity certificate;
+   for all n >= N: an exact polynomial positivity certificate covers every n
+   from its start index on, and each smaller n is decided in integers;
 3. bound Pochhammer ratios from below past a computable index floor;
 4. assemble the explicit minorant whose growth forces the divergence verdict.
 """
@@ -19,11 +19,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
 from mpmath import mp
 
-from .errors import (DegreeMismatch, DomainError, InvalidParams, NotFoundWithin)
-from .polynomials import PolynomialInN
+from .errors import (DegreeMismatch, DomainError, InputError, InvalidParams,
+                     NotFoundWithin)
+from .polynomials import PolynomialInN, exact_div
 from .recurrence import (LimitProfile, RecurrenceSystem, limit_profile)
 from .scalars import DEFAULT_PRECISION, as_mp, is_exact, real_part
 from .special import Hyp2F1Params, hyp2f1_series
@@ -93,8 +93,9 @@ class BoundCertificate:
 
 
 def _monic(poly: PolynomialInN) -> PolynomialInN:
+    """The polynomial divided by its leading coefficient, with Fraction coefficients."""
     lead = poly.leading
-    return PolynomialInN(tuple(c / lead for c in poly.coeffs))
+    return PolynomialInN(tuple(Fraction(exact_div(c, lead)) for c in poly.coeffs))
 
 
 def _cauchy_bound(poly: PolynomialInN) -> int:
@@ -118,48 +119,30 @@ def _bound_certificate(num_m: PolynomialInN, den: PolynomialInN, h: int) -> Boun
 @dataclass(frozen=True)
 class SweepResult:
     last_violation: int  # 0 when the bound holds on the whole range
-    min_margin: float
+    min_margin: float  # the exact minimum margin, rounded once to float
     argmin: int
-    rechecked: int
+    rechecked: int  # indices decided
 
 
-def _margin_sweep(num_m: PolynomialInN, den: PolynomialInN, h: int,
-                  n_lo: int, n_hi: int, exact: bool) -> SweepResult:
-    """Check |num(n)|/|den(n)| > 1 - h/n over [n_lo, n_hi].
+def _decide(num_m: PolynomialInN, den: PolynomialInN, h: int,
+            n_lo: int, n_hi: int) -> SweepResult:
+    """Decide |num(n)/den(n)| > 1 - h/n for every n in [n_lo, n_hi], exactly.
 
-    Float64 does the scan; any point whose margin is within 1e-6 of zero is
-    re-decided exactly when the coefficients are rational, so the reported
-    last violation is exact.  Margins far from zero dwarf float error (they
-    shrink like 1/n, which at n = 1e5 is still 1e9 times the rounding noise).
+    The margin |a/b| - (n - h)/n is (|a| n - (n - h) |b|) / (n |b|), with a
+    and b cross-multiplied in ints; den has no root at n >= 1, since the
+    recurrence system rejects such poles.
     """
-    fn_num, fn_den = num_m.as_float(), den.as_float()
-    last_violation = 0
-    min_margin = math.inf
-    argmin = n_lo
-    rechecked = 0
-    chunk = 1 << 17
-    for start in range(n_lo, n_hi + 1, chunk):
-        stop = min(start + chunk - 1, n_hi)
-        n = np.arange(start, stop + 1, dtype=np.float64)
-        margins = np.abs(fn_num(n)) / np.abs(fn_den(n)) - (1.0 - h / n)
-        i = int(np.argmin(margins))
-        if margins[i] < min_margin:
-            min_margin = float(margins[i])
-            argmin = start + i
-        suspicious = np.nonzero(margins < 1e-6)[0]
-        for idx in suspicious:
-            nv = start + int(idx)
-            if exact:
-                rechecked += 1
-                # |p/q| * n > (n - h) * |s/t| with q, t > 0, cross-multiplied in ints
-                a, b = Fraction(num_m(nv)), Fraction(den(nv))
-                ok = (abs(a.numerator) * b.denominator * nv
-                      > (nv - h) * abs(b.numerator) * a.denominator)
-            else:
-                ok = margins[idx] > 0
-            if not ok and nv > last_violation:
-                last_violation = nv
-    return SweepResult(last_violation, min_margin, argmin, rechecked)
+    last_violation, min_margin, argmin = 0, None, n_lo
+    for n in range(n_lo, n_hi + 1):
+        a, b = Fraction(num_m(n)), Fraction(den(n))
+        gap = (abs(a.numerator) * b.denominator * n
+               - (n - h) * abs(b.numerator) * a.denominator)
+        if gap <= 0:
+            last_violation = n
+        margin = Fraction(gap, n * abs(b.numerator) * a.denominator)
+        if min_margin is None or margin < min_margin:
+            min_margin, argmin = margin, n
+    return SweepResult(last_violation, float(min_margin), argmin, n_hi - n_lo + 1)
 
 
 @dataclass(frozen=True)
@@ -183,57 +166,49 @@ class ProofConstants:
 
 def _smallest_h_less(num_sub, den_sub) -> int:
     # smallest positive integer h with (den_sub - num_sub) - h < 0
-    gap = real_part(den_sub) - real_part(num_sub)
-    if is_exact(gap):
-        h = math.floor(gap) + 1
-    else:
-        h = int(mp.floor(gap)) + 1
-    return max(h, 1)
+    return max(math.floor(den_sub - num_sub) + 1, 1)
+
+
+def _require_exact(system: RecurrenceSystem, eps) -> None:
+    if not (system.is_exact() and is_exact(eps)):
+        raise InputError("proof constants are decided exactly: the system and eps must be rational")
 
 
 def find_proof_constants(system: RecurrenceSystem, eps=Fraction(1, 100),
                          N_check: int = 10 ** 5) -> ProofConstants:
-    """Find (h, N) making |A_n| > 1 - h/n > 1 - eps for n in [N, N_check] and beyond.
+    """Find (h, N) making |A_n| > 1 - h/n > 1 - eps for every n >= N.
 
     In the strictly-less cases h is forced by the sub-leading gap; in the
     greater-or-equal cases h = 1 suffices once n clears the relevant roots.
-    N is the smallest index compatible with the sweep, the certificates, and
-    the eps floor (n > h/eps).  Everything reported is certified: the sweep
-    re-decides near-zero margins exactly and the tail past N_check is covered
-    by the positivity certificate.
+    Each lag's positivity certificate covers every n from its valid_from on,
+    which must not exceed N_check, and every smaller n is decided in
+    integers.  N is the smallest index past every violation and past the eps
+    floor (n > h/eps), and must not exceed N_check either.  The system and
+    eps must be rational: nothing here is decided by a float comparison.
     """
+    _require_exact(system, eps)
     if not (0 < eps < 1):
         raise InvalidParams("eps must lie in (0, 1)")
-    profile = limit_profile(system)
-    report = classify_case(profile)
-    exact = system.is_exact()
-
-    num1_m, den1 = _monic(system.lags[0].num), _monic(system.lags[0].den)
-    num2_m, den2 = _monic(system.lags[1].num), _monic(system.lags[1].den)
-
+    report = classify_case(limit_profile(system))
     h1 = _smallest_h_less(report.lag1_num_sub, report.lag1_den_sub) \
         if report.lag1_strictly_less else 1
     h2 = _smallest_h_less(report.lag2_num_sub, report.lag2_den_sub) \
         if report.lag2_strictly_less else 1
+    lags = [(_monic(fn.num), _monic(fn.den), h) for fn, h in zip(system.lags, (h1, h2))]
 
-    cert1 = _bound_certificate(num1_m, den1, h1)
-    cert2 = _bound_certificate(num2_m, den2, h2)
+    cert1, cert2 = (_bound_certificate(*lag) for lag in lags)
     if max(cert1.valid_from, cert2.valid_from) > N_check:
         raise NotFoundWithin("certificate root bound exceeds the checked range")
-
-    sweep1 = _margin_sweep(num1_m, den1, h1, 1, N_check, exact)
-    sweep2 = _margin_sweep(num2_m, den2, h2, 1, N_check, exact)
+    sweep1, sweep2 = (_decide(*lag, 1, cert.valid_from - 1)
+                      for lag, cert in zip(lags, (cert1, cert2)))
 
     h_max = max(h1, h2)
-    if is_exact(eps):
-        N_eps = math.floor(Fraction(h_max) / Fraction(eps)) + 1
-    else:
-        N_eps = int(mp.floor(h_max / as_mp(eps))) + 1
+    N_eps = math.floor(Fraction(h_max) / eps) + 1
     N = max(sweep1.last_violation + 1, sweep2.last_violation + 1, N_eps, 2)
     if N > N_check:
         raise NotFoundWithin(f"no admissible N at or below N_check = {N_check}")
     verified = (sweep1.last_violation < N and sweep2.last_violation < N
-                and N - h2 > 0 and N > h_max / (eps if not is_exact(eps) else Fraction(eps)))
+                and N - h2 > 0 and N > Fraction(h_max) / eps)
     return ProofConstants(report.case, h1, h2, H_LABELS[report.case], N, eps, N_check,
                           N_eps, sweep1.last_violation, sweep2.last_violation,
                           cert1, cert2, sweep1, sweep2, bool(verified))
@@ -254,21 +229,31 @@ class ConstantsVerification:
 
 def verify_proof_constants(system: RecurrenceSystem, pc: ProofConstants,
                            n_lo: int | None = None, n_hi: int | None = None) -> ConstantsVerification:
-    """Independent re-check of stored constants over an index window."""
+    """Independent exact re-check of stored constants over an index window.
+
+    Each lag's certificate is rebuilt from the stored h; the inequality is
+    decided on [lo, min(hi, valid_from - 1)], always including lo, and the
+    certificate covers the rest.  A lag with no certificate for its h has the
+    whole window decided, and its tail is not certified.
+    """
     lo = pc.N if n_lo is None else n_lo
     hi = pc.N_check if n_hi is None else n_hi
-    if lo > hi:
-        raise InvalidParams("empty verification window")
-    exact = system.is_exact()
-    num1_m, den1 = _monic(system.lags[0].num), _monic(system.lags[0].den)
-    num2_m, den2 = _monic(system.lags[1].num), _monic(system.lags[1].den)
-    s1 = _margin_sweep(num1_m, den1, pc.h_lag1, lo, hi, exact)
-    s2 = _margin_sweep(num2_m, den2, pc.h_lag2, lo, hi, exact)
-    violations = (1 if s1.last_violation >= lo else 0) + (1 if s2.last_violation >= lo else 0)
-    eps_v = pc.eps if not is_exact(pc.eps) else Fraction(pc.eps)
-    eps_floor_ok = bool(max(pc.h_lag1, pc.h_lag2) / eps_v < pc.N)
+    if not 1 <= lo <= hi:
+        raise InvalidParams("verification window must satisfy 1 <= lo <= hi")
+    _require_exact(system, pc.eps)
+    sweeps, tail_ok = [], True
+    for fn, h in zip(system.lags, (pc.h_lag1, pc.h_lag2)):
+        lag = (_monic(fn.num), _monic(fn.den), h)
+        try:
+            valid_from = _bound_certificate(*lag).valid_from
+        except NotFoundWithin:
+            valid_from = math.inf
+        tail_ok = tail_ok and valid_from <= hi
+        sweeps.append(_decide(*lag, lo, max(lo, min(hi, valid_from - 1))))
+    s1, s2 = sweeps
+    violations = sum(s.last_violation >= lo for s in sweeps)
+    eps_floor_ok = bool(Fraction(max(pc.h_lag1, pc.h_lag2)) / pc.eps < pc.N)
     ratio_ok = pc.N - pc.h_lag2 > 0  # the Pochhammer bound needs N - h2 > 0
-    tail_ok = max(pc.cert_lag1.valid_from, pc.cert_lag2.valid_from) <= hi
     ok = violations == 0 and eps_floor_ok and ratio_ok and tail_ok
     return ConstantsVerification(bool(ok), lo, hi, s1.min_margin, s2.min_margin,
                                  violations, bool(eps_floor_ok), bool(ratio_ok), bool(tail_ok))

@@ -41,7 +41,7 @@ from functools import cached_property
 from mpmath import mp
 
 from .errors import DegreeMismatch, IndicialPole, InsufficientData, InvalidParams
-from .polynomials import PolynomialInN, RationalFnInN
+from .polynomials import PolynomialInN, RationalFnInN, exact_div
 from .scalars import as_mp, is_exact, log_abs, parse_precision, scalar_abs
 
 
@@ -357,8 +357,8 @@ def limit_profile(system: RecurrenceSystem) -> LimitProfile:
         limits.append(fn.leading_ratio())
         degs.append((dn, dd))
         if dn == dd and dd >= 1:
-            num_sub = (fn.num.coeffs[dn - 1] if dn >= 1 else 0) / fn.num.leading
-            den_sub = (fn.den.coeffs[dd - 1] if dd >= 1 else 0) / fn.den.leading
+            num_sub = exact_div(fn.num.coeffs[dn - 1], fn.num.leading)
+            den_sub = exact_div(fn.den.coeffs[dd - 1], fn.den.leading)
             subs.append((num_sub, den_sub))
         else:
             subs.append(None)

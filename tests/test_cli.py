@@ -85,6 +85,19 @@ def test_eval_huge_point_exits_2(a2_file, capsys, precision):
     assert err.startswith("heunlab: membership sum 5.0e+799 >= 1") and err.count("\n") == 1
 
 
+def test_eval_huge_exponent_exits_3(tmp_path, capsys):
+    # lambda = 1 - gamma = 10^400 + 1: the exact tier would build x^lambda
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"heun": {
+        "a": "2", "q": "1", "alpha": "1", "beta": "1", "gamma": "-1" + "0" * 400,
+        "delta": "1", "lambda": "1" + "0" * 399 + "1"}}))
+    code, out, err = run(capsys, ["eval", str(path), "--x", "1/10", "--precision", "exact"])
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1 and "use a bit precision" in err
+    doc = run_doc(capsys, ["eval", str(path), "--x", "1/10", "--precision", "64"])
+    assert doc["outputs"]["converged"]
+
+
 def test_eval_force(a2_file, capsys):
     doc = run_doc(capsys, ["eval", str(a2_file), "--x", "9/10", "--force",
                            "--precision", "128"])
@@ -188,6 +201,21 @@ def test_boundary_overflowing_coefficient_exits_3(tmp_path, capsys):
     code, _, err = run(capsys, ["boundary", str(path), "--n-max", "4096"])
     assert code == 3
     assert err.count("\n") == 1 and "float64" in err
+
+
+def test_boundary_pole_cluster_far_out_exits_3(tmp_path, capsys):
+    # lag-2 denominator (n - 10^6)(n - 10^6 - 1)(n - 10^6 - 2): the probe
+    # would reach the poles, so the instance is refused before any streaming
+    m = 10 ** 6
+    den = [-m * (m + 1) * (m + 2), 3 * m * m + 6 * m + 2, -3 * m - 3, 1]
+    lags = [{"num": ["1"], "den": ["1"]},
+            {"num": ["-1/4", "0", "0", "1"], "den": [str(c) for c in den]}]
+    path = tmp_path / "cluster.json"
+    path.write_text(json.dumps({"recurrence": {"k": 2, "lags": lags}}))
+    code, out, err = run(capsys, ["boundary", str(path), "--which", "signed",
+                                  "--n-max", "2097152"])
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1 and f"pole at n = {m}" in err
 
 
 def test_boundary_huge_radius(a2_file, capsys):

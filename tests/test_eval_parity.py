@@ -193,7 +193,8 @@ def test_wide_lag_values_at_53_bits():
         assert_parity(params, F(1, 5), precision=precision, tol=0, n_max=40)
 
 
-# sha256 of the stdout documents, recorded with the earlier per-term loops
+# sha256 of the stdout documents, recorded with the earlier per-term loops and
+# re-recorded at 0.2.0, where only the version field changed
 GOLDEN_INSTANCES = {
     "a2": {"heun": {"a": "2", "q": "1", "alpha": "1", "beta": "1",
                     "gamma": "1", "delta": "1", "lambda": "0"}},
@@ -207,35 +208,35 @@ GOLDEN_INSTANCES = {
 
 GOLDEN_DOCUMENTS = (
     ("a2", ["eval", "--x=1/10", "--precision", "exact"],
-     "e512f735c17566066ff8776d32f9f6ad274773151f1821bf362041127bfae0c1"),
+     "72b929efea9f5a88845e152b208685456904fdcf5d39112aab541d672bb272e3"),
     ("a2", ["eval", "--x=-1/3", "--precision", "256"],
-     "800adf22d1fb4aa15f83f7057e6aef10dabbb3445fcb0fc99a86f6ff5eda7af1"),
+     "4ceb5af837ee424df74ee72cab476ed034c627e5460d768f87530d6c10ec2ac4"),
     ("a2", ["eval", "--x=1/4", "--precision", "53"],
-     "c276aa468ce99c9f70073617489882958c4dabe0c7f4a0ac1b097450df7000bb"),
+     "17a694ecce92fdd93a8e1b0e1cb6800b81fc911270003f91b6a5ec667be08653"),
     ("a2", ["eval", "--x=0.2-0.3j", "--precision", "128"],
-     "8465d592caedea9db206b2fcf4ec8cf05e62f0722c45e89b32eef6de9d289e48"),
+     "e5cf3e4a8daee705ef2e9a3ac85ce1d797cedda3ebc25f9dfb826270dde5aa2b"),
     ("a2", ["eval", "--x=9/10", "--force", "--precision", "64"],
-     "969657db7c9560dee2c98992c8a4a5f87681593257497fe9c18495d542d5749f"),
+     "91fef781691a1ae6ec35417b4aba4f3fb27b608617567f467c7f2138f668c9c6"),
     ("a2", ["eval", "--x=1/2", "--n-max", "12", "--precision", "exact"],
-     "97a84d365ce5d34bfa9fb14b9a320ae2f810842a35e48e75ec33544cfd2b56a8"),
+     "b0d1ca44a2b38a94083db66e95f6ffa3520f4eb7cc42fb64c20e7e286bc1d2fa"),
     ("neg", ["eval", "--x=-1/5", "--precision", "exact"],
-     "fc59975d727b156cc47ebc1f41766cce3e10bc5be003bdf0e3f77be265a07131"),
+     "13a36180991a784eab36d6c268af4778e424ccc23afc4c1f52a1e088bee48d42"),
     ("neg", ["eval", "--x=3/10", "--precision", "256"],
-     "ab7476de34672d6b4c229c0ea6d2e921933e4b40207f22b60c51e4471bd27ea2"),
+     "e7c83dc5c3d6d62c700e1b926ee08bd1e585de40da3d0f48da66984121fe30d2"),
     ("half", ["eval", "--x=1/9", "--precision", "256"],
-     "f1a49686bd564169c85bd70e77071b4e77659f40de0e1af2ec70f0a177e63aef"),
+     "1978e226712f32d77ed5b54e239f759706c29521b432c242d156672350d1dd3a"),
     ("int2", ["eval", "--x=-1/6", "--precision", "exact"],
-     "f1548ce2fb26c6b22d2f0acbd957e57f0f57ebbe06c0593bdbd8c62a7f2a8824"),
+     "2db59cb0ece41c765c6b49bd92874afb9e10589a8a8c980740f8c33d6f90c31c"),
     ("int2", ["eval", "--x=1/5", "--precision", "53"],
-     "6df904fc7583686986881b463596df2abab9927821d271372668619017f510c3"),
+     "d06372effabae3e497629659665a4d912230e40051925a2c2b2d151f17820b71"),
     ("a2", ["domain", "--x=-1/3"],
-     "20471c9f403baf5488cf542ba4ca3952bf317af557a60deda3f4d88bec8b2174"),
+     "3dff4377e913e7b69974595b7e549786ef24c15be4f41892aadfb3c456a0055d"),
     ("neg", ["domain", "--x=1/4", "--precision", "exact"],
-     "4c197d1857c21e690a84dbd040506e81c53e878cf8efab4a28cb6f7deadeb643"),
+     "4b95d0bd9ed5126b3b82ad950c10407282e644f824d38e8ba5ccc61a07e7b1b1"),
     ("half", ["classify"],
-     "d444379e726c657dd1bc4f6deb05a6bf94e083c719aed45af7879d7816b124bd"),
+     "776a8abe44d912a39d41d4b9505aed117cdf2116e41041b0f158af03230fb41b"),
     ("neg", ["classify", "--precision", "64"],
-     "cbafbc73bebfbc5a9d015c280938904d1fc8a5ad866d1bf9dd64111b3115a2d7"),
+     "df8a38fa02bdb150112228bdfa09e058515ee19815d7c355eccb55fc7f0137f5"),
 )
 
 

@@ -91,6 +91,47 @@ def test_exact_roots_of_low_degree_denominators():
     assert nonneg_integer_roots(poly_from(0, 0, 0, -25, 0, 1)) == frozenset({0, 5})
 
 
+def _linear_product(*roots):
+    p = poly_from(1)
+    for r in roots:
+        p = p * poly_from(-r, 1)
+    return p
+
+
+@pytest.mark.parametrize("roots, extra", [
+    ((10 ** 6, 10 ** 6 + 1, 10 ** 6 + 2), poly_from(1)),
+    ((10 ** 6,) * 3, poly_from(1)),
+    ((10 ** 9, 10 ** 9, 10 ** 9 + 1), poly_from(1, 0, 1)),  # times n^2 + 1
+    ((10 ** 9 - 1, 10 ** 9, 10 ** 9 + 1, 10 ** 9 + 2), poly_from(Fraction(-1, 3))),
+    ((3, 10 ** 6), poly_from(-(10 ** 6) - Fraction(1, 2), 1)),  # a rational root next to one
+], ids=["cluster-1e6", "triple-1e6", "double-1e9", "cluster-1e9", "half-step"])
+def test_exact_roots_of_clusters_far_out(roots, extra):
+    # a float64 solve of a cubic spreads these roots by far more than the
+    # +-1 window the numeric localization looks at; the exact isolation
+    # finds each one, and exact evaluation around them agrees
+    p = _linear_product(*roots) * extra
+    got = nonneg_integer_roots(p)
+    assert got == frozenset(roots)
+    near = {k + d for k in (0, *roots) for d in range(-3, 4) if k + d >= 0}
+    assert got == frozenset(k for k in near if p(k) == 0)
+
+
+def test_exact_roots_match_exact_evaluation(rng):
+    for _ in range(300):
+        roots = [rng.randrange(-5, 60) for _ in range(rng.randrange(1, 6))]
+        p = _linear_product(*roots).scale(Fraction(rng.randrange(1, 9), rng.randrange(1, 9)))
+        if rng.random() < 0.3:
+            p = p * poly_from(rng.randrange(1, 9), rng.randrange(-3, 4), 1)
+        assert nonneg_integer_roots(p) == frozenset(k for k in range(100) if p(k) == 0)
+
+
+def test_floating_coefficients_use_the_numeric_solve():
+    p = poly_from(mp.mpf(6), mp.mpf(-5), mp.mpf(1))  # (n - 2)(n - 3)
+    assert nonneg_integer_roots(p) == frozenset({2, 3})
+    assert nonneg_integer_roots(p * poly_from(0, 1)) == frozenset({0, 2, 3})
+    assert nonneg_integer_roots(poly_from(mp.mpc(6, 0), mp.mpf(-5), mp.mpf(1))) == frozenset({2, 3})
+
+
 def test_near_integer_root_is_rejected_exactly():
     # (n - 2) shifted by a tiny rational: float localization would say 2
     p = poly_from(Fraction(-2) + Fraction(1, 10 ** 12), 1)

@@ -1,20 +1,24 @@
 """Case classification, certified constants, and the explicit minorant."""
 
 import dataclasses
+import math
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
 import pytest
+from conftest import admissible_roots
 from mpmath import mp
 
 from heunlab import (CASE1, CASE2, CASE3, CASE4, DegreeMismatch, DomainError,
-                     H_LABELS, HeunParams, InvalidParams, NotFoundWithin,
-                     RationalFnInN, RecurrenceSystem, boundary_radius,
-                     classify_case, eta_z, find_proof_constants,
+                     H_LABELS, HeunParams, InputError, InvalidParams,
+                     NotFoundWithin, RationalFnInN, RecurrenceSystem,
+                     boundary_radius, classify_case, eta_z, find_proof_constants,
                      heun_recurrence, limit_profile, minorant_partial,
                      poly_from, series_limits, verify_proof_constants,
                      z_power_tail)
 from heunlab.instances import render_value
+from heunlab.proofs import _monic
 from heunlab.scalars import DEFAULT_PRECISION, as_mp
 
 F = Fraction
@@ -126,6 +130,120 @@ def test_constants_across_pool(instance_pool):
         pc = find_proof_constants(system)
         assert pc.verified
         assert verify_proof_constants(system, pc).ok
+
+
+def test_constants_need_exact_input(a2_params):
+    system = heun_recurrence(a2_params)
+    with pytest.raises(InputError):
+        find_proof_constants(system, eps=0.01)
+    pc = find_proof_constants(system)
+    with pytest.raises(InputError):
+        verify_proof_constants(system, dataclasses.replace(pc, eps=0.01))
+    floating = RecurrenceSystem((RationalFnInN(poly_from(1, mp.mpf(1), 1), poly_from(1, 2, 1)),
+                                 _lag(0, 2)))
+    with pytest.raises(InputError):
+        find_proof_constants(floating)
+    with pytest.raises(InputError):
+        verify_proof_constants(floating, pc)
+
+
+def test_constants_decide_at_most_the_certificate_range(a2_params):
+    system = heun_recurrence(a2_params)
+    pc = find_proof_constants(system)
+    assert pc.sweep_lag1.rechecked == pc.cert_lag1.valid_from - 1
+    assert pc.sweep_lag2.rechecked == pc.cert_lag2.valid_from - 1
+    # the reverification window [N, N_check] starts past both certificates,
+    # so only n = N itself is decided
+    ver = verify_proof_constants(system, pc)
+    assert (ver.checked_lo, ver.checked_hi) == (pc.N, pc.N_check)
+    assert ver.min_margin_lag2 == float(_reference_margin(_monic(system.lags[1].num),
+                                                          _monic(system.lags[1].den),
+                                                          pc.h_lag2, pc.N))
+
+
+def test_monic_lag_polynomials_stay_rational():
+    # the shared denominator's leading coefficient is the int 1, which true
+    # division would turn into the float 1.0
+    system = heun_recurrence(HeunParams(2, 1, 1, 1, F(1, 3), 1))
+    for fn in system.lags:
+        for poly in (_monic(fn.num), _monic(fn.den)):
+            assert all(type(c) is Fraction for c in poly.coeffs)
+            assert poly.leading == 1
+    pc = find_proof_constants(system)
+    for cert in (pc.cert_lag1, pc.cert_lag2):
+        assert type(cert.leading) is Fraction
+    # 0.1.0 carried the float 0.22222222222222232 here
+    assert (pc.cert_lag1.leading, pc.cert_lag2.leading) == (F(2, 9), F(2, 3))
+
+
+def _reference_margin(num_m, den, h, n):
+    return abs(F(num_m(n)) / F(den(n))) - 1 + F(h, n)
+
+
+def _reference_monic(poly):
+    """The 0.1.0 normalisation: true division by the leading coefficient."""
+    lead = poly.leading
+    return poly_from(*(c / lead for c in poly.coeffs))
+
+
+def _reference_sweep(num_m, den, h, n_hi):
+    """The 0.1.0 float64 margin sweep over [1, n_hi], re-deciding margins
+    below 1e-6 exactly; returns the last violation."""
+    fn_num, fn_den = num_m.as_float(), den.as_float()
+    n = np.arange(1, n_hi + 1, dtype=np.float64)
+    margins = np.abs(fn_num(n)) / np.abs(fn_den(n)) - (1.0 - h / n)
+    last = 0
+    for idx in np.nonzero(margins < 1e-6)[0]:
+        nv = int(idx) + 1
+        a, b = F(num_m(nv)), F(den(nv))
+        if not (abs(a.numerator) * b.denominator * nv
+                > (nv - h) * abs(b.numerator) * a.denominator):
+            last = nv
+    return last
+
+
+def _reference_constants(system, eps=F(1, 100), n_check=10 ** 5):
+    report = classify_case(limit_profile(system))
+    subs = ((report.lag1_num_sub, report.lag1_den_sub, report.lag1_strictly_less),
+            (report.lag2_num_sub, report.lag2_den_sub, report.lag2_strictly_less))
+    hs = tuple(max(math.floor(den_sub - num_sub) + 1, 1) if less else 1
+               for num_sub, den_sub, less in subs)
+    lasts = tuple(_reference_sweep(_reference_monic(fn.num), _reference_monic(fn.den), h, n_check)
+                  for fn, h in zip(system.lags, hs))
+    N = max(lasts[0] + 1, lasts[1] + 1, math.floor(F(max(hs)) / eps) + 1, 2)
+    return hs, N, lasts
+
+
+@pytest.fixture(scope="module")
+def parity_systems(instance_pool):
+    pool = list(instance_pool) + [HeunParams(2, 1, 1, 1, F(1, 3), 1)]
+    return [heun_recurrence(p, root) for p in pool for root in admissible_roots(p)]
+
+
+def test_exact_constants_match_float_sweep(parity_systems):
+    for system in parity_systems:
+        pc = find_proof_constants(system)
+        hs, N, lasts = _reference_constants(system)
+        assert (pc.h_lag1, pc.h_lag2) == hs
+        assert pc.N == N
+        assert (pc.last_violation_lag1, pc.last_violation_lag2) == lasts
+        assert verify_proof_constants(system, pc).ok
+
+
+def test_exact_decision_sees_violations_below_the_certificate():
+    # (n - 10)(n + 20) / (n^2 + n + 1) vanishes at n = 10, where 1 - h/n > 0,
+    # and the certificate starts past the last violation
+    system = RecurrenceSystem((RationalFnInN(poly_from(-200, 10, 1), poly_from(1, 1, 1)),
+                               RationalFnInN(poly_from(1, 0, 1), poly_from(1, 0, 1))))
+    # int coefficients: the sub-leading ratios that set h are still exact
+    assert limit_profile(system).subleading[0] == (F(10), F(1))
+    assert all(type(v) is Fraction for v in limit_profile(system).subleading[0])
+    pc = find_proof_constants(system)
+    hs, N, lasts = _reference_constants(system)
+    assert (pc.h_lag1, pc.h_lag2) == hs
+    assert (pc.last_violation_lag1, pc.last_violation_lag2) == lasts
+    assert pc.last_violation_lag1 >= 10 and pc.N == N
+    assert pc.last_violation_lag1 < pc.cert_lag1.valid_from
 
 
 def test_z_power_tail_anchor(a2_params):

@@ -1,0 +1,125 @@
+"""Property test: every command ends in exit code 0, 2 or 3 on any instance.
+
+Hypothesis writes Heun and recurrence instance files with poles, huge and
+tiny rationals, degree mismatches and k in {1, 2, 3}, and runs each command
+on them through the CLI entry point.  An exception that escapes main() would
+reach the user as a traceback, so the test fails on it.
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+from fractions import Fraction
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from heunlab.cli import main
+
+HEUN_KEYS = ("a", "q", "alpha", "beta", "gamma", "delta")
+
+COMMANDS = (
+    ("classify",),
+    ("domain", "--x", "1/10"),
+    ("eval", "--x", "1/10", "--n-max", "64"),
+    ("boundary", "--n-max", "4096"),
+    ("proof-audit", "--eps", "1/4", "--n-check", "300", "--depth", "8"),
+)
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+extreme = st.builds(lambda sign, e, m: sign * m * Fraction(10) ** e,
+                    st.sampled_from((1, -1)), st.integers(-400, 400),
+                    st.fractions(min_value=1, max_value=9, max_denominator=7))
+special = st.sampled_from((0, 1, -1, 2)).map(Fraction)
+rationals = st.one_of(small, small, small, extreme, special)
+
+
+def _text(v: Fraction) -> str:
+    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+
+
+@st.composite
+def heun_instances(draw):
+    params = {k: draw(rationals) for k in HEUN_KEYS}
+    # a in {0, 1} is refused, a = -1 drops a degree, gamma <= 0 an integer is a pole
+    proper = small.filter(lambda v: v not in (0, 1))
+    params["a"] = draw(st.one_of(proper, proper, proper, proper, extreme, special))
+    params["gamma"] = draw(st.one_of(rationals, st.integers(-4, 1).map(Fraction)))
+    block = {k: _text(v) for k, v in params.items()}
+    block["lambda"] = _text(draw(st.sampled_from((Fraction(0), 1 - params["gamma"]))))
+    return {"heun": block}
+
+
+def _times_linear(coeffs, r):
+    """coeffs times (n - r), lowest power first."""
+    out = [Fraction(0)] * (len(coeffs) + 1)
+    for i, c in enumerate(coeffs):
+        out[i] -= r * c
+        out[i + 1] += c
+    return out
+
+
+# roots of the lag polynomials: nonnegative integers put a pole in a
+# denominator, negative rationals keep it clear of the index range
+pole_roots = st.integers(0, 40).map(Fraction)
+clear_roots = st.fractions(min_value=-3, max_value=Fraction(-1, 8), max_denominator=8)
+
+
+@st.composite
+def factored(draw, degree, roots):
+    coeffs = [draw(rationals.filter(bool))]
+    for _ in range(degree):
+        coeffs = _times_linear(coeffs, draw(roots))
+    return coeffs
+
+
+@st.composite
+def recurrence_instances(draw):
+    k = draw(st.sampled_from((1, 2, 2, 2, 3)))
+    lags = []
+    for _ in range(k):
+        degree = draw(st.sampled_from((0, 1, 2, 2, 3)))  # a list of its own may mismatch it
+        any_roots = st.one_of(pole_roots, clear_roots)
+        num = draw(st.one_of(factored(degree, any_roots), factored(degree, any_roots),
+                             factored(degree, any_roots), st.lists(rationals, min_size=1, max_size=4)))
+        den = draw(st.one_of(factored(degree, clear_roots), factored(degree, clear_roots),
+                             factored(degree, clear_roots), factored(degree, pole_roots),
+                             st.lists(rationals, min_size=1, max_size=4)))
+        lags.append({"num": [_text(c) for c in num], "den": [_text(c) for c in den]})
+    return {"recurrence": {"k": k, "lags": lags}}
+
+
+def _run_every_command(doc, precision):
+    if precision is not None:
+        doc["precision"] = precision
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "instance.json"
+        path.write_text(json.dumps(doc))
+        for command in COMMANDS:
+            argv = [command[0], str(path), *command[1:]]
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main(argv)
+            assert code in (0, 2, 3), (argv, doc, code)
+            assert code == 0 or err.getvalue().count("\n") == 1, (argv, doc, err.getvalue())
+
+
+PRECISIONS = st.sampled_from((None, "exact", 64))
+# derandomized, so every run tries the same examples; about 9 s for both tests
+# on a 2-core machine
+SETTINGS = dict(deadline=None, derandomize=True, database=None,
+                suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+
+
+@settings(max_examples=200, **SETTINGS)
+@given(heun_instances(), PRECISIONS)
+def test_heun_instances_exit_cleanly(doc, precision):
+    _run_every_command(doc, precision)
+
+
+@settings(max_examples=80, **SETTINGS)
+@given(recurrence_instances(), PRECISIONS)
+def test_recurrence_instances_exit_cleanly(doc, precision):
+    _run_every_command(doc, precision)
