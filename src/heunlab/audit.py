@@ -23,9 +23,10 @@ from .proofs import (find_proof_constants, minorant_partial,
                      verify_proof_constants)
 from .rearrange import (grouped_partial_sum, path_table, path_table_enumerate,
                         table_matches_stream)
-from .recurrence import (dominating_series_check, modulus_stream,
-                         modulus_system, stream_coefficients)
-from .scalars import as_mp, is_exact, log_abs, scalar_abs
+from .recurrence import (CoefficientStream, dominating_series_check,
+                         iter_cleared, modulus_stream, modulus_system,
+                         stream_coefficients)
+from .scalars import as_mp, is_exact, rational_to_mp, scalar_abs
 from .special import min_index_for_ratio_bound, pochhammer_ratio_lower_bound
 
 DOMINATION_EXACT_CAP = 5000  # exact streams beyond this get the floating tier
@@ -33,6 +34,7 @@ DOMINATION_EXACT_CAP = 5000  # exact streams beyond this get the floating tier
 # the a=2 sample a whole proof-audit peaks at 38 MB up to depth 100, then at
 # 50, 82 and 143 MB at depths 200, 300 and 400
 AUDIT_DEPTH_CAP = 256
+_LN2 = math.log(2.0)
 
 
 def _safe_float(x) -> float:
@@ -40,6 +42,37 @@ def _safe_float(x) -> float:
         return float(x)
     except (OverflowError, ValueError):
         return math.inf if x > 0 else -math.inf
+
+
+def _exact_terms(system, count: int, start: int, prec: int):
+    """d_0 .. d_{count-1} each correctly rounded to prec bits, and the exact
+    CoefficientStream of d_start .. d_{count-1}.
+
+    One pass of the integer stepper holds only the running numerator and
+    denominator; only the window the domination bound reads is reduced.
+    """
+    terms, window, q = [], [], 1
+    for n, (p, g) in zip(range(count), iter_cleared(system)):
+        q *= g
+        terms.append(rational_to_mp(p, q, prec))
+        if n >= start:
+            window.append(Fraction(p, q))
+    return terms, CoefficientStream(tuple(window), "exact", start)
+
+
+def _log_mag(x) -> float:
+    """ln |x| of a real mpf, -inf at zero, from its mantissa and exponent.
+
+    The canonical frexp split of the probe kernel: x = f 2^e with
+    1/2 <= |f| < 1 read from the mantissa's top 53 bits, and
+    ln |x| = ln |f| + e ln 2, with no cancellation between two large logs.
+    """
+    _, man, exp, bc = x._mpf_
+    if not man:
+        return -math.inf
+    drop = max(bc - 53, 0)
+    f, e = math.frexp(man >> drop)
+    return math.log(f) + (e + exp + drop) * _LN2
 
 
 def run_proof_audit(params: HeunParams, root=0, **options):
@@ -125,7 +158,11 @@ def run_system_audit(system, limits, *, root_echo=None, eps=Fraction(1, 100),
         minorant_divergent = False
 
     dom_prec = "exact" if constants.N + M <= DOMINATION_EXACT_CAP else prec
-    stream = stream_coefficients(system, constants.N + M + 1, dom_prec)
+    if dom_prec == "exact":
+        terms, stream = _exact_terms(system, constants.N + M + 1, constants.N - 1, prec)
+    else:
+        stream = stream_coefficients(system, constants.N + M + 1, prec)
+        terms = stream.values
     dom = dominating_series_check(system, stream, constants.N, M)
     with mp.workprec(prec):
         dom_min_margin = min((as_mp(mg, prec) for mg in dom.margins))
@@ -154,15 +191,14 @@ def run_system_audit(system, limits, *, root_echo=None, eps=Fraction(1, 100),
         rs = r_closed
         partial = mp.mpf(0)
         p = mp.mpf(1)
-        for n, v in enumerate(stream.values):
-            mv = as_mp(v, prec)
+        for n, mv in enumerate(terms):
             term = mv * p
             partial += term
             trace_rows.append((
                 n,
-                _safe_float(mp.re(mv)),
-                _safe_float(mp.im(mv)),
-                log_abs(v),
+                _safe_float(mv),
+                0.0,
+                _log_mag(mv),
                 _safe_float(term),
                 _safe_float(partial),
             ))

@@ -23,10 +23,10 @@ from functools import lru_cache
 
 from mpmath import mp
 
-from .errors import InputError, InvalidParams, OutsideDomain, PoleAtIndex
+from .errors import InputError, InvalidParams, OutsideDomain
 from .polynomials import PolynomialInN, RationalFnInN
-from .recurrence import (CoefficientStream, RecurrenceSystem, iter_values,
-                         stream_coefficients)
+from .recurrence import (CoefficientStream, RecurrenceSystem, iter_cleared,
+                         iter_values, stream_coefficients)
 from .scalars import (DEFAULT_PRECISION, as_mp, is_exact, parse_precision,
                       scalar_abs, to_scalar)
 
@@ -92,8 +92,12 @@ def heun_recurrence(params: HeunParams, root=0) -> RecurrenceSystem:
 
 
 def _build_recurrence(params: HeunParams, lam) -> RecurrenceSystem:
-    a, q = params.a, params.q
-    al, be, ga, de = params.alpha, params.beta, params.gamma, params.delta
+    values = (params.a, params.q, params.alpha, params.beta, params.gamma,
+              params.delta, lam)
+    if not all(is_exact(v) for v in values):
+        # mpmath does not divide a Fraction, so a mixed instance is built in mpmath
+        values = [as_mp(v, mp.prec) if is_exact(v) else v for v in values]
+    a, q, al, be, ga, de, lam = values
     den = PolynomialInN(((1 + lam) * (ga + lam), 1 + ga + 2 * lam, 1))
     num1 = PolynomialInN((
         (lam * (al + be - de + lam + a * (ga + de - 1 + lam)) + q) / a,
@@ -215,24 +219,24 @@ def absolute_profile_sum(params: HeunParams, x, prec: int = DEFAULT_PRECISION):
 def _sum_exact(system, x: Fraction, lam: int, tol: Fraction, n_max: int):
     """The exact tier summed in integers; returns (value, n_used, converged).
 
-    With the system's cleared lags alpha_i(n) = A_i(n) / G(n), d_n = P_n / Q_n
-    is carried unreduced with Q_{n+1} = Q_n |G(n)|, which gives
-    P_{n+1} = +-(A1(n) P_n + A2(n) |G(n-1)| P_{n-1}) with no division
-    (P_{-1} = 0 drops the lag-2 term at n = 0).
-    The partial sum is U / V over V = Q_n xd^(n+lam) for x = xn / xd, and a
-    term is T = P_n xn^(n+lam) over the same V.  The stop test
+    The coefficients come from the shared integer stepper as d_n = P_n / Q_n
+    unreduced, with Q_n = Q_{n-1} g_n (recurrence.iter_cleared).  The
+    partial sum is U / V over V = Q_n xd^(n+lam) for x = xn / xd, and a term
+    is T = P_n xn^(n+lam) over the same V.  The stop test
     |T| td < tn max(V, |U|) for tol = tn / td is the rational comparison
     |term| < tol max(1, |sum|) multiplied through by V td > 0.  One gcd at
     the end reduces the value.
     """
-    (a1, a2), g = system.cleared
     xn, xd = x.numerator, x.denominator
     tn, td = tol.numerator, tol.denominator
     power, U, V = xn ** lam, 0, xd ** lam
-    p, p_prev, q_prev = 1, 0, 1
     small_run = n_used = 0
     converged = False
-    for n in range(n_max):
+    for n, (p, g) in zip(range(n_max), iter_cleared(system)):
+        if n:
+            U *= g * xd
+            V *= g * xd
+            power *= xn
         t = p * power
         U += t
         n_used = n + 1
@@ -243,16 +247,6 @@ def _sum_exact(system, x: Fraction, lam: int, tol: Fraction, n_max: int):
                 break
         else:
             small_run = 0
-        q = g(n)
-        if q == 0:
-            raise PoleAtIndex(n)
-        nxt = a1(n) * p + a2(n) * q_prev * p_prev
-        if q < 0:
-            q, nxt = -q, -nxt
-        U *= q * xd
-        V *= q * xd
-        p_prev, p, q_prev = p, nxt, q
-        power *= xn
     return Fraction(U, V), n_used, converged
 
 

@@ -21,6 +21,7 @@ from typing import Union
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import from_man_exp, mpf_div, round_nearest
 
 from .errors import InputError
 
@@ -118,6 +119,26 @@ def as_mp(x, prec: int = DEFAULT_PRECISION):
         if isinstance(x, complex):
             return mp.mpc(x.real, x.imag)
         return +mpmath.mpmathify(x)  # unary + rounds to working precision
+
+
+def _exact_mpf(n: int):
+    """The integer n as an exact raw mpf.
+
+    Its factor of two is split off in one shift: mpmath's from_int strips
+    it 8 bits per shift of the whole integer, which is quadratic in the
+    trailing zeros of a long product of step divisors.
+    """
+    twos = (n & -n).bit_length() - 1 if n else 0
+    return from_man_exp(n >> twos, twos)
+
+
+def rational_to_mp(num: int, den: int, prec: int = DEFAULT_PRECISION):
+    """num / den (den > 0) correctly rounded to nearest at prec bits.
+
+    One division of the exact integers with a sticky bit, so no gcd is
+    needed and wide operands are not rounded first, as they are in as_mp.
+    """
+    return mp.make_mpf(mpf_div(_exact_mpf(num), _exact_mpf(den), prec, round_nearest))
 
 
 def scalar_abs(x, prec: int = DEFAULT_PRECISION):

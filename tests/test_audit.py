@@ -1,6 +1,7 @@
 """The end-to-end audit document: structure, verdicts, determinism."""
 
 import hashlib
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,9 +9,11 @@ from mpmath import mp
 
 from heunlab import (DegreeMismatch, HeunParams, InputError, TruncationTooLarge,
                      document_bytes, heun_recurrence, run_proof_audit,
-                     run_system_audit, series_limits)
+                     run_system_audit, series_limits, stream_coefficients)
 from heunlab.audit import AUDIT_DEPTH_CAP
 from heunlab.cli import main as cli_main
+from heunlab.convergence import boundary_radius
+from heunlab.scalars import as_mp
 
 F = Fraction
 
@@ -87,6 +90,45 @@ def test_trace_rows(a2_audit):
     assert partial == pytest.approx(1.0 + term)
 
 
+@pytest.fixture(scope="module")
+def golden_traces(a2_audit):
+    """(params, trace rows) of the two golden audits."""
+    pool06 = HeunParams(2, 0, 2, 2, 1, 1)
+    return [(HeunParams(2, 1, 1, 1, 1, 1), a2_audit[1]),
+            (pool06, run_proof_audit(pool06)[1])]
+
+
+def exact_terms(params, count):
+    return stream_coefficients(heun_recurrence(params), count).values
+
+
+def test_trace_log_mags_match_a_400_bit_reference(golden_traces):
+    for params, rows in golden_traces:
+        with mp.workprec(400):
+            for row, v in zip(rows, exact_terms(params, len(rows))):
+                if v == 0:
+                    assert row[3] == -math.inf
+                    continue
+                ref = mp.log(abs(mp.mpf(v.numerator) / v.denominator))
+                assert abs(row[3] - ref) <= 1e-13
+
+
+def test_trace_values_match_the_reduced_fraction_path(golden_traces):
+    # the trace before the integer stepper: reduced Fractions through as_mp
+    for params, rows in golden_traces:
+        r = boundary_radius(series_limits(params), 256, "closed")
+        expect = []
+        with mp.workprec(256):
+            partial, power = mp.mpf(0), mp.mpf(1)
+            for v in exact_terms(params, len(rows)):
+                mv = as_mp(v, 256)
+                term = mv * power
+                partial += term
+                expect.append((float(mp.re(mv)), float(mp.im(mv)), float(term), float(partial)))
+                power *= r
+        assert [(row[1], row[2], row[4], row[5]) for row in rows] == expect
+
+
 def test_system_route_matches_heun_route(a2_audit):
     params = HeunParams(2, 1, 1, 1, 1, 1)
     document, rows = run_system_audit(heun_recurrence(params),
@@ -140,20 +182,25 @@ def test_audit_echoes_instance(a2_audit):
 # a deliberate document change (a new field, a version bump) updates these.
 # Re-recorded at 0.2.0: the JSON differs from 0.1.0's only in version and in
 # reverification.min_margin_lag*, now exact minima; the CSVs are unchanged.
+# CSVs re-recorded when the exact trace moved onto the integer stepper: only
+# log_mag changed, in its last digits (at most 1.2e-13 here), as it is now
+# read from the mantissa and exponent of the correctly rounded term instead
+# of log(p) - log(q), whose cancellation cost up to 1.2e-13 against a 400-bit
+# reference; the JSONs are unchanged.
 GOLDEN_AUDITS = {
     # the a=2 worked sample, h2 = 3
     "sample": (
         '{"heun": {"a": "2", "q": "1", "alpha": "1", "beta": "1", '
         '"gamma": "1", "delta": "1", "lambda": "0"}, "precision": "exact"}',
         "ebeac785cc1472ef05840c9f5a70ec829646a8585c2ed81d9f5ba75388808f90",
-        "cd3b59a4d4fa5c84b21bacedb9e43106909edd401cf62a2c8992006f92393fec",
+        "d5d0fa604ffe6a59897db80c2fea111d15d274b3ec4bc3963a06274711242f61",
     ),
     # PROBE_POOL instance (2, 0, 2, 2, 1, 1), h2 = 1
     "pool06": (
         '{"heun": {"a": "2", "q": "0", "alpha": "2", "beta": "2", '
         '"gamma": "1", "delta": "1", "lambda": "0"}}',
         "d5bcb027889232a77bd948588c38b8dbfb787ba5e02db436fddf302e957b7d9c",
-        "c961ed15044e6b4878c6cce3fb4609bc3f5b06c37c55db6bf329b235562b4097",
+        "fb8c5f87ba2adc037bb8972763540e7cdde8f26d74564c20e369932fb40cb9e8",
     ),
 }
 

@@ -42,6 +42,21 @@ def test_recurrence_rejects_bad_root(a2_params):
         heun_recurrence(a2_params, root=5)
 
 
+def test_mixed_rational_and_mpmath_params_build_in_mpmath(a2_params):
+    # mpmath does not divide a Fraction; the rational parameters are lifted
+    with mp.workprec(80):
+        loose = HeunParams(mp.mpf(2), 1, 1, 1, 1, 1)
+        system = heun_recurrence(loose)
+        assert not system.is_exact()
+        exact = heun_recurrence(a2_params)
+        for i in (1, 2):
+            for n in range(1, 6):
+                value = system.coefficient(i, n)
+                assert abs(value - exact.coefficient(i, n)) <= mp.mpf(2) ** -78 * abs(value)
+    got = heun_eval(loose, F(1, 4), precision=80).value
+    assert abs(got - heun_eval(a2_params, F(1, 4), precision=80).value) < mp.mpf(2) ** -70
+
+
 def test_negative_integer_root_hits_a_pole():
     # gamma = 3 puts the second exponent at -2; the shared denominator
     # (n+1+lam)(n+gamma+lam) then vanishes at a reachable index

@@ -9,7 +9,8 @@ from mpmath import mp
 from heunlab import (DEFAULT_PRECISION, InputError, as_mp, fmt_scalar,
                      is_exact, parse_number, parse_point, parse_precision,
                      precision_from_env, to_scalar)
-from heunlab.scalars import ENV_PRECISION, log_abs, scalar_abs, scalars_close
+from heunlab.scalars import (ENV_PRECISION, log_abs, rational_to_mp, scalar_abs,
+                             scalars_close)
 
 
 def test_parse_number_rational_forms():
@@ -73,6 +74,56 @@ def test_as_mp_rounds_to_working_precision():
     with mp.workprec(200):
         err = abs(x - mp.mpf(1) / 3)
     assert err < mp.mpf(2) ** (-125)
+
+
+def nearest(num, den, prec):
+    """num / den rounded to nearest, ties to even, at prec bits, in integers.
+
+    Exact rather than a 2x-precision quotient: at a pair within 2^-(2 prec)
+    of a tie, that quotient lands on the tie itself and rounds again.
+    """
+    if num == 0:
+        return mp.mpf(0)
+    mag = abs(num)
+    shift = prec - mag.bit_length() + den.bit_length()
+    while True:  # quotient = floor(|num| 2^shift / den) in [2^(prec-1), 2^prec)
+        quot, rem = divmod(mag << shift if shift >= 0 else mag, den << -shift if shift < 0 else den)
+        if quot >= 1 << prec:
+            shift -= 1
+        elif quot < 1 << (prec - 1):
+            shift += 1
+        else:
+            break
+    divisor = den << -shift if shift < 0 else den
+    if 2 * rem > divisor or (2 * rem == divisor and quot & 1):
+        quot += 1
+    with mp.workprec(prec + 1):  # quot <= 2^prec: exact
+        return mp.ldexp(mp.mpf(quot if num > 0 else -quot), -shift)
+
+
+TIE_Q = 3 ** 300  # wider than 2 x 256 bits
+
+
+def tie_cases(prec):
+    """(num, den) at a tie between two prec-bit values, and just either side."""
+    for mant in (2 ** (prec - 1) + 4, 2 ** (prec - 1) + 5):  # even and odd lower neighbour
+        tie = 2 * mant + 1  # tie / 2 is halfway between mant and mant + 1
+        yield tie, 2
+        yield -tie * 3, 6
+        for side in (-1, 1):
+            yield tie * TIE_Q + 2 * side, 2 * TIE_Q
+            yield -(tie * TIE_Q + 2 * side) * 5 ** 40, 2 * TIE_Q * 2 ** 90
+
+
+@pytest.mark.parametrize("prec", [12, 53, 256])
+def test_rational_to_mp_rounds_correctly(prec):
+    cases = [(0, 1), (0, 7 ** 50), (1, 3), (-2, 3), (-10 ** 400, 7), (10 ** 400, 3 ** 500),
+             (5 ** 300, 2 ** 1000 * 3 ** 700), (-(2 ** 700) * 3, 2 ** 350),
+             *tie_cases(prec)]
+    for num, den in cases:
+        got = rational_to_mp(num, den, prec)
+        assert got == nearest(num, den, prec), (num, den)
+        assert got._mpf_[3] <= prec
 
 
 def test_scalar_abs_stays_in_tier():

@@ -10,6 +10,7 @@ for bit, and stay within 2^(10-p) of the Horner loop relative to the
 majorant c_n >= |d_n|.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from mpmath import mp
 from heunlab import (RationalFnInN, RecurrenceSystem,
                      heun_recurrence, modulus_stream, modulus_system,
                      poly_from, stream_coefficients)
-from heunlab.recurrence import iter_values
+from heunlab.recurrence import iter_cleared, iter_values
 from heunlab.scalars import as_mp, is_exact, scalar_abs
 
 from conftest import admissible_roots
@@ -148,6 +149,21 @@ def test_exact_streams_match_fraction_loop(instance_pool):
     for system in all_systems(instance_pool):
         stream = stream_coefficients(system, COUNT)
         assert_same(stream.values, reference_exact(system, COUNT))
+
+
+def test_integer_stepper_reduces_to_the_exact_stream(instance_pool):
+    systems = all_systems(instance_pool)
+    assert len(pool_systems(instance_pool)) == 48
+    # G vanishes where a lag that has not fired yet has its pole
+    assert user_systems()["lag2_pole_at_0"].cleared[1](0) == 0
+    assert user_systems()["k3_pole"].cleared[1](1) == 0
+    for system in systems:
+        q, values = 1, []
+        for p, g in itertools.islice(iter_cleared(system), COUNT):
+            assert g > 0
+            q *= g
+            values.append(Fraction(p, q))
+        assert values == list(stream_coefficients(system, COUNT).values)
 
 
 # at 12 bits the cleared lag integers are wider than the precision, so a
