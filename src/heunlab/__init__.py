@@ -24,8 +24,8 @@ from .heun import (HeunParams, absolute_profile_sum, heun_eval,
 from .instances import (Instance, document_bytes, load_instance,
                         parse_instance, render_value, trace_bytes,
                         write_trace)
-from .polynomials import (PolynomialInN, RationalFnInN, monic_quadratic,
-                          nonneg_integer_roots, poly_from)
+from .polynomials import (PolynomialInN, RationalFnInN, nonneg_integer_roots,
+                          poly_from)
 from .probes import (discrepancy_report, empirical_radius, term_scan,
                      term_trace)
 from .proofs import (CASE1, CASE2, CASE3, CASE4, H_LABELS, classify_case,
@@ -56,8 +56,7 @@ __all__ = [
     "heun_series", "indicial_roots", "ode_residual", "series_limits",
     "Instance", "document_bytes", "load_instance", "parse_instance",
     "render_value", "trace_bytes", "write_trace",
-    "PolynomialInN", "RationalFnInN", "monic_quadratic",
-    "nonneg_integer_roots", "poly_from",
+    "PolynomialInN", "RationalFnInN", "nonneg_integer_roots", "poly_from",
     "discrepancy_report", "empirical_radius", "term_scan", "term_trace",
     "CASE1", "CASE2", "CASE3", "CASE4", "H_LABELS", "classify_case",
     "find_proof_constants", "minorant_partial", "verify_proof_constants",

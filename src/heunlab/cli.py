@@ -20,7 +20,7 @@ from pathlib import Path
 from mpmath import mp
 
 from ._version import __version__
-from .audit import run_proof_audit, run_system_audit
+from .audit import run_system_audit
 from .convergence import boundary_radius, eta_z, gauss_test, membership_sum
 from .errors import DomainError, HeunLabError, InputError, OutsideDomain
 from .heun import heun_eval
@@ -195,7 +195,9 @@ def _cmd_boundary(instance, args, precision):
 def _cmd_proof_audit(instance, args, precision):
     prec = _bits(precision)
     analysis = instance.analysis
-    kwargs = dict(
+    document, rows = run_system_audit(
+        instance.system, instance.limits(),
+        root_echo=instance.root,
         eps=parse_number(str(_opt(args, instance, "eps", "1/100"))),
         N_check=int(_opt(args, instance, "n-check", 10 ** 5)),
         M=int(_opt(args, instance, "depth", 30)),
@@ -207,10 +209,6 @@ def _cmd_proof_audit(instance, args, precision):
         enum_depth=int(analysis.get("enum-depth", 14)),
         instance_echo=instance.echo,
     )
-    if instance.heun is not None:
-        document, rows = run_proof_audit(instance.heun, instance.root, **kwargs)
-    else:
-        document, rows = run_system_audit(instance.system, instance.limits(), **kwargs)
     document["command"] = "proof-audit"
     return document, rows
 

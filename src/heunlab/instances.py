@@ -179,10 +179,6 @@ def document_bytes(document: dict) -> bytes:
     return (json.dumps(document, sort_keys=True, indent=2) + "\n").encode("utf-8")
 
 
-def write_document(document: dict, path) -> None:
-    Path(path).write_bytes(document_bytes(document))
-
-
 def _cell(v) -> str:
     if isinstance(v, int) and not isinstance(v, bool):
         return str(v)

@@ -103,21 +103,9 @@ class PolynomialInN:
     def scale(self, factor):
         return PolynomialInN(tuple(factor * c for c in self.coeffs))
 
-    def shift(self, offset):
-        """Return the polynomial q with q(n) = p(n + offset)."""
-        # Horner composition with (n + offset); degree stays tiny here so O(d^2) is fine
-        result = PolynomialInN(())
-        x_plus = PolynomialInN((offset, 1))
-        for c in reversed(self.coeffs):
-            result = result * x_plus + PolynomialInN((c,))
-        return result
-
     def as_float(self) -> "PolynomialInN":
         """The polynomial with float64 coefficients, to evaluate on numpy arrays."""
         return PolynomialInN(tuple(float(c) for c in self.coeffs))
-
-    def abs_coeffs(self):
-        return PolynomialInN(tuple(abs(c) for c in self.coeffs))
 
 
 def poly_from(*coeffs) -> PolynomialInN:
@@ -222,12 +210,6 @@ class RationalFnInN:
             raise PoleAtIndex(n)
         return exact_div(self.num(n), self.den(n))
 
-    def shift(self, offset) -> "RationalFnInN":
-        return RationalFnInN(self.num.shift(offset), self.den.shift(offset))
-
-    def scale(self, factor) -> "RationalFnInN":
-        return RationalFnInN(self.num.scale(factor), self.den)
-
     @property
     def degrees(self):
         return (self.num.degree, self.den.degree)
@@ -241,10 +223,3 @@ class RationalFnInN:
             nl = self.num.leading if not self.num.is_zero else 0
             return 0 * nl if not is_exact(nl) else Fraction(0)
         return exact_div(self.num.leading, self.den.leading)
-
-
-def monic_quadratic(c1, c0) -> PolynomialInN:
-    """n^2 + c1*n + c0 with exact coefficients preserved."""
-    if is_exact(c1) and is_exact(c0):
-        return PolynomialInN((Fraction(c0), Fraction(c1), Fraction(1)))
-    return PolynomialInN((c0, c1, 1))

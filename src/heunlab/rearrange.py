@@ -39,9 +39,6 @@ class PathTable:
     M: int
     offset: int
 
-    def row(self, tau: int) -> tuple:
-        return self.table[tau]
-
     def column_sum(self, n: int):
         return sum(row[n] for row in self.table)
 

@@ -9,45 +9,48 @@ The module also builds the modulus-majorant sequences: replace every
 coefficient by its absolute value evaluated from a base offset upward.  Those
 majorants drive the domination bound used by the boundary analysis.
 
-One stepper, iter_values, runs every such sequence in every tier: the
-solution d_n or a majorant, exact or at a bit count.  It reads the lags
-through one evaluator, cached on each exact system: alpha_i(n) = A_i(n) / G(n)
-with integer polynomials A_i over one shared denominator G
-(RecurrenceSystem.cleared).  The exact tier forms sum_i A_i(n) d_{n+1-i} in
-reduced Fractions and divides by G(n) once; a bit count rounds each lag value
-once, as mpf(p) / mpf(q) of the reduced pair, which is what as_mp does to a
-Fraction.  Systems with floating coefficients evaluate each lag with
-PolynomialInN at the working precision.  recurrence_residuals keeps the
-per-lag RationalFnInN evaluation as the reference the stepper is checked
-against.
+An exact system's lags are read through one evaluator, cached on it:
+alpha_i(n) = A_i(n) / G(n) with integer polynomials A_i over one shared
+denominator G (RecurrenceSystem.cleared).  One stepper per tier runs every
+sequence, the solution d_n or a majorant:
 
-Streams return every value, so they keep reduced Fraction state.  On the
-exact streams of 232 to 632 terms of 31 seeded audits, that took 1.35 s;
-reduced Fraction lag values took 1.58 s, and unreduced integers reduced once
-per returned value 1.68 s (minimum of 3 runs each, one 2-core x86 machine).
-Callers that need few values exact step iter_cleared instead: unreduced
-integer numerators over a running product of step divisors, with no gcd.
-heun_eval's exact sum reduces once at the end (heun._sum_exact).  The audit
-rounds every term once, correctly, from the integer pair and reduces only
-the window its domination bound reads: on the 32 audits of one seeded pool
-(232 to 632 terms), the reduced stream and its as_mp conversion took 1.58 s
-and 0.71 s, the integer stepping 0.08 s and the rounding 0.27 s, and
-reducing every integer pair would take 2.0 s (minimum of 5 runs each, the
-same machine).
+- iter_cleared steps exact sequences as unreduced integer numerators over a
+  running product of step divisors, with no gcd.  Exact streams
+  (stream_coefficients, modulus_stream) reduce each value to a Fraction;
+  heun_eval's exact sum reduces once at the end (heun._sum_exact); the
+  audit rounds every term once, correctly, from the integer pair and
+  reduces only the window its domination bound reads.
+- iter_values steps at a bit count.  Exact systems round each lag value
+  once, as mpf(p) / mpf(q) of the reduced pair, which is what as_mp does to
+  a Fraction; systems with floating coefficients evaluate each lag with
+  PolynomialInN at the working precision.  Floating systems have no exact
+  tier, and exact streams refuse them.
+
+recurrence_residuals keeps the per-lag RationalFnInN evaluation as the
+reference the steppers are checked against.
+
+An exact stream reduces each value over the product of every divisor so far,
+which grows with the index, so long streams cost more than stepping reduced
+Fractions would.  Over the 32 Heun systems of one seeded audit pool, 600
+terms each took 4.70 s of CPU against 3.37 s for a reduced-Fraction stepper,
+300 terms 0.60 s against 0.66 s and 60 terms 24 ms against 38 ms (minimum of
+3 runs, one 2-core x86 machine).  The only exact streams a command makes
+are the audit's majorants, of at most AUDIT_DEPTH_CAP + 1 terms (31 by
+default); its long exact pass over d_n reads iter_cleared directly.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
 from mpmath import mp
 
-from .errors import DegreeMismatch, IndicialPole, InsufficientData, InvalidParams
+from .errors import (DegreeMismatch, IndicialPole, InputError, InsufficientData,
+                     InvalidParams)
 from .polynomials import PolynomialInN, RationalFnInN, exact_div
 from .scalars import as_mp, is_exact, log_abs, parse_precision, scalar_abs
 
@@ -57,9 +60,6 @@ class RecurrenceSystem:
     """Lag coefficients alpha_1 .. alpha_k as rational functions of n."""
 
     lags: tuple
-    # offset -> (exact majorant factors by (i, j), exact majorant values),
-    # shared by every ModulusRecurrence of this system at that offset
-    _majorants: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.lags:
@@ -150,48 +150,39 @@ def _rounded(num: int, den: int):
     return mp.mpf(num // h) / mp.mpf(den // h)
 
 
-def iter_values(system: RecurrenceSystem, precision: int | str = "exact",
-                offset: int | None = None, known=()):
-    """Yield the sequence's values that follow `known`: d_0 = 1, d_1, ...
+def iter_values(system: RecurrenceSystem, precision: int, offset: int | None = None):
+    """Yield d_0 = 1, d_1, ... as mpmath numbers at `precision` bits.
 
     With an offset N the sequence is the majorant c_0 = 1,
-    c_{j+1} = sum_i |alpha_i(j + N)| c_{j+1-i}.  `known` holds values already
-    computed, read before the first value is yielded.  Values are reduced
-    Fractions in the exact tier and mpmath numbers at a bit count, computed
-    at the working precision in force when the generator is advanced, so
-    callers advance it inside workprec(precision).
+    c_{j+1} = sum_i |alpha_i(j + N)| c_{j+1-i}.  Values are computed at the
+    working precision in force when the generator is advanced, so callers
+    advance it inside workprec(precision).
     """
-    k, exact, majorant = system.k, precision == "exact", offset is not None
-    history = list(known[-k:])
-    if not history:
-        history.append(Fraction(1) if exact else mp.mpf(1))
-        yield history[0]
-    for j in itertools.count(max(len(known), 1) - 1):
+    k, majorant = system.k, offset is not None
+    history = [mp.mpf(1)]
+    yield history[0]
+    for j in itertools.count():
         n, m = j + (offset or 0), min(k, j + 1)
         if system.cleared is None:
-            factors, divisor = [system.coefficient(i, n) for i in range(1, m + 1)], None
+            factors = [system.coefficient(i, n) for i in range(1, m + 1)]
             if majorant:
                 factors = [scalar_abs(v) for v in factors]
-            if not exact:
-                factors = [as_mp(v, precision) for v in factors]
+            factors = [as_mp(v, precision) for v in factors]
         else:
             factors, divisor = system.cleared_at(n, m)
             if majorant:
                 factors = [abs(a) for a in factors]
-            if not exact:
-                factors, divisor = [_rounded(a, divisor) for a in factors], None
+            factors = [_rounded(a, divisor) for a in factors]
         acc = factors[0] * history[-1]
         for i in range(1, m):
             acc = acc + factors[i] * history[-1 - i]
-        if divisor is not None:
-            acc = acc / divisor
         history.append(acc)
         if len(history) > k:
             del history[0]
         yield acc
 
 
-def iter_cleared(system: RecurrenceSystem):
+def iter_cleared(system: RecurrenceSystem, offset: int | None = None):
     """Yield (P_n, g_n) for n = 0, 1, ..., with d_n = P_n / Q_n unreduced.
 
     Q_0 = 1 and Q_n = Q_{n-1} g_n, where g_n > 0 is the divisor of the step
@@ -199,16 +190,32 @@ def iter_cleared(system: RecurrenceSystem):
     value without a gcd.  Over the cleared lags alpha_i(n) = A_i(n) / G(n),
     P_{n+1} = sum_i A_i(n) P_{n+1-i} g_{n+2-i} .. g_n: each lag's numerator
     is lifted by the divisors of the steps since it was made.  Where G
-    vanishes at a lag that has not fired yet, cleared_at supplies the step,
-    as in iter_values.  Exact systems only.
+    vanishes at a lag that has not fired yet, cleared_at supplies the step.
+
+    With an offset N the pairs are the majorant's, c_j = P_j / Q_j, built
+    from |A_i(j + N)| and G(j + N) > 0 as cleared_at gives them.  Systems
+    with floating coefficients raise InputError.
     """
-    lags, den = system.cleared
+    if system.cleared is None:
+        raise InputError("exact streams need rational coefficients")
     k = system.k
+    history = [(1, 1)]  # (P_m, g_m) of the last k values, oldest first
+    yield history[0]
+    if offset is not None:
+        for n in itertools.count(offset):
+            values, g = system.cleared_at(n, min(k, n - offset + 1))
+            p, lift = 0, 1
+            for a, (h, gh) in zip(values, reversed(history)):
+                p += abs(a) * lift * h
+                lift *= gh
+            history.append((p, g))
+            if len(history) > k:
+                del history[0]
+            yield p, g
+    lags, den = system.cleared
     # Horner inline on the coefficients, highest power first: a PolynomialInN
     # call per polynomial per step took 1.8x the time of a 60-term step loop
     den_row, lag_rows = den.coeffs[::-1], [a.coeffs[::-1] for a in lags]
-    history = [(1, 1)]  # (P_m, g_m) of the last k values, oldest first
-    yield history[0]
     for n in itertools.count():
         g, rows = 0, lag_rows
         for c in den_row:
@@ -232,20 +239,31 @@ def iter_cleared(system: RecurrenceSystem):
         yield p, g
 
 
+def _stream(system: RecurrenceSystem, count: int, precision, offset=None) -> CoefficientStream:
+    """The first `count` values of the solution (offset None) or a majorant."""
+    precision = parse_precision(precision)
+    if count < 1:
+        raise InvalidParams("count must be at least 1")
+    if precision == "exact":
+        q, values = 1, []
+        for p, g in itertools.islice(iter_cleared(system, offset), count):
+            q *= g
+            values.append(Fraction(p, q))
+    else:
+        with mp.workprec(precision):
+            values = list(itertools.islice(iter_values(system, precision, offset), count))
+    return CoefficientStream(tuple(values), precision)
+
+
 def stream_coefficients(system: RecurrenceSystem, count: int,
                         precision: int | str = "exact") -> CoefficientStream:
     """Run the recurrence from d_0 = 1 and return the first `count` values.
 
     With precision="exact" the values are Fractions and satisfy the recurrence
     identically; with a bit count they are mpmath numbers computed at that
-    working precision.
+    working precision.  The exact tier needs rational coefficients.
     """
-    precision = parse_precision(precision)
-    if count < 1:
-        raise InvalidParams("count must be at least 1")
-    with nullcontext() if precision == "exact" else mp.workprec(precision):
-        values = tuple(itertools.islice(iter_values(system, precision), count))
-    return CoefficientStream(values, precision)
+    return _stream(system, count, precision)
 
 
 def _work_ctx(precision):
@@ -276,25 +294,16 @@ class ModulusRecurrence:
 
     Offset N gives the sequence dominating |d_{N+j}| / |d_N| contributions;
     offset N+1 gives the companion sequence attached to the d_{N-1} term.
-
-    Exact factors and exact values are kept on the base system, so every
-    majorant of one system at one offset computes them once: an audit needs
-    the majorant at offset N for the path table, the regroup sum and the
-    domination bound.  The base does not refer back, so no cycle keeps
-    them alive.
     """
 
     base: RecurrenceSystem
     offset: int
+    # exact factors by (i, j), read many times by the path tables
+    _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.offset < 0:
             raise InvalidParams("modulus offset must be nonnegative")
-
-    @cached_property
-    def _exact(self) -> tuple:
-        """(exact factors by (i, j), exact values c_0, c_1, ...) for this offset."""
-        return self.base._majorants.setdefault(self.offset, ({}, []))
 
     def coefficient(self, i: int, j: int):
         """|alpha_i(j + offset)|, evaluated once per (i, j) when it is exact.
@@ -302,7 +311,7 @@ class ModulusRecurrence:
         Floating values are not kept: they depend on the working precision
         of the call that evaluates them.
         """
-        factors = self._exact[0]
+        factors = self._factors
         value = factors.get((i, j))
         if value is None:
             value = scalar_abs(self.base.coefficient(i, j + self.offset))
@@ -313,20 +322,9 @@ class ModulusRecurrence:
 
 def modulus_stream(mod: ModulusRecurrence, count: int,
                    precision: int | str = "exact") -> CoefficientStream:
-    """First `count` values of the majorant sequence (all nonnegative).
-
-    The exact values are kept (see ModulusRecurrence) and a later call
-    extends them.
-    """
-    precision = parse_precision(precision)
-    if count < 1:
-        raise InvalidParams("count must be at least 1")
-    values = mod._exact[1] if precision == "exact" else []
-    with _work_ctx(precision):
-        if len(values) < count:
-            steps = iter_values(mod.base, precision, mod.offset, values)
-            values.extend(itertools.islice(steps, count - len(values)))
-    return CoefficientStream(tuple(values[:count]), precision)
+    """First `count` values of the majorant sequence (all nonnegative), in
+    the tiers of stream_coefficients."""
+    return _stream(mod.base, count, precision, mod.offset)
 
 
 @dataclass(frozen=True)

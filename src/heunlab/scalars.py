@@ -175,13 +175,6 @@ def log_abs(x) -> float:
     return float(mp.log(a))
 
 
-def scalars_close(x, y, tol, prec: int = DEFAULT_PRECISION) -> bool:
-    if is_exact(x) and is_exact(y) and is_exact(tol):
-        return abs(Fraction(x) - Fraction(y)) <= Fraction(tol)
-    with mp.workprec(prec):
-        return mp.fabs(as_mp(x, prec) - as_mp(y, prec)) <= as_mp(tol, prec)
-
-
 def fmt_scalar(x, digits: int = 17) -> str:
     """Deterministic human-readable rendering, exact tier as 'p/q'."""
     if isinstance(x, (int, Fraction)):

@@ -7,7 +7,7 @@ import pytest
 from mpmath import mp
 
 from heunlab import (InvalidParams, PoleAtIndex, PolynomialInN, RationalFnInN,
-                     monic_quadratic, nonneg_integer_roots, poly_from)
+                     nonneg_integer_roots, poly_from)
 
 
 def test_quadratic_evaluation():
@@ -39,7 +39,6 @@ def test_arithmetic_matches_pointwise(rng):
         assert (a - b)(n) == a(n) - b(n)
         assert (a * b)(n) == a(n) * b(n)
         assert a.scale(Fraction(3, 2))(n) == Fraction(3, 2) * a(n)
-        assert a.shift(2)(n) == a(n + 2)
 
 
 def test_trailing_zero_coefficients_are_trimmed():
@@ -153,13 +152,6 @@ def test_rational_fn_identity():
         assert r(n) == 1
 
 
-def test_rational_fn_shift_composition():
-    fn = RationalFnInN(poly_from(1, 2), poly_from(3, 0, 1))
-    n = Fraction(5, 3)
-    assert fn.shift(4).shift(1)(n) == fn.shift(5)(n)
-    assert fn.shift(0)(n) == fn(n)
-
-
 def test_rational_fn_degrees_and_leading_ratio():
     fn = RationalFnInN(poly_from(1, 4, 6), poly_from(2, 3, 2))
     assert fn.degrees == (2, 2)
@@ -173,11 +165,6 @@ def test_rational_fn_degrees_and_leading_ratio():
 def test_rational_fn_rejects_zero_denominator():
     with pytest.raises(InvalidParams):
         RationalFnInN(poly_from(1), PolynomialInN(()))
-
-
-def test_monic_quadratic():
-    p = monic_quadratic(Fraction(3), Fraction(2))
-    assert p(1) == 6 and p.coeffs == (Fraction(2), Fraction(3), 1)
 
 
 def _generic_horner(coeffs, n):

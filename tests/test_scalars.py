@@ -9,8 +9,7 @@ from mpmath import mp
 from heunlab import (DEFAULT_PRECISION, InputError, as_mp, fmt_scalar,
                      is_exact, parse_number, parse_point, parse_precision,
                      precision_from_env, to_scalar)
-from heunlab.scalars import (ENV_PRECISION, log_abs, rational_to_mp, scalar_abs,
-                             scalars_close)
+from heunlab.scalars import ENV_PRECISION, log_abs, rational_to_mp, scalar_abs
 
 
 def test_parse_number_rational_forms():
@@ -138,12 +137,6 @@ def test_log_abs_handles_huge_exact_values():
     assert abs(log_abs(big) - 5000 * math.log(10)) < 1e-6
     assert log_abs(Fraction(0)) == -math.inf
     assert abs(log_abs(Fraction(-1, 2)) + math.log(2)) < 1e-12
-
-
-def test_scalars_close_mixed_tiers():
-    assert scalars_close(Fraction(1, 3), as_mp(Fraction(1, 3), 256), Fraction(1, 10 ** 60), 256)
-    assert not scalars_close(Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10 ** 6),
-                             Fraction(1, 10 ** 9), 256)
 
 
 def test_fmt_scalar_deterministic():

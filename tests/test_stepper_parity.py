@@ -1,13 +1,13 @@
-"""The one recurrence stepper against the per-tier loops it replaced.
+"""The recurrence steppers against the per-tier loops they replaced.
 
 The reference loops below are the stepping code the package used before
-every tier moved onto `iter_values`: the exact `Fraction` stream, the
-mpmath stream with the lag polynomials converted once and evaluated by
-Horner, and the modulus-majorant loop.  Exact and majorant values must equal
-them in value and type.  mpmath streams of exact systems round each lag value
-once, so they must equal a loop that rounds the exact lag values once, bit
-for bit, and stay within 2^(10-p) of the Horner loop relative to the
-majorant c_n >= |d_n|.
+every tier moved onto `iter_cleared` (exact) and `iter_values` (a bit
+count): the exact `Fraction` stream, the mpmath stream with the lag
+polynomials converted once and evaluated by Horner, and the modulus-majorant
+loop.  Exact and majorant values must equal them in value and type.  mpmath
+streams of exact systems round each lag value once, so they must equal a
+loop that rounds the exact lag values once, bit for bit, and stay within
+2^(10-p) of the Horner loop relative to the majorant c_n >= |d_n|.
 """
 
 import itertools
@@ -16,10 +16,11 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from heunlab import (RationalFnInN, RecurrenceSystem,
+import heunlab
+from heunlab import (HeunParams, InputError, RationalFnInN, RecurrenceSystem,
                      heun_recurrence, modulus_stream, modulus_system,
                      poly_from, stream_coefficients)
-from heunlab.recurrence import iter_cleared, iter_values
+from heunlab.recurrence import iter_cleared
 from heunlab.scalars import as_mp, is_exact, scalar_abs
 
 from conftest import admissible_roots
@@ -151,6 +152,15 @@ def test_exact_streams_match_fraction_loop(instance_pool):
         assert_same(stream.values, reference_exact(system, COUNT))
 
 
+def _reduced_pairs(pairs, count):
+    q, values = 1, []
+    for p, g in itertools.islice(pairs, count):
+        assert g > 0
+        q *= g
+        values.append(Fraction(p, q))
+    return values
+
+
 def test_integer_stepper_reduces_to_the_exact_stream(instance_pool):
     systems = all_systems(instance_pool)
     assert len(pool_systems(instance_pool)) == 48
@@ -158,12 +168,10 @@ def test_integer_stepper_reduces_to_the_exact_stream(instance_pool):
     assert user_systems()["lag2_pole_at_0"].cleared[1](0) == 0
     assert user_systems()["k3_pole"].cleared[1](1) == 0
     for system in systems:
-        q, values = 1, []
-        for p, g in itertools.islice(iter_cleared(system), COUNT):
-            assert g > 0
-            q *= g
-            values.append(Fraction(p, q))
-        assert values == list(stream_coefficients(system, COUNT).values)
+        assert _reduced_pairs(iter_cleared(system), COUNT) == reference_exact(system, COUNT)
+        for offset in (0, 1, 40):
+            assert (_reduced_pairs(iter_cleared(system, offset), 40)
+                    == reference_modulus(system, offset, 40, "exact"))
 
 
 # at 12 bits the cleared lag integers are wider than the precision, so a
@@ -194,14 +202,6 @@ def test_majorant_resumes_from_its_memo(a2_params):
     assert_same(full.values, reference_modulus(system, 3, 50, "exact"))
 
 
-def test_known_values_resume_the_stepper(a2_params):
-    system = heun_recurrence(a2_params)
-    whole = list(zip(range(30), iter_values(system)))
-    head = [v for _, v in whole[:12]]
-    tail = list(zip(range(18), iter_values(system, known=head)))
-    assert [v for _, v in tail] == [v for _, v in whole[12:]]
-
-
 def test_floating_system_steps_at_working_precision():
     with mp.workprec(80):
         third = mp.mpf(1) / 3
@@ -214,6 +214,17 @@ def test_floating_system_steps_at_working_precision():
     assert_same(stream.values, reference_rounded_once(system, 30, 64))
     majorant = modulus_stream(modulus_system(system, 2), 30, 64)
     assert_same(majorant.values, reference_modulus(system, 2, 30, 64))
+
+
+def test_exact_streams_refuse_floating_systems():
+    with mp.workprec(80):
+        system = heun_recurrence(HeunParams(mp.mpf(2), 1, 1, 1, 1, 1))
+    assert system.cleared is None
+    with pytest.raises(InputError):
+        stream_coefficients(system, 4, "exact")
+    with pytest.raises(InputError):
+        modulus_stream(modulus_system(system, 3), 4, "exact")
+    assert len(stream_coefficients(system, 4, 64)) == 4
 
 
 def test_cleared_lags_reproduce_every_lag(instance_pool):
@@ -239,3 +250,10 @@ def test_cleared_at_skips_a_silent_lag_pole():
     assert system.cleared[1](0) == 0
     assert system.cleared_at(0, 1) == ([1], 1)
     assert stream_coefficients(system, 4).values == (1, 1, 2, F(5, 2))
+
+
+def test_public_names_resolve_once():
+    names = heunlab.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert getattr(heunlab, name) is not None, name
