@@ -26,7 +26,7 @@ from .rearrange import (grouped_partial_sum, path_table, path_table_enumerate,
 from .recurrence import (CoefficientStream, dominating_series_check,
                          iter_cleared, modulus_stream, modulus_system,
                          stream_coefficients)
-from .scalars import as_mp, is_exact, rational_to_mp, scalar_abs
+from .scalars import as_mp, is_exact, log_abs, rational_to_mp, scalar_abs
 from .special import min_index_for_ratio_bound, pochhammer_ratio_lower_bound
 
 DOMINATION_EXACT_CAP = 5000  # exact streams beyond this get the floating tier
@@ -34,7 +34,6 @@ DOMINATION_EXACT_CAP = 5000  # exact streams beyond this get the floating tier
 # the a=2 sample a whole proof-audit peaks at 38 MB up to depth 100, then at
 # 50, 82 and 143 MB at depths 200, 300 and 400
 AUDIT_DEPTH_CAP = 256
-_LN2 = math.log(2.0)
 
 
 def _safe_float(x) -> float:
@@ -58,21 +57,6 @@ def _exact_terms(system, count: int, start: int, prec: int):
         if n >= start:
             window.append(Fraction(p, q))
     return terms, CoefficientStream(tuple(window), "exact", start)
-
-
-def _log_mag(x) -> float:
-    """ln |x| of a real mpf, -inf at zero, from its mantissa and exponent.
-
-    The canonical frexp split of the probe kernel: x = f 2^e with
-    1/2 <= |f| < 1 read from the mantissa's top 53 bits, and
-    ln |x| = ln |f| + e ln 2, with no cancellation between two large logs.
-    """
-    _, man, exp, bc = x._mpf_
-    if not man:
-        return -math.inf
-    drop = max(bc - 53, 0)
-    f, e = math.frexp(man >> drop)
-    return math.log(f) + (e + exp + drop) * _LN2
 
 
 def run_proof_audit(params: HeunParams, root=0, **options):
@@ -198,7 +182,7 @@ def run_system_audit(system, limits, *, root_echo=None, eps=Fraction(1, 100),
                 n,
                 _safe_float(mv),
                 0.0,
-                _log_mag(mv),
+                log_abs(mv),
                 _safe_float(term),
                 _safe_float(partial),
             ))

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 from mpmath import mp
 
-from .errors import AllZeroLimits, DomainError, InvalidParams
+from .errors import AllZeroLimits, InvalidParams
 from .probes import stream_terms
 from .scalars import DEFAULT_PRECISION, as_mp, is_exact
 from .special import Hyp2F1Params, _is_nonpositive_integer

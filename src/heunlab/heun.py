@@ -295,7 +295,7 @@ def heun_eval(params: HeunParams, x, root=0, tol=Fraction(1, 10 ** 30),
     (the lag values' shared integer denominator times the point's), the stop
     test is decided on those integers, and the value is reduced once at the
     end.  The floating tier runs the whole sum at the working precision,
-    rounding each rational lag value as mpf(p) / mpf(q).
+    rounding each rational lag value once, correctly.
 
     Returns:
         EvalResult with the value, terms consumed, and convergence flag.

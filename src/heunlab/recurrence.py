@@ -21,10 +21,11 @@ sequence, the solution d_n or a majorant:
   audit rounds every term once, correctly, from the integer pair and
   reduces only the window its domination bound reads.
 - iter_values steps at a bit count.  Exact systems round each lag value
-  once, as mpf(p) / mpf(q) of the reduced pair, which is what as_mp does to
-  a Fraction; systems with floating coefficients evaluate each lag with
-  PolynomialInN at the working precision.  Floating systems have no exact
-  tier, and exact streams refuse them.
+  once, correctly, from its cleared integer pair (scalars.rational_to_mp,
+  the rule as_mp applies to a Fraction); systems with floating
+  coefficients evaluate each lag with PolynomialInN at the working
+  precision.  Floating systems have no exact tier, and exact streams
+  refuse them.
 
 recurrence_residuals keeps the per-lag RationalFnInN evaluation as the
 reference the steppers are checked against.
@@ -52,7 +53,8 @@ from mpmath import mp
 from .errors import (DegreeMismatch, IndicialPole, InputError, InsufficientData,
                      InvalidParams)
 from .polynomials import PolynomialInN, RationalFnInN, exact_div
-from .scalars import as_mp, is_exact, log_abs, parse_precision, scalar_abs
+from .scalars import (as_mp, is_exact, log_abs, parse_precision, rational_to_mp,
+                      scalar_abs)
 
 
 @dataclass(frozen=True)
@@ -144,12 +146,6 @@ class CoefficientStream:
         return tuple(log_abs(v) for v in self.values)
 
 
-def _rounded(num: int, den: int):
-    """num / den (den > 0) as mpf(p) / mpf(q) of the reduced pair, like as_mp."""
-    h = math.gcd(num, den)
-    return mp.mpf(num // h) / mp.mpf(den // h)
-
-
 def iter_values(system: RecurrenceSystem, precision: int, offset: int | None = None):
     """Yield d_0 = 1, d_1, ... as mpmath numbers at `precision` bits.
 
@@ -172,7 +168,7 @@ def iter_values(system: RecurrenceSystem, precision: int, offset: int | None = N
             factors, divisor = system.cleared_at(n, m)
             if majorant:
                 factors = [abs(a) for a in factors]
-            factors = [_rounded(a, divisor) for a in factors]
+            factors = [rational_to_mp(a, divisor, mp.prec) for a in factors]
         acc = factors[0] * history[-1]
         for i in range(1, m):
             acc = acc + factors[i] * history[-1 - i]

@@ -27,6 +27,7 @@ from .errors import InputError
 
 DEFAULT_PRECISION = 256  # bits
 ENV_PRECISION = "HEUNLAB_PRECISION"
+_LN2 = math.log(2.0)
 
 ExactNumber = Union[int, Fraction]
 Scalar = Union[Fraction, mpmath.mpf, mpmath.mpc]
@@ -110,12 +111,13 @@ def to_scalar(value, prec: int = DEFAULT_PRECISION) -> Scalar:
 
 
 def as_mp(x, prec: int = DEFAULT_PRECISION):
-    """Convert to an mpmath number at the given precision."""
+    """Convert to an mpmath number at the given precision.
+
+    An int or Fraction is rounded once, correctly (rational_to_mp).
+    """
+    if isinstance(x, (int, Fraction)):
+        return rational_to_mp(x.numerator, x.denominator, prec)
     with mp.workprec(prec):
-        if isinstance(x, Fraction):
-            return mp.mpf(x.numerator) / mp.mpf(x.denominator)
-        if isinstance(x, int):
-            return mp.mpf(x)
         if isinstance(x, complex):
             return mp.mpc(x.real, x.imag)
         return +mpmath.mpmathify(x)  # unary + rounds to working precision
@@ -136,7 +138,8 @@ def rational_to_mp(num: int, den: int, prec: int = DEFAULT_PRECISION):
     """num / den (den > 0) correctly rounded to nearest at prec bits.
 
     One division of the exact integers with a sticky bit, so no gcd is
-    needed and wide operands are not rounded first, as they are in as_mp.
+    needed and wide operands are not rounded first.  as_mp, the mp stepper
+    and the audit trace all round exact values here.
     """
     return mp.make_mpf(mpf_div(_exact_mpf(num), _exact_mpf(den), prec, round_nearest))
 
@@ -162,17 +165,24 @@ def real_part(x):
 
 
 def log_abs(x) -> float:
-    """Natural log of |x| as a float, -inf at zero.  Safe for huge rationals."""
+    """ln |x| as a float, -inf at zero, from the mantissa and exponent.
+
+    x = f 2^e with 1/2 <= |f| < 1 read from the mantissa's top 53 bits, and
+    ln |x| = ln |f| + e ln 2, so huge and tiny values lose nothing to a
+    cancellation between two large logs.  A rational is first rounded once
+    to 53 bits and an mpc is taken through its modulus; 0, inf and nan give
+    -inf, inf and nan.
+    """
     if isinstance(x, (int, Fraction)):
-        f = Fraction(x)
-        if f == 0:
-            return float("-inf")
-        # math.log takes arbitrarily large ints without overflow
-        return math.log(abs(f.numerator)) - math.log(f.denominator)
-    a = mp.fabs(x)
-    if a == 0:
-        return float("-inf")
-    return float(mp.log(a))
+        x = rational_to_mp(x.numerator, x.denominator, 53)
+    elif isinstance(x, mpmath.mpc):
+        x = mp.fabs(x)
+    _, man, exp, bc = x._mpf_
+    if not man:
+        return -math.inf if x == 0 else abs(float(x))
+    drop = max(bc - 53, 0)
+    f, e = math.frexp(man >> drop)
+    return math.log(f) + (e + exp + drop) * _LN2
 
 
 def fmt_scalar(x, digits: int = 17) -> str:

@@ -187,19 +187,24 @@ def test_audit_echoes_instance(a2_audit):
 # read from the mantissa and exponent of the correctly rounded term instead
 # of log(p) - log(q), whose cancellation cost up to 1.2e-13 against a 400-bit
 # reference; the JSONs are unchanged.
+# JSONs re-recorded at 0.2.1, when as_mp began to round a Fraction once,
+# correctly: both differ only in version, and the sample also in
+# rearrangement.regroup_abs_diff (1.38178696881511114006181629805e-75 became
+# 1.65814436257813336807417955766e-75), whose direct sum now rounds each
+# exact majorant c_j once; the CSVs are unchanged.
 GOLDEN_AUDITS = {
     # the a=2 worked sample, h2 = 3
     "sample": (
         '{"heun": {"a": "2", "q": "1", "alpha": "1", "beta": "1", '
         '"gamma": "1", "delta": "1", "lambda": "0"}, "precision": "exact"}',
-        "ebeac785cc1472ef05840c9f5a70ec829646a8585c2ed81d9f5ba75388808f90",
+        "2bb75159a49bfd41f17b67341a65c6317167aa9f3de3d825ff81da1f0d610e5f",
         "d5d0fa604ffe6a59897db80c2fea111d15d274b3ec4bc3963a06274711242f61",
     ),
     # PROBE_POOL instance (2, 0, 2, 2, 1, 1), h2 = 1
     "pool06": (
         '{"heun": {"a": "2", "q": "0", "alpha": "2", "beta": "2", '
         '"gamma": "1", "delta": "1", "lambda": "0"}}',
-        "d5bcb027889232a77bd948588c38b8dbfb787ba5e02db436fddf302e957b7d9c",
+        "ed6ee8c2583d0ab63732ce947510f5cd3f1ad5d9b91a0158729c454c54b5c2fe",
         "fb8c5f87ba2adc037bb8972763540e7cdde8f26d74564c20e369932fb40cb9e8",
     ),
 }

@@ -107,8 +107,8 @@ def _run_every_command(doc, precision):
 
 
 PRECISIONS = st.sampled_from((None, "exact", 64))
-# derandomized, so every run tries the same examples; about 9 s for both tests
-# on a 2-core machine
+# derandomized, so every run tries the same examples; 35-37 s for both tests
+# on a 2-core x86 machine (11-12 s Heun, 24-25 s recurrence)
 SETTINGS = dict(deadline=None, derandomize=True, database=None,
                 suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
 

@@ -123,6 +123,8 @@ def test_rational_to_mp_rounds_correctly(prec):
         got = rational_to_mp(num, den, prec)
         assert got == nearest(num, den, prec), (num, den)
         assert got._mpf_[3] <= prec
+        # as_mp rounds a Fraction by the same rule, not p and q separately
+        assert as_mp(Fraction(num, den), prec) == got, (num, den)
 
 
 def test_scalar_abs_stays_in_tier():
@@ -137,6 +139,21 @@ def test_log_abs_handles_huge_exact_values():
     assert abs(log_abs(big) - 5000 * math.log(10)) < 1e-6
     assert log_abs(Fraction(0)) == -math.inf
     assert abs(log_abs(Fraction(-1, 2)) + math.log(2)) < 1e-12
+    # near 1 with wide p and q: log(p) - log(q) would cancel to 2e-14
+    near_one = Fraction(3 ** 1000, 2 ** 1585)
+    with mp.workprec(400):
+        ref = mp.log(mp.mpf(3) ** 1000 / mp.mpf(2) ** 1585)
+    assert abs(log_abs(near_one) - ref) < 1e-15
+    # the floating tier by the same rule
+    assert log_abs(mp.mpf(0)) == -math.inf
+    assert log_abs(mp.mpf("inf")) == math.inf
+    assert log_abs(mp.mpf("-inf")) == math.inf
+    assert math.isnan(log_abs(mp.mpf("nan")))
+    with mp.workprec(256):
+        x = mp.mpf(-3) / 7
+        z = mp.mpc(3, -4) / 10 ** 60
+        assert abs(log_abs(x) - mp.log(mp.mpf(3) / 7)) < 1e-15
+        assert abs(log_abs(z) - mp.log(mp.mpf(5) / 10 ** 60)) < 1e-13
 
 
 def test_fmt_scalar_deterministic():

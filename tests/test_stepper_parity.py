@@ -174,8 +174,8 @@ def test_integer_stepper_reduces_to_the_exact_stream(instance_pool):
                     == reference_modulus(system, offset, 40, "exact"))
 
 
-# at 12 bits the cleared lag integers are wider than the precision, so a
-# value rounded from an unreduced pair would differ
+# at 12 bits the cleared lag integers are wider than the precision; rounded
+# once, correctly, the unreduced pair and the reduced Fraction agree
 @pytest.mark.parametrize("prec", [12, 53, 256])
 def test_mp_streams_round_each_lag_value_once(instance_pool, prec):
     for system in all_systems(instance_pool):
