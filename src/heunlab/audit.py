@@ -24,15 +24,14 @@ from .proofs import (find_proof_constants, minorant_partial,
 from .rearrange import (grouped_partial_sum, path_table, path_table_enumerate,
                         table_matches_stream)
 from .recurrence import (CoefficientStream, dominating_series_check,
-                         iter_cleared, modulus_stream, modulus_system,
-                         stream_coefficients)
+                         iter_cleared, modulus_system, stream_coefficients)
 from .scalars import as_mp, is_exact, log_abs, rational_to_mp, scalar_abs
 from .special import min_index_for_ratio_bound, pochhammer_ratio_lower_bound
 
 DOMINATION_EXACT_CAP = 5000  # exact streams beyond this get the floating tier
-# the audit's path table holds (M+1)^2 Fractions whose size grows with M: on
-# the a=2 sample a whole proof-audit peaks at 38 MB up to depth 100, then at
-# 50, 82 and 143 MB at depths 200, 300 and 400
+# the audit's path table holds (M+1)^2 integers whose size grows with M: on
+# the a=2 sample a whole proof-audit peaks at 34 MB at depth 100, then at 38,
+# 47 and 65 MB at depths 200, 300 and 400 (ru_maxrss of one process)
 AUDIT_DEPTH_CAP = 256
 
 
@@ -157,16 +156,17 @@ def run_system_audit(system, limits, *, root_echo=None, eps=Fraction(1, 100),
     enum_d = min(enum_depth, M)
     enum_tbl = path_table_enumerate(mod_at_N, enum_d)
     # the DP at depth enum_d is tbl's top-left corner: entry n reads only smaller n
-    enum_ok = tuple(row[:enum_d + 1] for row in tbl.table[:enum_d + 1]) == enum_tbl.table
+    corner = tuple(row[:enum_d + 1] for row in tbl.num[:enum_d + 1])
+    enum_ok = enum_tbl.num == corner and enum_tbl.den == tbl.den[:enum_d + 1]
     with mp.workprec(prec):
         a_mag = scalar_abs(A, prec)
         b_mag = scalar_abs(B, prec)
         grouped = grouped_partial_sum(tbl, a_mag, b_mag, r_closed)
-        cbar = modulus_stream(mod_at_N, M + 1, "exact")
         direct = mp.mpf(0)
         p = mp.mpf(1)
-        for v in cbar.values:
-            direct += as_mp(v, prec) * p
+        # the checked column sums are the majorant c_n = P_n / Q_n
+        for s, q in zip(tbl.columns, tbl.den):
+            direct += rational_to_mp(s, q, prec) * p
             p *= r_closed
         regroup_diff = mp.fabs(grouped - direct)
 

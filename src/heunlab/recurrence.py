@@ -19,7 +19,8 @@ sequence, the solution d_n or a majorant:
   (stream_coefficients, modulus_stream) reduce each value to a Fraction;
   heun_eval's exact sum reduces once at the end (heun._sum_exact); the
   audit rounds every term once, correctly, from the integer pair and
-  reduces only the window its domination bound reads.
+  reduces only the window its domination bound reads; the audit's path
+  tables (rearrange) hold unreduced integers over the same divisors.
 - iter_values steps at a bit count.  Exact systems round each lag value
   once, correctly, from its cleared integer pair (scalars.rational_to_mp,
   the rule as_mp applies to a Fraction); systems with floating
@@ -36,15 +37,16 @@ Fractions would.  Over the 32 Heun systems of one seeded audit pool, 600
 terms each took 4.70 s of CPU against 3.37 s for a reduced-Fraction stepper,
 300 terms 0.60 s against 0.66 s and 60 terms 24 ms against 38 ms (minimum of
 3 runs, one 2-core x86 machine).  The only exact streams a command makes
-are the audit's majorants, of at most AUDIT_DEPTH_CAP + 1 terms (31 by
-default); its long exact pass over d_n reads iter_cleared directly.
+are the two majorants of the audit's domination bound, of at most
+AUDIT_DEPTH_CAP + 1 terms (31 by default); its long exact pass over d_n and
+its path-table check read iter_cleared directly.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -294,26 +296,10 @@ class ModulusRecurrence:
 
     base: RecurrenceSystem
     offset: int
-    # exact factors by (i, j), read many times by the path tables
-    _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.offset < 0:
             raise InvalidParams("modulus offset must be nonnegative")
-
-    def coefficient(self, i: int, j: int):
-        """|alpha_i(j + offset)|, evaluated once per (i, j) when it is exact.
-
-        Floating values are not kept: they depend on the working precision
-        of the call that evaluates them.
-        """
-        factors = self._factors
-        value = factors.get((i, j))
-        if value is None:
-            value = scalar_abs(self.base.coefficient(i, j + self.offset))
-            if is_exact(value):
-                factors[(i, j)] = value
-        return value
 
 
 def modulus_stream(mod: ModulusRecurrence, count: int,

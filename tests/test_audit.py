@@ -192,19 +192,25 @@ def test_audit_echoes_instance(a2_audit):
 # rearrangement.regroup_abs_diff (1.38178696881511114006181629805e-75 became
 # 1.65814436257813336807417955766e-75), whose direct sum now rounds each
 # exact majorant c_j once; the CSVs are unchanged.
+# JSONs re-recorded at 0.2.2, when the path tables moved onto the stepper's
+# integers and the mp grouped sum began to round each normalized coefficient
+# and both limits once, to nearest, instead of toward zero through mpmath's
+# mpq: both differ only in version, and the sample also in
+# rearrangement.regroup_abs_diff (1.65814436257813336807417955766e-75 became
+# 1.93450175634115559608654281727e-75); the CSVs are unchanged.
 GOLDEN_AUDITS = {
     # the a=2 worked sample, h2 = 3
     "sample": (
         '{"heun": {"a": "2", "q": "1", "alpha": "1", "beta": "1", '
         '"gamma": "1", "delta": "1", "lambda": "0"}, "precision": "exact"}',
-        "2bb75159a49bfd41f17b67341a65c6317167aa9f3de3d825ff81da1f0d610e5f",
+        "2874bc9e122d2344be37473c7581468682a32e44e7c53503831b9b16bc0e5b53",
         "d5d0fa604ffe6a59897db80c2fea111d15d274b3ec4bc3963a06274711242f61",
     ),
     # PROBE_POOL instance (2, 0, 2, 2, 1, 1), h2 = 1
     "pool06": (
         '{"heun": {"a": "2", "q": "0", "alpha": "2", "beta": "2", '
         '"gamma": "1", "delta": "1", "lambda": "0"}}',
-        "ed6ee8c2583d0ab63732ce947510f5cd3f1ad5d9b91a0158729c454c54b5c2fe",
+        "41a6acc1e74ccadf24724b05e6edd55d8b3711e01f9d52777e3e327da861fe32",
         "fb8c5f87ba2adc037bb8972763540e7cdde8f26d74564c20e369932fb40cb9e8",
     ),
 }

@@ -195,8 +195,9 @@ def test_wide_lag_values_at_53_bits():
 
 
 # sha256 of the stdout documents, recorded with the earlier per-term loops and
-# re-recorded at 0.2.0 and at 0.2.1 (rational lag values rounded once,
-# correctly), where only the version field changed
+# re-recorded at 0.2.0, at 0.2.1 (rational lag values rounded once,
+# correctly) and at 0.2.2 (integer path tables), where only the version field
+# changed
 GOLDEN_INSTANCES = {
     "a2": {"heun": {"a": "2", "q": "1", "alpha": "1", "beta": "1",
                     "gamma": "1", "delta": "1", "lambda": "0"}},
@@ -210,35 +211,35 @@ GOLDEN_INSTANCES = {
 
 GOLDEN_DOCUMENTS = (
     ("a2", ["eval", "--x=1/10", "--precision", "exact"],
-     "32235c668d4cc64d2c1a6df6acbd1e6d05b7f6ae8532edd0de4620022b345bf3"),
+     "718f2d270b823b70d634a9aa7e152e77baa5a299658a7fb56b10e0c52926561f"),
     ("a2", ["eval", "--x=-1/3", "--precision", "256"],
-     "9c6fd15ae7a2c811699a5af4c457dbd84cba4cb5e59ea90f3a65de21a820e767"),
+     "c988e73dc83cd52eabe5bb4559f37fc22f2f1e91fa6c17adaea37dda96037183"),
     ("a2", ["eval", "--x=1/4", "--precision", "53"],
-     "952647875bc3cafc500f56ea28c1f12cd97b46d3781db6c3c6940bb2154699b0"),
+     "16a9bf511f1e33f5f7d4b66b418123d7236b108b44ff77fa38c0672b6167f98d"),
     ("a2", ["eval", "--x=0.2-0.3j", "--precision", "128"],
-     "c515d0c25cf3fc80650a59482897920d416119cd4cc7dc9e683b21c5bacd427c"),
+     "641bdde243b3070b722990459fa881e7ca9452f8bad999cba0a3716aa9694b17"),
     ("a2", ["eval", "--x=9/10", "--force", "--precision", "64"],
-     "31cc5d5d154ac62a2fb67138cfc00f9ebf2ae40439cf50934d0f1851ced29255"),
+     "7dac50d0f86df22dd45f9f520710c877722e9721a976df55b015258eb277f883"),
     ("a2", ["eval", "--x=1/2", "--n-max", "12", "--precision", "exact"],
-     "487936507ce95ad49c4dd2aa9af3f2fe4166b9ad111b5a4e31c261cfb5dab5e1"),
+     "f5960e06f441108f1d1b3cbf3f99d3199b6ce17f36e34bbde8a68c37b294abdb"),
     ("neg", ["eval", "--x=-1/5", "--precision", "exact"],
-     "6f332f3e8b83ed7ede5db9e740ad30123ea3f7324e2060ae37fbf36f34dcb6c0"),
+     "c16030cc889134bcf0240f9521e6857f19696ad577893bf26ccc3732e5a191fc"),
     ("neg", ["eval", "--x=3/10", "--precision", "256"],
-     "7a4aa7b52269c66b4ff2cda922c3a8784535e6dcc9d2da21e7d6b7972321d5b2"),
+     "7d796eb5bf1863127bc5a9d1c2de10b750c36fd9f1c316e41a7fb8c9273be0de"),
     ("half", ["eval", "--x=1/9", "--precision", "256"],
-     "d3d84956f54618ab6560efb0035bc9188d7f5a54970f00dc18bb38e125e92e50"),
+     "29338fe1e7fccc3a6a39829c605377a5ea7b162b43a6e61b92a1acb087ef1a93"),
     ("int2", ["eval", "--x=-1/6", "--precision", "exact"],
-     "fbbdda7f4739852668fca907ca1ee1335007973a0dc3adc14aca7b007cd3ceee"),
+     "0f5cd47f7915e077ce62b6813383f9aa8e510fee31093849279a4a17ae3efbe0"),
     ("int2", ["eval", "--x=1/5", "--precision", "53"],
-     "8ab159e2651baeb0f5e71d3bc95557fdcdc00e91d2d16d041e5107622951cc91"),
+     "2b68c9723b256d0685407d5644c6c3af24e1a3cf4d8c3539bb48f2dd7025bc68"),
     ("a2", ["domain", "--x=-1/3"],
-     "1cd4007d923868a5eed29ede3994cb4db321cf1a4dbf930bd9ba684c52dee82a"),
+     "9176703ab8fa871668a2b1c83dd3ab7b5ac9f30b4bc59b1b39460e75b2f22eef"),
     ("neg", ["domain", "--x=1/4", "--precision", "exact"],
-     "347074425a036041cb817e1ddb9d10d4079102f68f804b51ba346f642dcc23ef"),
+     "a4557cc14811a3474004e5c58af182e853c2ddd59f26d87a270c9457d96c869c"),
     ("half", ["classify"],
-     "22d19797b27574690189ff2880dd8d619117492808d1c7fe8f87bf600a3032f7"),
+     "127c9f4726f3bbd7c77682f4e8f16674ad07293f88c6bf3a97cdf4407023d3fe"),
     ("neg", ["classify", "--precision", "64"],
-     "6ccbb91284f9360ff1155fbc790ddb5f0f5482b031c706bcbd96ebf5a751937d"),
+     "c7e151b49bb3f72f9b7e2e860a0d8aad064edf951e52419046cf36aca7a4a29f"),
 )
 
 
