@@ -15,7 +15,7 @@ from fractions import Fraction
 from mpmath import mp
 
 from ._version import __version__
-from .convergence import boundary_radius, eta_z
+from .convergence import boundary_radius, eta_z, radius_bracketed
 from .errors import DomainError, InputError, InvalidParams, TruncationTooLarge
 from .heun import HeunParams, heun_recurrence, series_limits
 from .instances import render_value as _num
@@ -23,10 +23,11 @@ from .proofs import (find_proof_constants, minorant_partial,
                      verify_proof_constants)
 from .rearrange import (grouped_partial_sum, path_table, path_table_enumerate,
                         table_matches_stream)
-from .recurrence import (CoefficientStream, dominating_series_check,
-                         iter_cleared, modulus_system, stream_coefficients)
-from .scalars import as_mp, is_exact, log_abs, rational_to_mp, scalar_abs
-from .special import min_index_for_ratio_bound, pochhammer_ratio_lower_bound
+from .recurrence import (dominating_series_check, domination_bounds, iter_cleared,
+                         modulus_system, stream_coefficients)
+from .scalars import is_exact, log_abs, rational_to_mp, scalar_abs
+from .special import (min_index_for_ratio_bound, pochhammer_ratio_lower_bound,
+                      ratio_bound_holds)
 
 DOMINATION_EXACT_CAP = 5000  # exact streams beyond this get the floating tier
 # the audit's path table holds (M+1)^2 integers whose size grows with M: on
@@ -43,19 +44,24 @@ def _safe_float(x) -> float:
 
 
 def _exact_terms(system, count: int, start: int, prec: int):
-    """d_0 .. d_{count-1} each correctly rounded to prec bits, and the exact
-    CoefficientStream of d_start .. d_{count-1}.
+    """d_0 .. d_{count-1} each correctly rounded to prec bits, and the window
+    d_start .. d_{count-1} unreduced, with the denominator it shares.
 
-    One pass of the integer stepper holds only the running numerator and
-    denominator; only the window the domination bound reads is reduced.
+    One pass of the integer stepper: d_n = P_n / Q_n with Q_n = Q_{n-1} g_n.
+    The window holds (P_n, g_{start+1} .. g_n) for n >= start, so that
+    d_n = P_n / (g_{start+1} .. g_n Q_start); it returns Q_start too.
     """
-    terms, window, q = [], [], 1
+    terms, window, q, rel = [], [], 1, 1
     for n, (p, g) in zip(range(count), iter_cleared(system)):
         q *= g
         terms.append(rational_to_mp(p, q, prec))
+        if n > start:
+            rel *= g
+        elif n == start:
+            shared = q
         if n >= start:
-            window.append(Fraction(p, q))
-    return terms, CoefficientStream(tuple(window), "exact", start)
+            window.append((p, rel))
+    return terms, window, shared
 
 
 def run_proof_audit(params: HeunParams, root=0, **options):
@@ -91,9 +97,7 @@ def run_system_audit(system, limits, *, root_echo=None, eps=Fraction(1, 100),
 
     A, B = limits
     r_closed = boundary_radius((A, B), prec, "closed")
-    r_bisect = boundary_radius((A, B), prec, "bisect")
     with mp.workprec(prec):
-        r_diff = mp.fabs(r_closed - r_bisect)
         weights = eta_z((A, B), r_closed, prec)
         eta_v, z_v = weights
         eta_plus_z = eta_v + z_v
@@ -106,11 +110,8 @@ def run_system_audit(system, limits, *, root_echo=None, eps=Fraction(1, 100),
             floor = min_index_for_ratio_bound(constants.N, h_slot, r_idx, i2r, prec)
             lhs, rhs, holds = pochhammer_ratio_lower_bound(
                 constants.N, h_slot, r_idx, i2r, floor, prec)
-            sharp = True
-            if floor > 1:
-                _, _, below = pochhammer_ratio_lower_bound(
-                    constants.N, h_slot, r_idx, i2r, floor - 1, prec)
-                sharp = not below
+            sharp = floor == 1 or not ratio_bound_holds(
+                constants.N, h_slot, r_idx, i2r, floor - 1)
             ratio_all_hold = ratio_all_hold and holds
             ratio_rows.append({
                 "r": r_idx, "i2r": i2r, "floor": floor,
@@ -120,7 +121,7 @@ def run_system_audit(system, limits, *, root_echo=None, eps=Fraction(1, 100),
 
     try:
         mino = minorant_partial(constants.N, h_slot, eta_v, z_v, eps, m_trunc, K,
-                                j_max, k_max, prec, allow_divergent=True)
+                                j_max, k_max, prec, allow_divergent=True, limits=limits)
         mino_doc = {
             "w": _num(mino.w, prec),
             "regime": mino.regime,
@@ -142,13 +143,20 @@ def run_system_audit(system, limits, *, root_echo=None, eps=Fraction(1, 100),
 
     dom_prec = "exact" if constants.N + M <= DOMINATION_EXACT_CAP else prec
     if dom_prec == "exact":
-        terms, stream = _exact_terms(system, constants.N + M + 1, constants.N - 1, prec)
+        terms, window, shared = _exact_terms(system, constants.N + M + 1, constants.N - 1, prec)
+        bounds = domination_bounds(system, window, constants.N, M)
+        dom_holds = all(rhs >= lhs for lhs, rhs, _ in bounds)
+        # the least margin (rhs - lhs) / den by cross-multiplication, rounded once
+        least, least_den = bounds[0][1] - bounds[0][0], bounds[0][2]
+        for lhs, rhs, den in bounds[1:]:
+            if (rhs - lhs) * least_den < least * den:
+                least, least_den = rhs - lhs, den
+        dom_min_margin = rational_to_mp(least, least_den * shared, prec)
     else:
         stream = stream_coefficients(system, constants.N + M + 1, prec)
         terms = stream.values
-    dom = dominating_series_check(system, stream, constants.N, M)
-    with mp.workprec(prec):
-        dom_min_margin = min((as_mp(mg, prec) for mg in dom.margins))
+        dom = dominating_series_check(system, stream, constants.N, M)
+        dom_holds, dom_min_margin = dom.holds, min(dom.margins)
 
     mod_at_N = modulus_system(system, constants.N)
     tbl = path_table(mod_at_N, M)
@@ -192,7 +200,7 @@ def run_system_audit(system, limits, *, root_echo=None, eps=Fraction(1, 100),
         "constants_verified": bool(constants.verified and reverify.ok),
         "ratio_bound_all_hold": bool(ratio_all_hold),
         "minorant_divergent_regime": bool(minorant_divergent),
-        "domination_holds": bool(dom.holds),
+        "domination_holds": bool(dom_holds),
         "rearrangement_ok": bool(tbl_ok and enum_ok),
     }
     verdicts["overall"] = all(verdicts.values())
@@ -235,7 +243,7 @@ def run_system_audit(system, limits, *, root_echo=None, eps=Fraction(1, 100),
         },
         "boundary": {
             "r_star": _num(r_closed, prec),
-            "closed_vs_bisect_diff": _num(r_diff, prec),
+            "r_star_bracketed": radius_bracketed((A, B), r_closed, prec),
             "eta": _num(eta_v, prec),
             "z": _num(z_v, prec),
             "eta_plus_z": _num(eta_plus_z, prec),
@@ -243,7 +251,7 @@ def run_system_audit(system, limits, *, root_echo=None, eps=Fraction(1, 100),
         "ratio_bound": ratio_rows,
         "minorant": mino_doc,
         "domination": {
-            "N": dom.N, "M": dom.M, "holds": dom.holds,
+            "N": constants.N, "M": M, "holds": dom_holds,
             "precision": dom_prec if dom_prec == "exact" else int(dom_prec),
             "min_margin": _num(dom_min_margin, prec),
         },

@@ -21,7 +21,8 @@ from mpmath import mp
 
 from ._version import __version__
 from .audit import run_system_audit
-from .convergence import boundary_radius, eta_z, gauss_test, membership_sum
+from .convergence import (boundary_radius, eta_z, gauss_test, is_inside,
+                          membership_sum)
 from .errors import DomainError, HeunLabError, InputError, OutsideDomain
 from .heun import heun_eval
 from .instances import (Instance, build_document, document_bytes,
@@ -130,7 +131,7 @@ def _cmd_domain(instance, args, precision):
         outputs["membership"] = {
             "x": render_value(x, prec),
             "sum": render_value(total, prec),
-            "inside": bool(total < 1),
+            "inside": is_inside(limits, x, total),
         }
     return build_document("domain", instance.echo, outputs, precision), None
 

@@ -56,9 +56,27 @@ class MembershipReport:
     radius_bound: object  # r*; |x| < r* is sufficient but not necessary for inside
 
 
+def exact_membership_sum(limits, x) -> Fraction:
+    """sum_i |L_i| |x|^i in Fractions, for rational limits and x."""
+    ax = abs(Fraction(x))
+    total, p = 0, 1
+    for L in limits:
+        p *= ax
+        total += abs(L) * p
+    return total
+
+
+def is_inside(limits, x, total) -> bool:
+    """Whether sum_i |L_i| |x|^i < 1: exactly for rational limits and x, else
+    from `total`, the sum membership_sum gave."""
+    if is_exact(x) and all(is_exact(L) for L in limits):
+        return exact_membership_sum(limits, x) < 1
+    return bool(total < 1)
+
+
 def domain_membership(limits, x, prec: int = DEFAULT_PRECISION) -> MembershipReport:
     total = membership_sum(limits, x, prec)
-    return MembershipReport(bool(total < 1), total, boundary_radius(limits, prec))
+    return MembershipReport(is_inside(limits, x, total), total, boundary_radius(limits, prec))
 
 
 def boundary_radius(limits, prec: int = DEFAULT_PRECISION, method: str = "auto"):
@@ -112,6 +130,22 @@ def boundary_radius(limits, prec: int = DEFAULT_PRECISION, method: str = "auto")
         r = (lo + hi) / 2
     with mp.workprec(prec):
         return +r
+
+
+def radius_bracketed(limits, r, prec: int) -> bool:
+    """Whether the root r* lies strictly between r -/+ one ulp, r a positive
+    mpf of at most prec bits.
+
+    The ends are exact dyadic rationals and the membership sum increases in
+    r, so this holds iff S(lo) < 1 < S(hi), decided in Fractions for
+    rational limits and any number of lags.
+    """
+    man, exp = r.man_exp
+    ulp = exp + man.bit_length() - prec  # r = units 2^ulp
+    units = man << (exp - ulp)
+    scale = Fraction(2) ** ulp
+    return (exact_membership_sum(limits, (units - 1) * scale) < 1
+            < exact_membership_sum(limits, (units + 1) * scale))
 
 
 def eta_z(limits, r, prec: int = DEFAULT_PRECISION):

@@ -23,6 +23,7 @@ from functools import lru_cache
 
 from mpmath import mp
 
+from .convergence import exact_membership_sum
 from .errors import InputError, InvalidParams, OutsideDomain
 from .polynomials import PolynomialInN, RationalFnInN
 from .recurrence import (CoefficientStream, RecurrenceSystem, iter_cleared,
@@ -209,8 +210,7 @@ def absolute_profile_sum(params: HeunParams, x, prec: int = DEFAULT_PRECISION):
     """|(1+a)/a| |x| + |1/a| |x|^2, the membership functional of the guaranteed domain."""
     A, B = series_limits(params)
     if is_exact(x) and params.is_exact():
-        ax = abs(Fraction(x))
-        return abs(A) * ax + abs(B) * ax * ax
+        return exact_membership_sum((A, B), x)
     with mp.workprec(prec):
         ax = mp.fabs(as_mp(x, prec))
         return scalar_abs(A, prec) * ax + scalar_abs(B, prec) * ax * ax

@@ -21,6 +21,7 @@ from fractions import Fraction
 
 from mpmath import mp
 
+from .convergence import exact_membership_sum
 from .errors import (DegreeMismatch, DomainError, InputError, InvalidParams,
                      NotFoundWithin)
 from .polynomials import PolynomialInN, exact_div
@@ -310,7 +311,7 @@ class MinorantReport:
 def minorant_partial(N: int, h2: int, eta, z, eps=Fraction(1, 100), m: int = 2,
                      K=Fraction(1, 2), j_max: int = 64, k_max: int = 4096,
                      prec: int = DEFAULT_PRECISION,
-                     allow_divergent: bool = False) -> MinorantReport:
+                     allow_divergent: bool = False, limits=None) -> MinorantReport:
     """Evaluate the explicit minorant of sum |c_n| r^n at the boundary.
 
     The minorant is prefactor * J * T with prefactor = (1-K) eps / 2,
@@ -323,6 +324,12 @@ def minorant_partial(N: int, h2: int, eta, z, eps=Fraction(1, 100), m: int = 2,
     w >= 1 the j-series grows without bound: that is the regime the
     divergence argument needs, and it is reported, not silently summed, so
     the call raises unless allow_divergent is set.
+
+    Given the rational lag limits that eta came from (eta = |L_1| r*) and a
+    rational eps, the regime is decided exactly: with c = eps/(1-eps)^(m+1),
+    w >= 1 iff eta >= c iff sum_i |L_i| (c/|L_1|)^i <= 1, since the sum
+    increases in r and is 1 at r*; regime_strict is the strict form.  w is
+    still rendered from mpmath.  Without limits both compare eta as given.
     """
     if not (N - h2 > 0):
         raise DomainError(f"need N - h2 > 0, got N = {N}, h2 = {h2}")
@@ -335,8 +342,14 @@ def minorant_partial(N: int, h2: int, eta, z, eps=Fraction(1, 100), m: int = 2,
         if not (0 < eps_v < 1 and 0 < K_v < 1):
             raise InvalidParams("need 0 < eps < 1 and 0 < K < 1")
         w = (1 - eps_v) ** (m + 1) * eta_v / eps_v
-        regime_strict = bool(eps_v / (1 - eps_v) ** (m + 1) < eta_v)
-        divergent = bool(w >= 1)
+        if limits is not None and is_exact(eps) and all(is_exact(L) for L in limits):
+            # L_1 != 0 here: eta = |L_1| r* > 0 was checked above
+            c = Fraction(eps) / (1 - Fraction(eps)) ** (m + 1)
+            total = exact_membership_sum(limits, c / abs(Fraction(limits[0])))
+            divergent, regime_strict = total <= 1, total < 1
+        else:
+            regime_strict = bool(eps_v / (1 - eps_v) ** (m + 1) < eta_v)
+            divergent = bool(w >= 1)
         if divergent and not allow_divergent:
             raise DomainError(
                 f"w = {mp.nstr(w, 8)} >= 1: the j-series diverges (this is the "

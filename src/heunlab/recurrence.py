@@ -19,8 +19,9 @@ sequence, the solution d_n or a majorant:
   (stream_coefficients, modulus_stream) reduce each value to a Fraction;
   heun_eval's exact sum reduces once at the end (heun._sum_exact); the
   audit rounds every term once, correctly, from the integer pair and
-  reduces only the window its domination bound reads; the audit's path
-  tables (rearrange) hold unreduced integers over the same divisors.
+  decides its domination bound on the unreduced pairs
+  (domination_bounds); the audit's path tables (rearrange) hold unreduced
+  integers over the same divisors.
 - iter_values steps at a bit count.  Exact systems round each lag value
   once, correctly, from its cleared integer pair (scalars.rational_to_mp,
   the rule as_mp applies to a Fraction); systems with floating
@@ -36,10 +37,9 @@ which grows with the index, so long streams cost more than stepping reduced
 Fractions would.  Over the 32 Heun systems of one seeded audit pool, 600
 terms each took 4.70 s of CPU against 3.37 s for a reduced-Fraction stepper,
 300 terms 0.60 s against 0.66 s and 60 terms 24 ms against 38 ms (minimum of
-3 runs, one 2-core x86 machine).  The only exact streams a command makes
-are the two majorants of the audit's domination bound, of at most
-AUDIT_DEPTH_CAP + 1 terms (31 by default); its long exact pass over d_n and
-its path-table check read iter_cleared directly.
+3 runs, one 2-core x86 machine).  No command makes an exact stream: the
+audit's pass over d_n, its domination bound and its path-table check read
+iter_cleared directly.
 """
 
 from __future__ import annotations
@@ -321,14 +321,45 @@ class DominationReport:
     holds: bool
 
 
+def domination_bounds(system: RecurrenceSystem, pairs, N: int, M: int) -> tuple:
+    """The domination bound's M + 1 inequalities, each on integers.
+
+    pairs[i] = (P, D) with D > 0 holds d_{N-1+i} = P / (D s) for i = 0 ..
+    M + 1, where s > 0 is any factor common to every term: the bound is
+    homogeneous in d, so s changes no verdict.  cbar_j = C_j / Qc_j and
+    chat_j = H_j / Qh_j come unreduced from iter_cleared at offsets N and
+    N + 1, |alpha_2(N)| = |A_2| / G from cleared_at.  Returns one (lhs, rhs,
+    den) per j with |d_{N+j}| = lhs / (den s) and
+    cbar_j |d_N| + chat_{j-1} |alpha_2(N)| |d_{N-1}| = rhs / (den s): the
+    j-th bound is rhs >= lhs, cross-multiplied, with no gcd.
+    """
+    (p0, q0), (p1, q1) = pairs[0], pairs[1]
+    (_, a2), g = system.cleared_at(N, 2)
+    # cbar_j |d_N| = C_j x / Qc_j, chat_{j-1} |alpha_2(N)| |d_{N-1}| = H_{j-1} y / Qh_{j-1},
+    # over the common denominators x_den = q1 and y_den = g q0
+    x_den, y_den = q1, g * q0
+    base, cbar_num, chat_num = x_den * y_den, abs(p1) * y_den, abs(a2) * abs(p0) * x_den
+    cbar = iter_cleared(system, N)
+    chat = itertools.chain([(0, 1)], iter_cleared(system, N + 1))  # chat_{-1} = 0
+    out, qc, qh = [], 1, 1
+    for (p, q), (c, gc), (h, gh) in zip(pairs[1:M + 2], cbar, chat):
+        qc *= gc
+        qh *= gh
+        scale = qc * qh * base
+        out.append((abs(p) * scale, q * (c * qh * cbar_num + h * qc * chat_num), q * scale))
+    return tuple(out)
+
+
 def dominating_series_check(system: RecurrenceSystem, stream: CoefficientStream,
                             N: int, M: int) -> DominationReport:
     """Verify the two-sided majorant bound for a three-term system.
 
     cbar runs with offset N and chat with offset N+1; the j-th bound reads
     |d_{N+j}| <= cbar_j |d_N| + chat_{j-1} |alpha_2(N)| |d_{N-1}| with the
-    chat term absent at j = 0.  Exact streams are compared exactly; floating
-    streams allow a 2^(10-p) relative slack for accumulated rounding.
+    chat term absent at j = 0.  Exact streams are decided on integers
+    (domination_bounds, from each value's numerator and denominator);
+    floating streams allow a 2^(10-p) relative slack for accumulated
+    rounding.
     """
     if system.k != 2:
         raise InvalidParams("domination bound is stated for three-term recurrences")
@@ -337,27 +368,30 @@ def dominating_series_check(system: RecurrenceSystem, stream: CoefficientStream,
     if N + M >= len(stream) + stream.start:
         raise InsufficientData(f"stream ends before index {N + M}")
     precision = stream.precision
+    if precision == "exact":
+        values = [stream[n] for n in range(N - 1, N + M + 1)]
+        bounds = domination_bounds(system, [(v.numerator, v.denominator) for v in values], N, M)
+        lhs = tuple(Fraction(left, den) for left, _, den in bounds)
+        rhs = tuple(Fraction(right, den) for _, right, den in bounds)
+        margins = tuple(r - l for l, r in zip(lhs, rhs))
+        return DominationReport(N, M, lhs, rhs, margins, all(m >= 0 for m in margins))
     cbar = modulus_stream(modulus_system(system, N), M + 1, precision)
     chat = modulus_stream(modulus_system(system, N + 1), max(M, 1), precision)
-    work = 53 if precision == "exact" else precision
     lhs, rhs, margins = [], [], []
-    with _work_ctx(precision):
-        b_at_N = scalar_abs(system.coefficient(2, N), work)
-        dN = scalar_abs(stream[N], work)
-        dNm1 = scalar_abs(stream[N - 1], work)
+    with mp.workprec(precision):
+        b_at_N = scalar_abs(system.coefficient(2, N), precision)
+        dN = scalar_abs(stream[N], precision)
+        dNm1 = scalar_abs(stream[N - 1], precision)
         for j in range(M + 1):
-            left = scalar_abs(stream[N + j], work)
+            left = scalar_abs(stream[N + j], precision)
             right = cbar[j] * dN
             if j >= 1:
                 right = right + chat[j - 1] * b_at_N * dNm1
             lhs.append(left)
             rhs.append(right)
             margins.append(right - left)
-        if precision == "exact":
-            holds = all(m >= 0 for m in margins)
-        else:
-            slack = mp.mpf(2) ** (10 - precision)
-            holds = all(m >= -slack * (1 + r) for m, r in zip(margins, rhs))
+        slack = mp.mpf(2) ** (10 - precision)
+        holds = all(m >= -slack * (1 + r) for m, r in zip(margins, rhs))
     return DominationReport(N, M, tuple(lhs), tuple(rhs), tuple(margins), holds)
 
 

@@ -7,6 +7,7 @@ and they need the truncation status, not an analytically continued value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -85,24 +86,91 @@ def hyp2f1_series(params: Hyp2F1Params, x, tol, n_max: int, prec: int = DEFAULT_
     return total, False
 
 
-@lru_cache(maxsize=16)  # an audit searches six parameter sets, one after another
-def _ratio_base(N, h2, r, i2r, prec: int):
-    """Validated (h2, x1, x2, loggamma(x1), loggamma(x2)) of one ratio bound.
+def _ratio_args(N, h2, r, i2r, i2r1: int = 1):
+    """(u, h2) of one ratio bound, u = 2 x1 = 2 + r + N - h2 + 2 i2r, validated."""
+    try:
+        ints = [int(v) for v in (N, h2, r, i2r)]
+    except (TypeError, ValueError, OverflowError):
+        ints = None
+    if ints is None or ints != [N, h2, r, i2r]:
+        raise DomainError("N, h2, r, i2r must be integers")
+    N, h2, r, i2r = ints
+    if not (N - h2 > 0):
+        raise DomainError(f"need N - h2 > 0, got N = {N}, h2 = {h2}")
+    if h2 < 0 or r < 0 or i2r < 0:
+        raise DomainError("h2, r, i2r must be nonnegative")
+    if i2r1 < 1:
+        raise DomainError("i2r1 must be a positive integer")
+    return 2 + r + N - h2 + 2 * i2r, h2
 
-    The part that does not depend on the index i2r1: a floor search probes
-    one parameter set at many indices and computes it once.
+
+@lru_cache(maxsize=None)
+def _pi_enclosure(bits: int):
+    """Integers (lo, hi) with lo < pi 2^bits < hi, from Machin's formula.
+
+    pi = 16 atan(1/5) - 4 atan(1/239).  Each atan(1/x) 2^bits is summed from
+    terms floor(2^bits / ((2k+1) x^(2k+1))) until they vanish: every term is
+    off by less than 1 and the omitted tail is below 1, so k terms are off by
+    less than k + 1.  Built on first use, once per bit count.
     """
-    with mp.workprec(prec):
-        N, h2, r, i2r = (as_mp(v, prec) for v in (N, h2, r, i2r))
-        if not (N - h2 > 0):
-            raise DomainError(f"need N - h2 > 0, got N = {N}, h2 = {h2}")
-        if h2 < 0 or r < 0 or i2r < 0:
-            raise DomainError("h2, r, i2r must be nonnegative")
-        x1 = (2 + r + N - h2) / 2 + i2r
-        x2 = (2 + r + N) / 2 + i2r
-        if x1 <= 0:
-            raise DomainError(f"gamma argument {x1} is not positive")
-        return h2, x1, x2, mp.loggamma(x1), mp.loggamma(x2)
+    def atan_inv(x):
+        total, power, k = 0, (1 << bits) // x, 0
+        while power:
+            term = power // (2 * k + 1)
+            total += -term if k & 1 else term
+            power //= x * x
+            k += 1
+        return total, k + 1
+
+    a, err_a = atan_inv(5)
+    b, err_b = atan_inv(239)
+    mid, err = 16 * a - 4 * b, 16 * err_a + 4 * err_b
+    return mid - err, mid + err
+
+
+def _pi_exceeds(num: int, den: int) -> bool:
+    """Whether pi > num / den (num, den > 0); doubles the enclosure's bits
+    until it decides, which ends because pi is irrational."""
+    bits = 64
+    while True:
+        lo, hi = _pi_enclosure(bits)
+        if lo * den >= num << bits:
+            return True
+        if hi * den <= num << bits:
+            return False
+        bits *= 2
+
+
+def _bound_holds(u: int, h2: int, M: int) -> bool:
+    """2 M^(h2/2) Gamma(s) > Gamma(s + h2/2) at s = x1 + M = (u + 2M)/2, exactly.
+
+    This is lhs > rhs of pochhammer_ratio_lower_bound divided through by
+    Gamma(x2) / Gamma(x1) > 0.  For even h2 = 2t, Gamma(s+t)/Gamma(s) is
+    (s)_t, and 2^t clears the half-integers.  For odd h2 = 2t+1 both sides
+    are squared: Gamma(s+t+1/2)/Gamma(s) is s C(2s, s) (s+1/2)_t sqrt(pi) / 4^s
+    for an integer s, and (k+1)_t 4^k / (C(2k, k) sqrt(pi)) for s = k + 1/2,
+    so the square is a rational times pi or over pi, decided against an
+    integer enclosure of pi.
+    """
+    t, odd = divmod(h2, 2)
+    v = u + 2 * M  # 2s
+    if not odd:
+        return 2 * (2 * M) ** t > math.prod(range(v, v + 2 * t, 2))
+    side = 4 * M ** h2  # the left side squared
+    if v % 2 == 0:
+        s = v // 2
+        num = s * math.comb(v, s) * math.prod(range(v + 1, v + 1 + 2 * t, 2))
+        den = 4 ** s * 2 ** t
+        return not _pi_exceeds(side * den * den, num * num)
+    k = v // 2
+    num = math.prod(range(k + 1, k + t + 1)) * 4 ** k
+    den = math.comb(2 * k, k)
+    return _pi_exceeds(num * num, side * den * den)
+
+
+def ratio_bound_holds(N, h2, r, i2r, i2r1: int) -> bool:
+    """The strict bound lhs > rhs of pochhammer_ratio_lower_bound, decided in integers."""
+    return _bound_holds(*_ratio_args(N, h2, r, i2r, i2r1), i2r1)
 
 
 def pochhammer_ratio_lower_bound(N, h2, r, i2r, i2r1: int, prec: int = DEFAULT_PRECISION):
@@ -114,10 +182,11 @@ def pochhammer_ratio_lower_bound(N, h2, r, i2r, i2r1: int, prec: int = DEFAULT_P
         rhs = Gamma(x2) / (2 Gamma(x1)) * i2r1^(-h2/2)
 
     and holds (strictly) for every i2r1 past a parameter-dependent floor, see
-    :func:`min_index_for_ratio_bound`.  Evaluation goes through loggamma so
-    large indices neither overflow nor underflow; loggamma(x1) and
-    loggamma(x2) are kept for the last few parameter sets, so the probes of a
-    floor search compute them once.
+    :func:`min_index_for_ratio_bound`.  N, h2, r and i2r are integers.
+    `holds` is decided exactly, in integers (ratio_bound_holds), so it is
+    right at an exact tie; `prec` only sets the bits of the rendered lhs
+    and rhs, which go through loggamma so large indices neither overflow
+    nor underflow.
 
     Returns:
         (lhs, rhs, holds) as mpmath reals and a bool.
@@ -125,14 +194,32 @@ def pochhammer_ratio_lower_bound(N, h2, r, i2r, i2r1: int, prec: int = DEFAULT_P
     Raises:
         DomainError: if N - h2 <= 0 or any argument leaves the positive region.
     """
-    h2, x1, x2, lg_x1, lg_x2 = _ratio_base(N, h2, r, i2r, prec)
-    if i2r1 < 1:
-        raise DomainError("i2r1 must be a positive integer")
+    u, h2 = _ratio_args(N, h2, r, i2r, i2r1)
+    holds = _bound_holds(u, h2, i2r1)
     with mp.workprec(prec):
+        x1 = mp.mpf(u) / 2
+        x2 = x1 + mp.mpf(h2) / 2
         lg = mp.loggamma
+        lg_x1, lg_x2 = lg(x1), lg(x2)
         lhs = mp.exp(lg(x1 + i2r1) - lg_x1 - lg(x2 + i2r1) + lg_x2)
-        rhs = mp.exp(lg_x2 - lg_x1 - (h2 / 2) * mp.log(i2r1)) / 2
-        return lhs, rhs, bool(lhs > rhs)
+        rhs = mp.exp(lg_x2 - lg_x1 - (mp.mpf(h2) / 2) * mp.log(i2r1)) / 2
+        return lhs, rhs, holds
+
+
+def _float_floor(u: int, h2: int, hard_cap: int) -> int:
+    """A float64 guess at the floor: the first M with lhs / rhs > 1 by lgamma."""
+    x1, half = u / 2, h2 / 2
+
+    def up(M):
+        return math.log(2) + half * math.log(M) + math.lgamma(x1 + M) > math.lgamma(x1 + half + M)
+
+    lo, hi = 0, 1
+    while not up(hi) and hi < hard_cap:
+        lo, hi = hi, min(2 * hi, hard_cap)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if up(mid) else (mid, hi)
+    return hi
 
 
 def min_index_for_ratio_bound(N, h2, r, i2r, prec: int = DEFAULT_PRECISION,
@@ -141,22 +228,34 @@ def min_index_for_ratio_bound(N, h2, r, i2r, prec: int = DEFAULT_PRECISION,
 
     The ratio lhs/rhs = 2 M^(h2/2) Gamma(x1+M)/Gamma(x2+M) increases strictly
     in M (consecutive ratio (1+1/M)^(h2/2) (x1+M)/(x2+M) > 1) and tends to 2,
-    so the predicate is monotone and a doubling search is exact.
+    so the predicate is monotone.  A float64 lgamma search guesses the floor
+    F; the exact predicate (ratio_bound_holds) then certifies that F holds
+    and F - 1 fails, galloping away from the guess when either check is
+    off, so the floor is exact whatever the guess.  `prec` is unused: it is
+    kept so a caller passes the same options here as to
+    pochhammer_ratio_lower_bound.
     """
-    def holds(M):
-        return pochhammer_ratio_lower_bound(N, h2, r, i2r, M, prec)[2]
+    u, h2 = _ratio_args(N, h2, r, i2r)
 
-    if holds(1):
-        return 1
-    lo, hi = 1, 2
-    while not holds(hi):
-        lo, hi = hi, hi * 2
-        if hi > hard_cap:
-            raise DomainError(f"ratio bound still fails at index {hard_cap}")
+    def holds(M):
+        return M >= 1 and _bound_holds(u, h2, M)
+
+    # gallop to lo < floor <= hi with holds(hi) and not holds(lo)
+    guess, step = _float_floor(u, h2, hard_cap), 1
+    if holds(guess):
+        lo, hi = guess - 1, guess
+        while holds(lo):
+            lo, hi, step = max(lo - 2 * step, 0), lo, 2 * step
+    else:
+        lo = guess
+        while True:
+            if lo >= hard_cap:
+                raise DomainError(f"ratio bound still fails at index {hard_cap}")
+            hi = min(lo + step, hard_cap)
+            if holds(hi):
+                break
+            lo, step = hi, 2 * step
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if holds(mid):
-            hi = mid
-        else:
-            lo = mid
+        lo, hi = (lo, mid) if holds(mid) else (mid, hi)
     return hi

@@ -1,6 +1,7 @@
 """The end-to-end audit document: structure, verdicts, determinism."""
 
 import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from mpmath import mp
 from heunlab import (DegreeMismatch, HeunParams, InputError, TruncationTooLarge,
                      document_bytes, heun_recurrence, run_proof_audit,
                      run_system_audit, series_limits, stream_coefficients)
+from heunlab import audit
 from heunlab.audit import AUDIT_DEPTH_CAP
 from heunlab.cli import main as cli_main
 from heunlab.convergence import boundary_radius
@@ -46,7 +48,7 @@ def test_document_constants_and_boundary(a2_audit):
     assert c["verified"]
     b = document["boundary"]
     assert b["r_star"].startswith("0.561552812808830274910")
-    assert float(b["closed_vs_bisect_diff"]) < 1e-70
+    assert b["r_star_bracketed"] is True
     assert float(b["eta_plus_z"]) == pytest.approx(1.0, abs=1e-70)
     assert document["root"] == "0"
 
@@ -198,19 +200,23 @@ def test_audit_echoes_instance(a2_audit):
 # mpq: both differ only in version, and the sample also in
 # rearrangement.regroup_abs_diff (1.65814436257813336807417955766e-75 became
 # 1.93450175634115559608654281727e-75); the CSVs are unchanged.
+# JSONs re-recorded at 0.3.0, when the r* cross-check became an exact
+# bracket: both differ only in version and in boundary.closed_vs_bisect_diff
+# ("0.0"), replaced by boundary.r_star_bracketed (true); the CSVs are
+# unchanged.
 GOLDEN_AUDITS = {
     # the a=2 worked sample, h2 = 3
     "sample": (
         '{"heun": {"a": "2", "q": "1", "alpha": "1", "beta": "1", '
         '"gamma": "1", "delta": "1", "lambda": "0"}, "precision": "exact"}',
-        "2874bc9e122d2344be37473c7581468682a32e44e7c53503831b9b16bc0e5b53",
+        "b0700cd1fe26c1f48530e08592430dbc7d52a67cf983a9057c770b19ea061b67",
         "d5d0fa604ffe6a59897db80c2fea111d15d274b3ec4bc3963a06274711242f61",
     ),
     # PROBE_POOL instance (2, 0, 2, 2, 1, 1), h2 = 1
     "pool06": (
         '{"heun": {"a": "2", "q": "0", "alpha": "2", "beta": "2", '
         '"gamma": "1", "delta": "1", "lambda": "0"}}',
-        "41a6acc1e74ccadf24724b05e6edd55d8b3711e01f9d52777e3e327da861fe32",
+        "c7669a9ce6f93ed2b6c4d568b1fa367d4421a4a4b6e49c119d1a7fe40b9c044b",
         "fb8c5f87ba2adc037bb8972763540e7cdde8f26d74564c20e369932fb40cb9e8",
     ),
 }
@@ -228,3 +234,56 @@ def test_audit_documents_golden_bytes(stem, tmp_path, capsys):
     digest = lambda suffix: hashlib.sha256(
         (out / f"{stem}.proof-audit.{suffix}").read_bytes()).hexdigest()
     assert (digest("json"), digest("csv")) == (json_sha, csv_sha)
+
+
+def test_ratio_floor_at_an_exact_tie_from_the_cli(tmp_path, capsys):
+    # h2 = 2 and x1 = 203 on row r = 1, i2r = 2: lhs = rhs = 1/2 at index
+    # 203, so the strict bound first holds at 204
+    instance = tmp_path / "tie.json"
+    instance.write_text('{"heun": {"a": "-2", "q": "-1/8", "alpha": "1", "beta": "3/4", '
+                        '"gamma": "3/5", "delta": "1/6", "lambda": "0"}}')
+    assert cli_main(["proof-audit", str(instance)]) == 0
+    outputs = json.loads(capsys.readouterr().out)
+    assert (outputs["constants"]["N"], outputs["constants"]["h_lag2"]) == (401, 2)
+    row = next(r for r in outputs["ratio_bound"] if (r["r"], r["i2r"]) == (1, 2))
+    assert (row["floor"], row["holds"], row["sharp_below"]) == (204, True, True)
+
+
+def test_wide_rational_instance_audits_exactly():
+    # the window of this instance holds ~10^5-bit integers; its domination
+    # bound is decided on them without a gcd
+    params = HeunParams(F(21, 11), 2, F(-33, 7 * 10 ** 81), 0, F(1, 1875 * 10 ** 80), 1)
+    document, _ = run_proof_audit(params)
+    assert document["domination"]["precision"] == "exact"
+    assert document["verdicts"]["overall"] is True
+
+
+def test_audit_makes_no_fraction_in_the_domination_window(a2_params, monkeypatch):
+    made, watching = [], [False]
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        if watching[0]:
+            made.append(args)
+        return original(cls, *args, **kwargs)
+
+    def watched(fn):
+        def run(*args, **kwargs):
+            watching[0] = True
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                watching[0] = False
+        return run
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    watched(Fraction)(3, 6)  # the counter sees a construction
+    assert made == [(3, 6)]
+    made.clear()
+    for name in ("_exact_terms", "domination_bounds"):
+        monkeypatch.setattr(audit, name, watched(getattr(audit, name)))
+    system = heun_recurrence(a2_params)
+    system.cleared  # the lags cleared to integers once, before the window
+    document, _ = run_system_audit(system, series_limits(a2_params))
+    assert document["verdicts"]["domination_holds"]
+    assert made == []

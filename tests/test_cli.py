@@ -132,6 +132,19 @@ def test_domain_document(a2_file, capsys):
     assert float(out["membership"]["sum"]) == pytest.approx(0.875)
 
 
+def test_domain_inside_is_exact_for_a_rational_x(a2_file, capsys):
+    # k / 2^300 < r* < (k + 1) / 2^300 for the sample's r* = (sqrt(17) - 3)/2;
+    # the two points share one 53-bit sum, and inside still tells them apart
+    k = math.isqrt(17 * 4 ** 300) - 3 * 2 ** 300
+    k //= 2
+    seen = []
+    for x in (F(k, 2 ** 300), F(k + 1, 2 ** 300)):
+        doc = run_doc(capsys, ["domain", str(a2_file), f"--x={x}", "--precision", "53"])
+        seen.append((doc["outputs"]["membership"]["sum"], doc["outputs"]["membership"]["inside"]))
+    assert seen[0][0] == seen[1][0]
+    assert [inside for _, inside in seen] == [True, False]
+
+
 def test_domain_works_for_recurrence_kind(rec_file, capsys):
     doc = run_doc(capsys, ["domain", str(rec_file)])
     assert doc["outputs"]["limits"] == ["3/2", "-1/2"]

@@ -8,6 +8,7 @@ from mpmath import mp
 from heunlab import (AllZeroLimits, InvalidC, InvalidParams, boundary_radius,
                      domain_membership, eta_z, gauss_test, membership_sum,
                      series_limits)
+from heunlab.convergence import exact_membership_sum, radius_bracketed
 
 F = Fraction
 A2_LIMITS = (F(3, 2), F(-1, 2))
@@ -28,6 +29,31 @@ def test_domain_membership_report():
     assert not outside.inside
     assert float(outside.total) == pytest.approx(1.755)
     assert float(outside.radius_bound) == pytest.approx(0.5615528128088303)
+
+
+def a2_radius_neighbours(bits):
+    """The dyadic rationals k/2^bits and (k+1)/2^bits around r* = (sqrt(17) - 3)/2."""
+    with mp.workprec(bits + 64):
+        k = int(mp.floor((mp.sqrt(17) - 3) / 2 * mp.mpf(2) ** bits))
+    return F(k, 2 ** bits), F(k + 1, 2 ** bits)
+
+
+def test_domain_membership_is_exact_for_rational_points():
+    below, above = a2_radius_neighbours(300)
+    assert exact_membership_sum(A2_LIMITS, below) < 1 < exact_membership_sum(A2_LIMITS, above)
+    # at 53 bits both points round to one float and one sum; inside does not
+    assert membership_sum(A2_LIMITS, below, 53) == membership_sum(A2_LIMITS, above, 53)
+    assert domain_membership(A2_LIMITS, below, 53).inside
+    assert not domain_membership(A2_LIMITS, above, 53).inside
+
+
+@pytest.mark.parametrize("limits", [A2_LIMITS, (1, 1, 1), (2, 0), (F(7, 3), F(1, 5))])
+def test_radius_bracket_is_one_ulp(limits):
+    r = boundary_radius(limits, 256)
+    assert radius_bracketed(limits, r, 256)
+    with mp.workprec(256):
+        for off in (r * (1 + mp.mpf(2) ** -250), r * (1 - mp.mpf(2) ** -250)):
+            assert not radius_bracketed(limits, off, 256)
 
 
 def test_boundary_radius_quadratic_anchor():

@@ -196,8 +196,8 @@ def test_wide_lag_values_at_53_bits():
 
 # sha256 of the stdout documents, recorded with the earlier per-term loops and
 # re-recorded at 0.2.0, at 0.2.1 (rational lag values rounded once,
-# correctly) and at 0.2.2 (integer path tables), where only the version field
-# changed
+# correctly), at 0.2.2 (integer path tables) and at 0.3.0 (exact audit
+# decisions), where only the version field changed
 GOLDEN_INSTANCES = {
     "a2": {"heun": {"a": "2", "q": "1", "alpha": "1", "beta": "1",
                     "gamma": "1", "delta": "1", "lambda": "0"}},
@@ -211,35 +211,35 @@ GOLDEN_INSTANCES = {
 
 GOLDEN_DOCUMENTS = (
     ("a2", ["eval", "--x=1/10", "--precision", "exact"],
-     "718f2d270b823b70d634a9aa7e152e77baa5a299658a7fb56b10e0c52926561f"),
+     "b1bbb5900369184cf917aba8485feccc81f0e096584bf0f2eee9d0e26ee19ac0"),
     ("a2", ["eval", "--x=-1/3", "--precision", "256"],
-     "c988e73dc83cd52eabe5bb4559f37fc22f2f1e91fa6c17adaea37dda96037183"),
+     "68f00b60d15639ce846d1187a2aa9fe3948d15f18f2a45b8949c457db49c109d"),
     ("a2", ["eval", "--x=1/4", "--precision", "53"],
-     "16a9bf511f1e33f5f7d4b66b418123d7236b108b44ff77fa38c0672b6167f98d"),
+     "ca13b9c5f22d98254b7022bfa615527f69403ae11f4664496c6c5b4dafa3c273"),
     ("a2", ["eval", "--x=0.2-0.3j", "--precision", "128"],
-     "641bdde243b3070b722990459fa881e7ca9452f8bad999cba0a3716aa9694b17"),
+     "e58b7cf1de2d5839842edfce96d4a9b8ba4fa8f6385bb6c53c3d3a9496147370"),
     ("a2", ["eval", "--x=9/10", "--force", "--precision", "64"],
-     "7dac50d0f86df22dd45f9f520710c877722e9721a976df55b015258eb277f883"),
+     "21a0e46fd532f792b0b7e8a33f0616355aa64093a43d9ee47f89e5719fe34808"),
     ("a2", ["eval", "--x=1/2", "--n-max", "12", "--precision", "exact"],
-     "f5960e06f441108f1d1b3cbf3f99d3199b6ce17f36e34bbde8a68c37b294abdb"),
+     "8bb986dbafa4c7c648aa05c443aa5083066cca42b9661df3b3fcf1a6ff963a17"),
     ("neg", ["eval", "--x=-1/5", "--precision", "exact"],
-     "c16030cc889134bcf0240f9521e6857f19696ad577893bf26ccc3732e5a191fc"),
+     "cba290e1c4213cd55209afdb910deb38bf58c3bf264446fc6de846e3e03c9c36"),
     ("neg", ["eval", "--x=3/10", "--precision", "256"],
-     "7d796eb5bf1863127bc5a9d1c2de10b750c36fd9f1c316e41a7fb8c9273be0de"),
+     "3dabb5d0041498b1c72a8ea78c455d1a1b699728aa8f8e2460d1a876b823e27e"),
     ("half", ["eval", "--x=1/9", "--precision", "256"],
-     "29338fe1e7fccc3a6a39829c605377a5ea7b162b43a6e61b92a1acb087ef1a93"),
+     "39b54b5dd2d0f2be799c73082ad292cd17d37dd339e98d9a643cafce62ef6841"),
     ("int2", ["eval", "--x=-1/6", "--precision", "exact"],
-     "0f5cd47f7915e077ce62b6813383f9aa8e510fee31093849279a4a17ae3efbe0"),
+     "a6eb5e93bca1351dfc6335d6d8cb3a62c4ebeac95586e594c67f26a90b863972"),
     ("int2", ["eval", "--x=1/5", "--precision", "53"],
-     "2b68c9723b256d0685407d5644c6c3af24e1a3cf4d8c3539bb48f2dd7025bc68"),
+     "a5c6ecb90077bdf212564fdb8f7dec8452e69c253b250c613d136d787eb32a42"),
     ("a2", ["domain", "--x=-1/3"],
-     "9176703ab8fa871668a2b1c83dd3ab7b5ac9f30b4bc59b1b39460e75b2f22eef"),
+     "9904f5016539d74557a8c2ecd240d5e9f3d38a8c5a31ff5f2e827bbedd74f198"),
     ("neg", ["domain", "--x=1/4", "--precision", "exact"],
-     "a4557cc14811a3474004e5c58af182e853c2ddd59f26d87a270c9457d96c869c"),
+     "725f48fc10b60f5f256c16c25c626666b4b881d7e71f0a52395bfcb265834766"),
     ("half", ["classify"],
-     "127c9f4726f3bbd7c77682f4e8f16674ad07293f88c6bf3a97cdf4407023d3fe"),
+     "4316b2e9d571f154cc4016168c3d1dc0a07175481e10b486a0d10ea3aae3a3b9"),
     ("neg", ["classify", "--precision", "64"],
-     "c7e151b49bb3f72f9b7e2e860a0d8aad064edf951e52419046cf36aca7a4a29f"),
+     "f4a0a6a5677620f57fecd5105da33e7b73857108b9611b5edca8614e291b34ff"),
 )
 
 

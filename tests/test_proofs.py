@@ -369,6 +369,30 @@ def test_minorant_divergent_regime_reported(boundary_weights):
     assert rep.j_sum > mp.mpf("1e100")
 
 
+def test_minorant_regime_is_decided_exactly():
+    # limits (3/2, 1) put r* at 1/2, so eta = 3/4, and at eps = 1/3, m = 1
+    # eps/(1-eps)^2 = 3/4 as well: w = 1 exactly, the divergent regime,
+    # though its 256-bit value need not compare >= 1
+    limits = (F(3, 2), F(1))
+    eta, z = eta_z(limits, boundary_radius(limits))
+    rep = minorant_partial(301, 3, eta, z, eps=F(1, 3), m=1, allow_divergent=True,
+                           limits=limits)
+    assert (rep.regime, rep.regime_strict) == ("divergent", False)
+    rep = minorant_partial(301, 3, eta, z, eps=F(1, 3) - F(1, 2 ** 300), m=1,
+                           allow_divergent=True, limits=limits)
+    assert (rep.regime, rep.regime_strict) == ("divergent", True)
+
+
+def test_minorant_regime_from_limits_matches_the_sample(a2_params, boundary_weights):
+    eta, z = boundary_weights
+    limits = series_limits(a2_params)
+    for eps, regime in ((F(1, 2), "summable"), (F(1, 100), "divergent")):
+        rep = minorant_partial(301, 3, eta, z, eps=eps, m=1, allow_divergent=True,
+                               limits=limits)
+        assert rep.regime == regime
+        assert rep.regime_strict == (regime == "divergent")
+
+
 def test_minorant_guards(boundary_weights):
     eta, z = boundary_weights
     with pytest.raises(DomainError):

@@ -1,5 +1,6 @@
 """Recurrence streaming, majorant sequences, and the domination bound."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from heunlab import (DegreeMismatch, IndicialPole, InsufficientData,
                      dominating_series_check, heun_recurrence, limit_profile,
                      modulus_stream, modulus_system, poly_from,
                      recurrence_residuals, stream_coefficients)
+from heunlab.recurrence import domination_bounds, iter_cleared
 
 F = Fraction
 
@@ -148,6 +150,48 @@ def test_domination_input_checks(a2_params):
     one_lag = RecurrenceSystem((RationalFnInN(poly_from(F(1, 2)), poly_from(F(1))),))
     with pytest.raises(InvalidParams):
         dominating_series_check(one_lag, stream, N=1, M=1)
+
+
+def fraction_domination(system, values, N, M):
+    """(lhs, rhs) of every bound j = 0..M in reduced Fractions: the reference."""
+    cbar = modulus_stream(modulus_system(system, N), M + 1).values
+    chat = modulus_stream(modulus_system(system, N + 1), max(M, 1)).values
+    b = abs(system.coefficient(2, N))
+    out = []
+    for j in range(M + 1):
+        rhs = cbar[j] * abs(values[N])
+        if j >= 1:
+            rhs += chat[j - 1] * b * abs(values[N - 1])
+        out.append((abs(values[N + j]), rhs))
+    return out
+
+
+@pytest.mark.parametrize("N, M", [(1, 0), (3, 6), (12, 20)])
+def test_domination_bounds_match_fraction_reference(instance_pool, N, M):
+    rng = random.Random(N * 100 + M)
+    for params in instance_pool[:12]:
+        system = heun_recurrence(params)
+        values = stream_coefficients(system, N + M + 1).values
+        expect = fraction_domination(system, values, N, M)
+        # reduced pairs times unrelated factors: no reduction is assumed
+        pairs = []
+        for v in values[N - 1:]:
+            u = rng.randrange(1, 10 ** 6)
+            pairs.append((v.numerator * u, v.denominator * u))
+        got = domination_bounds(system, pairs, N, M)
+        assert [(F(l, d), F(r, d)) for l, r, d in got] == expect, params
+        # the stepper's pairs over the divisors since N - 1, with Q_{N-1} shared
+        q, rel, window = 1, 1, []
+        for n, (p, g) in zip(range(N + M + 1), iter_cleared(system)):
+            q *= g
+            if n == N - 1:
+                shared = q
+            elif n >= N:
+                rel *= g
+            if n >= N - 1:
+                window.append((p, rel))
+        got = domination_bounds(system, window, N, M)
+        assert [(F(l, d * shared), F(r, d * shared)) for l, r, d in got] == expect, params
 
 
 def test_limit_profile_heun(a2_params):

@@ -1,5 +1,6 @@
 """Pochhammer products, the Gauss-series summer, and the ratio bound."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from mpmath import mp
 from heunlab import (DomainError, Hyp2F1Params, InvalidC, hyp2f1_series,
                      min_index_for_ratio_bound, pochhammer,
                      pochhammer_ratio_lower_bound)
+from heunlab.special import _pi_enclosure, ratio_bound_holds
 
 F = Fraction
 
@@ -110,3 +112,77 @@ def test_ratio_bound_domain_guards():
         pochhammer_ratio_lower_bound(10, 2, -1, 0, 1)
     with pytest.raises(DomainError):
         pochhammer_ratio_lower_bound(10, 2, 0, 0, 0)
+
+
+def exact_floor_even_h2(N, h2, r, i2r):
+    """The first index with lhs > rhs, scanned in Fractions: for h2 = 2t,
+    Gamma(x2) / Gamma(x1) = (x1)_t, so both sides are rational."""
+    t = h2 // 2
+    x1 = F(2 + r + N - h2, 2) + i2r
+    x2 = x1 + t
+    gamma_ratio = pochhammer(x1, t)
+    lhs, M = F(1), 0
+    while True:
+        lhs *= (x1 + M) / (x2 + M)
+        M += 1
+        if lhs > gamma_ratio / (2 * M ** t):
+            return M
+
+
+# h2 = 2: lhs = x1 / (x1 + M) and rhs = x1 / (2M) are equal at M = x1 when
+# x1 = (r + N)/2 + i2r is an integer; (401, 2, 1, 2) is the audit of
+# a=-2, q=-1/8, alpha=1, beta=3/4, gamma=3/5, delta=1/6
+H2_TWO_TIES = [(N, 2, r, i2r) for N in range(3, 140, 7) for r in (0, 1, 2)
+               for i2r in (2, 5) if (N + r) % 2 == 0] + [(401, 2, 1, 2)]
+# h2 = 4: ties where 8 x1^2 + 8 x1 + 1 is a square, (x1, M) = (2, 6),
+# (14, 35), (84, 204), (492, 1189); N = 2 x1 + 2 puts x1 there at r = i2r = 0
+H2_FOUR_TIES = [((2 * x1 + 2, 4, 0, 0), M) for x1, M in
+                ((2, 6), (14, 35), (84, 204), (492, 1189))]
+
+
+@pytest.mark.parametrize("prec", [53, 256, 512])
+def test_ratio_floor_at_h2_two_ties_is_exact(prec):
+    assert len(H2_TWO_TIES) > 40
+    for args in H2_TWO_TIES:
+        floor = exact_floor_even_h2(*args)
+        x1 = (args[2] + args[0]) // 2 + args[3]
+        assert floor == x1 + 1
+        assert min_index_for_ratio_bound(*args, prec) == floor, args
+        assert pochhammer_ratio_lower_bound(*args, floor, prec)[2]
+        assert not pochhammer_ratio_lower_bound(*args, floor - 1, prec)[2]
+    assert min_index_for_ratio_bound(401, 2, 1, 2, prec) == 204
+
+
+@pytest.mark.parametrize("prec", [53, 256, 512])
+def test_ratio_floor_at_h2_four_ties_is_exact(prec):
+    for args, tie in H2_FOUR_TIES:
+        assert not ratio_bound_holds(*args, tie)
+        floor = exact_floor_even_h2(*args)
+        assert floor == tie + 1
+        assert min_index_for_ratio_bound(*args, prec) == floor, args
+
+
+def test_odd_h2_predicate_matches_1024_bit_reference():
+    rng = random.Random(13)
+    checked = 0
+    while checked < 150:
+        h2 = rng.choice((1, 3, 5, 7))
+        N = rng.randrange(h2 + 1, 1500)
+        args = (N, h2, rng.randrange(0, 4), rng.choice((0, 2, 5)))
+        floor = min_index_for_ratio_bound(*args)
+        for M in {max(floor - 1, 1), floor, floor + 1, rng.randrange(1, 3 * floor + 2)}:
+            lhs, rhs, _ = pochhammer_ratio_lower_bound(*args, M, 1024)
+            with mp.workprec(1024):
+                if mp.fabs(lhs / rhs - 1) < mp.mpf(2) ** -900:
+                    continue
+            assert ratio_bound_holds(*args, M) == (lhs > rhs), (args, M)
+            checked += 1
+
+
+def test_pi_enclosure_brackets_pi():
+    for bits in (64, 128, 1024):
+        lo, hi = _pi_enclosure(bits)
+        with mp.workprec(bits + 64):
+            scaled = mp.pi * mp.mpf(2) ** bits
+            assert lo < scaled < hi
+        assert hi - lo < 16 * bits  # the enclosure loses only a few bits
