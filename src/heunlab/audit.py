@@ -23,11 +23,10 @@ from .proofs import (find_proof_constants, minorant_partial,
                      verify_proof_constants)
 from .rearrange import (grouped_partial_sum, path_table, path_table_enumerate,
                         table_matches_stream)
-from .recurrence import (dominating_series_check, domination_bounds, iter_cleared,
-                         modulus_system, stream_coefficients)
+from .recurrence import (dominating_series_check, domination_bounds, domination_verdict,
+                         iter_cleared, modulus_system, stream_coefficients)
 from .scalars import is_exact, log_abs, rational_to_mp, scalar_abs
-from .special import (min_index_for_ratio_bound, pochhammer_ratio_lower_bound,
-                      ratio_bound_holds)
+from .special import min_index_for_ratio_bound, pochhammer_ratio_lower_bound
 
 DOMINATION_EXACT_CAP = 5000  # exact streams beyond this get the floating tier
 # the audit's path table holds (M+1)^2 integers whose size grows with M: on
@@ -107,21 +106,20 @@ def run_system_audit(system, limits, *, root_echo=None, eps=Fraction(1, 100),
     ratio_all_hold = True
     for r_idx in (0, 1, 2):
         for i2r in (m_trunc, m_trunc + 3):
-            floor = min_index_for_ratio_bound(constants.N, h_slot, r_idx, i2r, prec)
+            # the exact search certifies that floor - 1 fails, so the floor is sharp
+            floor = min_index_for_ratio_bound(constants.N, h_slot, r_idx, i2r)
             lhs, rhs, holds = pochhammer_ratio_lower_bound(
                 constants.N, h_slot, r_idx, i2r, floor, prec)
-            sharp = floor == 1 or not ratio_bound_holds(
-                constants.N, h_slot, r_idx, i2r, floor - 1)
             ratio_all_hold = ratio_all_hold and holds
             ratio_rows.append({
                 "r": r_idx, "i2r": i2r, "floor": floor,
                 "lhs": _num(lhs, prec), "rhs": _num(rhs, prec),
-                "holds": bool(holds), "sharp_below": bool(sharp),
+                "holds": bool(holds), "sharp_below": True,
             })
 
     try:
-        mino = minorant_partial(constants.N, h_slot, eta_v, z_v, eps, m_trunc, K,
-                                j_max, k_max, prec, allow_divergent=True, limits=limits)
+        mino = minorant_partial(constants.N, h_slot, (A, B), eps, m_trunc, K,
+                                j_max, k_max, prec, allow_divergent=True)
         mino_doc = {
             "w": _num(mino.w, prec),
             "regime": mino.regime,
@@ -144,14 +142,9 @@ def run_system_audit(system, limits, *, root_echo=None, eps=Fraction(1, 100),
     dom_prec = "exact" if constants.N + M <= DOMINATION_EXACT_CAP else prec
     if dom_prec == "exact":
         terms, window, shared = _exact_terms(system, constants.N + M + 1, constants.N - 1, prec)
-        bounds = domination_bounds(system, window, constants.N, M)
-        dom_holds = all(rhs >= lhs for lhs, rhs, _ in bounds)
-        # the least margin (rhs - lhs) / den by cross-multiplication, rounded once
-        least, least_den = bounds[0][1] - bounds[0][0], bounds[0][2]
-        for lhs, rhs, den in bounds[1:]:
-            if (rhs - lhs) * least_den < least * den:
-                least, least_den = rhs - lhs, den
-        dom_min_margin = rational_to_mp(least, least_den * shared, prec)
+        dom_holds, least, least_den = domination_verdict(
+            domination_bounds(system, window, constants.N, M))
+        dom_min_margin = rational_to_mp(least, least_den * shared, prec)  # rounded once
     else:
         stream = stream_coefficients(system, constants.N + M + 1, prec)
         terms = stream.values

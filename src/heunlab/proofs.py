@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .convergence import exact_membership_sum
+from .convergence import boundary_radius, eta_z, exact_membership_sum
 from .errors import (DegreeMismatch, DomainError, InputError, InvalidParams,
                      NotFoundWithin)
 from .polynomials import PolynomialInN, exact_div
@@ -308,48 +308,50 @@ class MinorantReport:
     k_max: int
 
 
-def minorant_partial(N: int, h2: int, eta, z, eps=Fraction(1, 100), m: int = 2,
+def minorant_partial(N: int, h2: int, limits, eps=Fraction(1, 100), m: int = 2,
                      K=Fraction(1, 2), j_max: int = 64, k_max: int = 4096,
                      prec: int = DEFAULT_PRECISION,
-                     allow_divergent: bool = False, limits=None) -> MinorantReport:
+                     allow_divergent: bool = False) -> MinorantReport:
     """Evaluate the explicit minorant of sum |c_n| r^n at the boundary.
 
     The minorant is prefactor * J * T with prefactor = (1-K) eps / 2,
 
         J = sum_{j>=1} [Gamma((1+N+2m+j)/2) / Gamma((1+N+2m-h2+j)/2)] w^j,
-        T = sum_{k>=m} z^k / k^(h2/2),      w = (1-eps)^(m+1) eta / eps.
+        T = sum_{k>=m} z^k / k^(h2/2),      w = (1-eps)^(m+1) eta / eps,
 
-    J also collapses to two Gauss series in w^2 (even and odd j split); that
-    closed route is returned alongside for cross-checking when w < 1.  When
-    w >= 1 the j-series grows without bound: that is the regime the
-    divergence argument needs, and it is reported, not silently summed, so
-    the call raises unless allow_divergent is set.
+    where eta = |L_1| r* and z = |L_2| r*^2 are the boundary weights of the
+    rational lag limits (L_1, L_2), taken at the closed-form r*.  J also
+    collapses to two Gauss series in w^2 (even and odd j split); that closed
+    route is returned alongside for cross-checking when w < 1.  When w >= 1
+    the j-series grows without bound: that is the regime the divergence
+    argument needs, and it is reported, not silently summed, so the call
+    raises unless allow_divergent is set.
 
-    Given the rational lag limits that eta came from (eta = |L_1| r*) and a
-    rational eps, the regime is decided exactly: with c = eps/(1-eps)^(m+1),
-    w >= 1 iff eta >= c iff sum_i |L_i| (c/|L_1|)^i <= 1, since the sum
-    increases in r and is 1 at r*; regime_strict is the strict form.  w is
-    still rendered from mpmath.  Without limits both compare eta as given.
+    The regime is decided exactly from the rational eps and limits: with
+    c = eps/(1-eps)^(m+1), w >= 1 iff eta >= c iff sum_i |L_i| (c/|L_1|)^i
+    <= 1, since the sum increases in r and is 1 at r*; regime_strict is the
+    strict form.  w is still rendered from mpmath.
     """
     if not (N - h2 > 0):
         raise DomainError(f"need N - h2 > 0, got N = {N}, h2 = {h2}")
     if m < 1 or j_max < 4 or k_max < m:
         raise InvalidParams("need m >= 1, j_max >= 4, k_max >= m")
+    if len(limits) != 2:
+        raise InvalidParams(f"the minorant takes two lag limits, got {len(limits)}")
+    if not (is_exact(eps) and all(is_exact(L) for L in limits)):
+        raise InputError("the minorant's regime is decided exactly: eps and the limits must be rational")
+    eta_v, z_v = eta_z(limits, boundary_radius(limits, prec, "closed"), prec)
     with mp.workprec(prec):
-        eta_v, z_v, eps_v, K_v = (as_mp(v, prec) for v in (eta, z, eps, K))
+        eps_v, K_v = as_mp(eps, prec), as_mp(K, prec)
+        # eta_v and z_v are exactly 0 when L_1 or L_2 is, so this refuses those
         if not (0 < eta_v < 1 and 0 < z_v < 1):
             raise DomainError("minorant needs 0 < eta < 1 and 0 < z < 1")
         if not (0 < eps_v < 1 and 0 < K_v < 1):
             raise InvalidParams("need 0 < eps < 1 and 0 < K < 1")
         w = (1 - eps_v) ** (m + 1) * eta_v / eps_v
-        if limits is not None and is_exact(eps) and all(is_exact(L) for L in limits):
-            # L_1 != 0 here: eta = |L_1| r* > 0 was checked above
-            c = Fraction(eps) / (1 - Fraction(eps)) ** (m + 1)
-            total = exact_membership_sum(limits, c / abs(Fraction(limits[0])))
-            divergent, regime_strict = total <= 1, total < 1
-        else:
-            regime_strict = bool(eps_v / (1 - eps_v) ** (m + 1) < eta_v)
-            divergent = bool(w >= 1)
+        c = Fraction(eps) / (1 - Fraction(eps)) ** (m + 1)
+        total = exact_membership_sum(limits, c / abs(Fraction(limits[0])))
+        divergent, regime_strict = total <= 1, total < 1
         if divergent and not allow_divergent:
             raise DomainError(
                 f"w = {mp.nstr(w, 8)} >= 1: the j-series diverges (this is the "

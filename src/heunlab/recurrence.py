@@ -350,6 +350,19 @@ def domination_bounds(system: RecurrenceSystem, pairs, N: int, M: int) -> tuple:
     return tuple(out)
 
 
+def domination_verdict(bounds) -> tuple:
+    """(holds, num, den) for domination_bounds' triples: holds iff rhs >= lhs
+    for every j, and num / den is the least margin (rhs - lhs) / den, found
+    by cross-multiplying (the common factor s is left out)."""
+    num, den = bounds[0][1] - bounds[0][0], bounds[0][2]
+    holds = True
+    for lhs, rhs, d in bounds:
+        holds = holds and rhs >= lhs
+        if (rhs - lhs) * den < num * d:
+            num, den = rhs - lhs, d
+    return holds, num, den
+
+
 def dominating_series_check(system: RecurrenceSystem, stream: CoefficientStream,
                             N: int, M: int) -> DominationReport:
     """Verify the two-sided majorant bound for a three-term system.
@@ -374,7 +387,7 @@ def dominating_series_check(system: RecurrenceSystem, stream: CoefficientStream,
         lhs = tuple(Fraction(left, den) for left, _, den in bounds)
         rhs = tuple(Fraction(right, den) for _, right, den in bounds)
         margins = tuple(r - l for l, r in zip(lhs, rhs))
-        return DominationReport(N, M, lhs, rhs, margins, all(m >= 0 for m in margins))
+        return DominationReport(N, M, lhs, rhs, margins, domination_verdict(bounds)[0])
     cbar = modulus_stream(modulus_system(system, N), M + 1, precision)
     chat = modulus_stream(modulus_system(system, N + 1), max(M, 1), precision)
     lhs, rhs, margins = [], [], []

@@ -206,55 +206,33 @@ def pochhammer_ratio_lower_bound(N, h2, r, i2r, i2r1: int, prec: int = DEFAULT_P
         return lhs, rhs, holds
 
 
-def _float_floor(u: int, h2: int, hard_cap: int) -> int:
-    """A float64 guess at the floor: the first M with lhs / rhs > 1 by lgamma."""
-    x1, half = u / 2, h2 / 2
-
-    def up(M):
-        return math.log(2) + half * math.log(M) + math.lgamma(x1 + M) > math.lgamma(x1 + half + M)
-
-    lo, hi = 0, 1
-    while not up(hi) and hi < hard_cap:
-        lo, hi = hi, min(2 * hi, hard_cap)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if up(mid) else (mid, hi)
-    return hi
-
-
-def min_index_for_ratio_bound(N, h2, r, i2r, prec: int = DEFAULT_PRECISION,
-                              hard_cap: int = 10 ** 7) -> int:
+def min_index_for_ratio_bound(N, h2, r, i2r, hard_cap: int = 10 ** 7) -> int:
     """Smallest index for which the Pochhammer-ratio bound holds.
 
     The ratio lhs/rhs = 2 M^(h2/2) Gamma(x1+M)/Gamma(x2+M) increases strictly
     in M (consecutive ratio (1+1/M)^(h2/2) (x1+M)/(x2+M) > 1) and tends to 2,
-    so the predicate is monotone.  A float64 lgamma search guesses the floor
-    F; the exact predicate (ratio_bound_holds) then certifies that F holds
-    and F - 1 fails, galloping away from the guess when either check is
-    off, so the floor is exact whatever the guess.  `prec` is unused: it is
-    kept so a caller passes the same options here as to
-    pochhammer_ratio_lower_bound.
+    so the predicate is monotone.  Since Gamma(s + a) / Gamma(s) is close to
+    (s + (a-1)/2)^a, a = h2/2, the floor is guessed as the least integer F >=
+    (x1 + (a-1)/2) / (2^(1/a) - 1); the exact predicate (ratio_bound_holds)
+    then certifies that F holds and F - 1 fails, widening the bracket
+    when either check is off, so the floor is exact whatever the guess.
     """
     u, h2 = _ratio_args(N, h2, r, i2r)
 
     def holds(M):
         return M >= 1 and _bound_holds(u, h2, M)
 
-    # gallop to lo < floor <= hi with holds(hi) and not holds(lo)
-    guess, step = _float_floor(u, h2, hard_cap), 1
-    if holds(guess):
-        lo, hi = guess - 1, guess
-        while holds(lo):
-            lo, hi, step = max(lo - 2 * step, 0), lo, 2 * step
-    else:
-        lo = guess
-        while True:
-            if lo >= hard_cap:
-                raise DomainError(f"ratio bound still fails at index {hard_cap}")
-            hi = min(lo + step, hard_cap)
-            if holds(hi):
-                break
-            lo, step = hi, 2 * step
+    a = h2 / 2  # x1 + (a-1)/2 >= 5/4 > 0, as x1 >= 3/2
+    hi = 1 if h2 == 0 else min(math.ceil((u / 2 + (a - 1) / 2) / (2 ** (1 / a) - 1)), hard_cap)
+    # widen lo < hi around the guess, by doubling steps, until holds(hi)
+    # and not holds(lo); then bisect
+    lo, step = hi - 1, 1
+    while not holds(hi):
+        if hi >= hard_cap:
+            raise DomainError(f"ratio bound still fails at index {hard_cap}")
+        lo, hi, step = hi, min(hi + step, hard_cap), 2 * step
+    while holds(lo):
+        lo, hi, step = max(lo - step, 0), lo, 2 * step
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if holds(mid) else (mid, hi)

@@ -334,16 +334,14 @@ def test_z_power_tail_parity_covers_both_stops():
 
 
 @pytest.fixture()
-def boundary_weights(a2_params):
-    limits = series_limits(a2_params)
-    r = boundary_radius(limits)
-    return eta_z(limits, r)
+def sample_limits(a2_params):
+    return series_limits(a2_params)
 
 
-def test_minorant_summable_regime(boundary_weights):
-    eta, z = boundary_weights
-    rep = minorant_partial(301, 3, eta, z, eps=F(1, 2), m=1)
+def test_minorant_summable_regime(sample_limits):
+    rep = minorant_partial(301, 3, sample_limits, eps=F(1, 2), m=1)
     assert rep.regime == "summable"
+    assert not rep.regime_strict
     assert not rep.growing
     assert float(rep.w) == pytest.approx(0.4211646096066227, rel=1e-12)
     assert rep.value_closed is not None
@@ -351,16 +349,21 @@ def test_minorant_summable_regime(boundary_weights):
     assert abs(rep.value - rep.value_closed) < mp.mpf("1e-15") * rep.value
 
 
-def test_minorant_divergent_regime_is_refused(boundary_weights):
-    eta, z = boundary_weights
+def test_minorant_weights_are_the_boundary_weights(sample_limits):
+    eta, z = eta_z(sample_limits, boundary_radius(sample_limits))
+    rep = minorant_partial(301, 3, sample_limits, eps=F(1, 2), m=1)
+    assert rep.w == mp.ldexp(eta, -1)  # (1 - eps)^2 eta / eps at eps = 1/2
+    assert rep.z_tail == z_power_tail(z, 3, 1, 4096)[0]
+
+
+def test_minorant_divergent_regime_is_refused(sample_limits):
     with pytest.raises(DomainError) as err:
-        minorant_partial(301, 3, eta, z)
+        minorant_partial(301, 3, sample_limits)
     assert "allow_divergent" in str(err.value)
 
 
-def test_minorant_divergent_regime_reported(boundary_weights):
-    eta, z = boundary_weights
-    rep = minorant_partial(301, 3, eta, z, allow_divergent=True)
+def test_minorant_divergent_regime_reported(sample_limits):
+    rep = minorant_partial(301, 3, sample_limits, allow_divergent=True)
     assert rep.regime == "divergent"
     assert rep.regime_strict
     assert rep.growing
@@ -374,32 +377,35 @@ def test_minorant_regime_is_decided_exactly():
     # eps/(1-eps)^2 = 3/4 as well: w = 1 exactly, the divergent regime,
     # though its 256-bit value need not compare >= 1
     limits = (F(3, 2), F(1))
-    eta, z = eta_z(limits, boundary_radius(limits))
-    rep = minorant_partial(301, 3, eta, z, eps=F(1, 3), m=1, allow_divergent=True,
-                           limits=limits)
+    rep = minorant_partial(301, 3, limits, eps=F(1, 3), m=1, allow_divergent=True)
     assert (rep.regime, rep.regime_strict) == ("divergent", False)
-    rep = minorant_partial(301, 3, eta, z, eps=F(1, 3) - F(1, 2 ** 300), m=1,
-                           allow_divergent=True, limits=limits)
+    rep = minorant_partial(301, 3, limits, eps=F(1, 3) - F(1, 2 ** 300), m=1,
+                           allow_divergent=True)
     assert (rep.regime, rep.regime_strict) == ("divergent", True)
 
 
-def test_minorant_regime_from_limits_matches_the_sample(a2_params, boundary_weights):
-    eta, z = boundary_weights
-    limits = series_limits(a2_params)
+def test_minorant_regime_matches_the_sample(sample_limits):
     for eps, regime in ((F(1, 2), "summable"), (F(1, 100), "divergent")):
-        rep = minorant_partial(301, 3, eta, z, eps=eps, m=1, allow_divergent=True,
-                               limits=limits)
+        rep = minorant_partial(301, 3, sample_limits, eps=eps, m=1, allow_divergent=True)
         assert rep.regime == regime
         assert rep.regime_strict == (regime == "divergent")
 
 
-def test_minorant_guards(boundary_weights):
-    eta, z = boundary_weights
+def test_minorant_guards(sample_limits):
     with pytest.raises(DomainError):
-        minorant_partial(3, 3, eta, z)  # N - h2 = 0
-    with pytest.raises(DomainError):
-        minorant_partial(301, 3, F(3, 2), z, eps=F(1, 2), m=1)
+        minorant_partial(3, 3, sample_limits)  # N - h2 = 0
+    for limits in ((0, F(-1, 2)), (F(3, 2), 0)):  # eta = 0, z = 0
+        with pytest.raises(DomainError, match="0 < eta < 1"):
+            minorant_partial(301, 3, limits, eps=F(1, 2), m=1, allow_divergent=True)
     with pytest.raises(InvalidParams):
-        minorant_partial(301, 3, eta, z, eps=F(1, 2), m=1, K=F(0))
+        minorant_partial(301, 3, (F(3, 2), F(1), F(1)), eps=F(1, 2), m=1)
+    with pytest.raises(InputError):
+        minorant_partial(301, 3, sample_limits, eps=0.5, m=1)
+    with pytest.raises(InputError):
+        minorant_partial(301, 3, (1.5, F(1)), eps=F(1, 2), m=1)
     with pytest.raises(InvalidParams):
-        minorant_partial(301, 3, eta, z, eps=F(1, 2), m=1, j_max=2)
+        minorant_partial(301, 3, sample_limits, eps=F(1, 2), m=1, K=F(0))
+    with pytest.raises(InvalidParams):
+        minorant_partial(301, 3, sample_limits, eps=F(1, 2), m=1, j_max=2)
+    with pytest.raises(InvalidParams):
+        minorant_partial(301, 3, sample_limits, eps=F(1), m=1)

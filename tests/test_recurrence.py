@@ -11,7 +11,7 @@ from heunlab import (DegreeMismatch, IndicialPole, InsufficientData,
                      dominating_series_check, heun_recurrence, limit_profile,
                      modulus_stream, modulus_system, poly_from,
                      recurrence_residuals, stream_coefficients)
-from heunlab.recurrence import domination_bounds, iter_cleared
+from heunlab.recurrence import domination_bounds, domination_verdict, iter_cleared
 
 F = Fraction
 
@@ -192,6 +192,15 @@ def test_domination_bounds_match_fraction_reference(instance_pool, N, M):
                 window.append((p, rel))
         got = domination_bounds(system, window, N, M)
         assert [(F(l, d * shared), F(r, d * shared)) for l, r, d in got] == expect, params
+        holds, num, den = domination_verdict(got)
+        assert holds == all(r >= l for l, r in expect)
+        assert F(num, den * shared) == min(r - l for l, r in expect)
+
+
+def test_domination_verdict_takes_the_least_margin():
+    # margins -1, 2, 1/4 and 1/2, 1/6, 3: the least need not have the least den
+    assert domination_verdict(((3, 2, 1), (1, 5, 2), (0, 1, 4))) == (False, -1, 1)
+    assert domination_verdict(((1, 2, 2), (1, 2, 6), (0, 3, 1))) == (True, 1, 6)
 
 
 def test_limit_profile_heun(a2_params):

@@ -105,6 +105,21 @@ def test_ratio_bound_monotone_past_floor(args, floor):
         assert pochhammer_ratio_lower_bound(*args, idx)[2]
 
 
+def test_ratio_floor_search_is_exact_when_the_guess_is_off():
+    # a large h2 against a small x1 puts the closed-form guess up to 2 above
+    # the floor; at the h2 = 2 ties further down it is 1 below
+    rng = random.Random(7)
+    for _ in range(60):
+        h2 = rng.randrange(0, 61)
+        args = (rng.randrange(h2 + 1, h2 + 40), h2, rng.randrange(0, 4), rng.choice((0, 2, 5)))
+        floor = min_index_for_ratio_bound(*args)
+        assert ratio_bound_holds(*args, floor), args
+        assert floor == 1 or not ratio_bound_holds(*args, floor - 1), args
+    assert min_index_for_ratio_bound(12, 4, 1, 3, hard_cap=22) == 22
+    with pytest.raises(DomainError):
+        min_index_for_ratio_bound(12, 4, 1, 3, hard_cap=21)
+
+
 def test_ratio_bound_domain_guards():
     with pytest.raises(DomainError):
         pochhammer_ratio_lower_bound(3, 3, 0, 0, 1)  # N - h2 = 0
@@ -140,26 +155,37 @@ H2_FOUR_TIES = [((2 * x1 + 2, 4, 0, 0), M) for x1, M in
                 ((2, 6), (14, 35), (84, 204), (492, 1189))]
 
 
-@pytest.mark.parametrize("prec", [53, 256, 512])
-def test_ratio_floor_at_h2_two_ties_is_exact(prec):
+def test_ratio_floor_at_h2_two_ties_is_exact():
     assert len(H2_TWO_TIES) > 40
     for args in H2_TWO_TIES:
         floor = exact_floor_even_h2(*args)
         x1 = (args[2] + args[0]) // 2 + args[3]
         assert floor == x1 + 1
-        assert min_index_for_ratio_bound(*args, prec) == floor, args
-        assert pochhammer_ratio_lower_bound(*args, floor, prec)[2]
-        assert not pochhammer_ratio_lower_bound(*args, floor - 1, prec)[2]
-    assert min_index_for_ratio_bound(401, 2, 1, 2, prec) == 204
+        assert min_index_for_ratio_bound(*args) == floor, args
+        assert ratio_bound_holds(*args, floor)
+        assert not ratio_bound_holds(*args, floor - 1)
+    assert min_index_for_ratio_bound(401, 2, 1, 2) == 204
 
 
-@pytest.mark.parametrize("prec", [53, 256, 512])
-def test_ratio_floor_at_h2_four_ties_is_exact(prec):
+def test_ratio_floor_at_h2_four_ties_is_exact():
     for args, tie in H2_FOUR_TIES:
         assert not ratio_bound_holds(*args, tie)
         floor = exact_floor_even_h2(*args)
         assert floor == tie + 1
-        assert min_index_for_ratio_bound(*args, prec) == floor, args
+        assert min_index_for_ratio_bound(*args) == floor, args
+
+
+@pytest.mark.parametrize("prec", [53, 256, 512])
+def test_ratio_bound_at_ties_renders_at_prec(prec):
+    # at a tie the rendered sides agree to about prec bits, whichever way
+    # they round, while holds stays the exact verdict
+    ties = [(args, (args[0] + args[2]) // 2 + args[3]) for args in H2_TWO_TIES[:3]]
+    for args, tie in ties + H2_FOUR_TIES:
+        lhs, rhs, holds = pochhammer_ratio_lower_bound(*args, tie, prec)
+        assert not holds
+        with mp.workprec(prec):
+            assert mp.fabs(lhs / rhs - 1) < mp.mpf(2) ** (20 - prec), (args, prec)
+        assert pochhammer_ratio_lower_bound(*args, tie + 1, prec)[2]
 
 
 def test_odd_h2_predicate_matches_1024_bit_reference():
