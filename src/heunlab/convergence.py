@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 from mpmath import mp
 
-from .errors import AllZeroLimits, InvalidParams
+from .errors import AllZeroLimits, InputError, InvalidParams
 from .probes import stream_terms
 from .scalars import DEFAULT_PRECISION, as_mp, is_exact
 from .special import Hyp2F1Params, _is_nonpositive_integer
@@ -223,9 +223,10 @@ def gauss_test(a, b, c, n_max: int = 1 << 20) -> GaussReport:
     terminated = _is_nonpositive_integer(a) or _is_nonpositive_integer(b)
 
     def _c(v):
-        if isinstance(v, Fraction):
-            return complex(float(v), 0.0)
-        return complex(v)
+        try:
+            return complex(float(v), 0.0) if isinstance(v, Fraction) else complex(v)
+        except OverflowError as exc:
+            raise InputError("gauss parameter does not fit in float64") from exc
 
     ac, bc, cc = _c(a), _c(b), _c(c)
     s_val = (cc - ac - bc).real

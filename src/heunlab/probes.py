@@ -21,10 +21,12 @@ a step rule turns the carried state into the chunk's terms.  Partial sums
 are a cumulative sum seeded with the carried total, so they add the terms in
 stream order, and the driver records them at the dyadic checkpoints.  Every
 per-chunk buffer (indices, coefficients, prefix products, mantissas and
-exponents, terms, sums) lives in one workspace that
-is allocated once and reused through out=, so a stream's memory does not
-grow with the number of terms and no chunk-sized array is allocated afresh
-for each chunk.
+exponents, terms, sums) lives in one workspace that is allocated once and
+reused through out=, so a stream's memory does not grow with the number of
+terms and no chunk-sized array is allocated afresh for each chunk.  A buffer
+that no later stage of the chunk reads serves as scratch: the broadcast
+(step 3 below) forms the terms in the terms and integer scratch buffers,
+and ldexp reads its exponents from an int32 view of the latter.
 
 The probes' step rule is the three-term recurrence.  Step j maps
 v_{j-1} = (t_{j-1}, t_{j-2}) to v_j = M_j v_{j-1} with
@@ -43,12 +45,15 @@ scan (Blelloch, "Prefix sums and their applications", 1990):
    into mantissa and exponent does, so every log is read from the
    canonical split (f, e) = frexp(mantissa), ln |t| = ln |f| + (e + expo) ln 2;
 2. a sequential carry over the block totals gives each block its start state;
-3. one broadcast turns start states and prefix products into every term.
+3. one broadcast turns start states and prefix products into every term's
+   mantissa and exponent.  It runs in block order, over contiguous rows, and
+   one transpose each then copies both into stream order.
 
 The radius enters as r = m 2^k: the scan runs on a m and b m^2, and each
-term's exponent gains j k, so no radius that float64 holds can overflow the
-transfer matrices.  The Gauss series' rule is the scalar (k = 1) case: a
-cumulative product of the term ratio seeded with the carried term.
+term's exponent gains j k (a step skipped for radii in [1/2, 1), whose k is
+0), so no radius that float64 holds can overflow the transfer matrices.
+The Gauss series' rule is the scalar (k = 1) case: a cumulative product of
+the term ratio seeded with the carried term.
 """
 
 from __future__ import annotations
@@ -75,6 +80,7 @@ _CHUNK = 1 << 16  # terms per chunk: bounds the kernel's working set
 _BLOCK = 128  # terms per block of the in-chunk scan; _CHUNK is a multiple
 _RENORM = 16  # most steps of the scan between two rescales
 _HEADROOM = 200  # binary orders a block's values may drift between two rescales
+_EXP_CLIP = 1 << 30  # bound on the exponents handed to ldexp, which saturates far inside
 _LN2 = math.log(2.0)
 
 
@@ -104,10 +110,14 @@ def _lag_values(coeffs: tuple, n: np.ndarray, signed: bool, out=None) -> tuple:
     fresh arrays are made.
     """
     a, b, den = out if out is not None else (np.empty_like(n) for _ in range(3))
+    done = None  # the denominator den holds; a Heun system's two lags share it
     for vals, (num, dnm) in zip((a, b), coeffs):
+        if dnm != done:
+            _horner(dnm, n, den)
+            done = dnm
         # a leading pole entry can be inf/nan; the recurrence never reads it
         with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(_horner(num, n, vals), _horner(dnm, n, den), out=vals)
+            np.divide(_horner(num, n, vals), den, out=vals)
         if not signed:
             np.abs(vals, out=vals)
     return a, b
@@ -224,9 +234,10 @@ def _scan_chunk(ws: _Workspace, a: np.ndarray, b: np.ndarray, count: int,
     stream's last chunk, must be zero; its returned state is then
     meaningless and never read.  state = (u, w, e) holds the two values
     before the chunk as u 2^e and w 2^e.  Returns (mantissas, exponents) of
-    every u_j of the chunk, views into ws, and the state after it.  Values
-    past float64 range saturate to inf or nan; the caller silences numpy's
-    warnings about that.
+    every u_j of the chunk in step order, views of ws.mant and ws.expo, and
+    the state after it; ws.terms, ws.iscratch and the steps a serve as
+    scratch.  Values past float64 range saturate to inf or nan; the caller
+    silences numpy's warnings about that.
     """
     nb = a.shape[1]
     seg = _segment_steps(ws, a, b, count)
@@ -266,20 +277,25 @@ def _scan_chunk(ws: _Workspace, a: np.ndarray, b: np.ndarray, count: int,
     before = np.ldexp(z[-2], zexp[-2] - zexp[-1]).tolist()
     u, w, e = state
     starts_u, starts_w, starts_e = [], [], []
+    put_u, put_w, put_e = starts_u.append, starts_w.append, starts_e.append
+    frexp, ldexp = math.frexp, math.ldexp
     for p, q, s, t, g in zip(last[0], last[1], before[0], before[1], zexp[-1].tolist()):
-        starts_u.append(u)
-        starts_w.append(w)
-        starts_e.append(e)
+        put_u(u)
+        put_w(w)
+        put_e(e)
         u, w = p * u + q * w, s * u + t * w
-        _, d = math.frexp(max(abs(u), abs(w)))
-        u, w, e = math.ldexp(u, -d), math.ldexp(w, -d), e + g + d
+        d = frexp(max(abs(u), abs(w)))[1]
+        u, w, e = ldexp(u, -d), ldexp(w, -d), e + g + d
 
-    # written through transposed views, so the chunk comes out in step order;
-    # the steps a are read by now and hold the second product
-    mant = _view(ws.mant, nb, _BLOCK).T
+    # formed in block order, in contiguous scratch (the steps a are read by
+    # now and hold the second product); one transpose each puts the chunk in
+    # step order
+    mant = _view(ws.terms, _BLOCK, nb)
     np.multiply(z[:, 0], np.array(starts_u), out=mant)
     np.add(mant, np.multiply(z[:, 1], np.array(starts_w), out=a), out=mant)
-    np.add(zexp, np.array(starts_e, dtype=np.int64), out=_view(ws.expo, nb, _BLOCK).T)
+    expo = np.add(zexp, np.array(starts_e, dtype=np.int64), out=_view(ws.iscratch, _BLOCK, nb))
+    _view(ws.mant, nb, _BLOCK)[...] = mant.T
+    _view(ws.expo, nb, _BLOCK)[...] = expo.T
     return ws.mant[:count], ws.expo[:count], (u, w, e)
 
 
@@ -294,7 +310,10 @@ def stream_terms(step, state, n_terms: int, mark_limit: int, visit=None) -> tupl
     in stream order, and records at each dyadic mark n = 2^p <= mark_limit,
     p >= 10, the checkpoint (n, S_{n-1}) and ln |t_{n-1}| (-inf when zero),
     the latter from frexp of the mantissa so that it does not depend on how
-    the step split the term.
+    the step split the term.  The terms are ldexp(mant, expo) with expo
+    clipped to +-2^30 into an int32 view of ws.iscratch, so a step may leave
+    nothing there.  numpy's ldexp has a vector loop for int32 exponents only,
+    and any finite mantissa saturates to inf or 0 far inside that range.
     Then visit(ws, j0, mant, expo, terms, sums) sees the chunk, if given.
     Returns (checkpoints, term_log_mags).
     """
@@ -313,7 +332,12 @@ def stream_terms(step, state, n_terms: int, mark_limit: int, visit=None) -> tupl
             for j0 in range(1, n_terms, _CHUNK):
                 j1 = min(j0 + _CHUNK, n_terms)
                 mant, expo, state = step(ws, j0, j1, state)
-                terms = mant if expo is None else np.ldexp(mant, expo, out=ws.terms[:j1 - j0])
+                if expo is None:
+                    terms = mant
+                else:
+                    e32 = np.clip(expo, -_EXP_CLIP, _EXP_CLIP,
+                                  out=ws.iscratch.view(np.int32)[:j1 - j0])
+                    terms = np.ldexp(mant, e32, out=ws.terms[:j1 - j0])
                 sums = ws.sums[:j1 - j0]
                 first = terms[0]
                 terms[0] += total
@@ -353,8 +377,9 @@ def _lag_step(coeffs: tuple, signed: bool, offset: int, m: float, k: int):
         a[count - (nb - 1) * _BLOCK:, -1] = 0.0
         b[count - (nb - 1) * _BLOCK:, -1] = 0.0
         mant, expo, state = _scan_chunk(ws, a, b, count, state)
-        shift = np.add(ws.ibase[:count], j0, out=ws.iscratch[:count])
-        expo += np.multiply(shift, k, out=shift)
+        if k:
+            shift = np.add(ws.ibase[:count], j0, out=ws.iscratch[:count])
+            expo += np.multiply(shift, k, out=shift)
         return mant, expo, state
 
     return step

@@ -308,6 +308,9 @@ class MinorantReport:
     k_max: int
 
 
+_CLOSED_ROUTE_TERMS = 10 ** 6  # most terms of each Gauss series in the cross-check
+
+
 def minorant_partial(N: int, h2: int, limits, eps=Fraction(1, 100), m: int = 2,
                      K=Fraction(1, 2), j_max: int = 64, k_max: int = 4096,
                      prec: int = DEFAULT_PRECISION,
@@ -322,10 +325,12 @@ def minorant_partial(N: int, h2: int, limits, eps=Fraction(1, 100), m: int = 2,
     where eta = |L_1| r* and z = |L_2| r*^2 are the boundary weights of the
     rational lag limits (L_1, L_2), taken at the closed-form r*.  J also
     collapses to two Gauss series in w^2 (even and odd j split); that closed
-    route is returned alongside for cross-checking when w < 1.  When w >= 1
-    the j-series grows without bound: that is the regime the divergence
-    argument needs, and it is reported, not silently summed, so the call
-    raises unless allow_divergent is set.
+    route is returned alongside for cross-checking when w < 1 and both
+    series reach their tolerance within _CLOSED_ROUTE_TERMS terms (None
+    otherwise; a w^2 too near 1 for that is skipped without summing).  When
+    w >= 1 the j-series grows without bound: that is the regime the
+    divergence argument needs, and it is reported, not silently summed, so
+    the call raises unless allow_divergent is set.
 
     The regime is decided exactly from the rational eps and limits: with
     c = eps/(1-eps)^(m+1), w >= 1 iff eta >= c iff sum_i |L_i| (c/|L_1|)^i
@@ -371,14 +376,18 @@ def minorant_partial(N: int, h2: int, limits, eps=Fraction(1, 100), m: int = 2,
         prefactor = (1 - K_v) * eps_v / 2
         value = prefactor * j_sum * z_tail
         value_closed = None
-        if not divergent:
+        x, tol, cap = w * w, mp.mpf(2) ** (8 - prec), _CLOSED_ROUTE_TERMS
+        # with h2 >= 0 the k-th term of each 2F1(1, b; b - h2/2; x) is at
+        # least x^k, so when x^cap > e tol (e covers the sums' rounding)
+        # neither can reach tol within cap terms: the capped sums would
+        # drop the cross-check anyway
+        if not divergent and (h2 < 0 or cap * mp.log(x) <= mp.log(tol) + 1):
             g0 = mp.exp(lg(mp.mpf(c0) / 2) - lg(mp.mpf(c0 - h2) / 2))
             g1 = mp.exp(lg(mp.mpf(c0 + 1) / 2) - lg(mp.mpf(c0 + 1 - h2) / 2))
-            tol = mp.mpf(2) ** (8 - prec)
             f1, ok1 = hyp2f1_series(
-                Hyp2F1Params(1, mp.mpf(c0) / 2, mp.mpf(c0 - h2) / 2), w * w, tol, 10 ** 6, prec)
+                Hyp2F1Params(1, mp.mpf(c0) / 2, mp.mpf(c0 - h2) / 2), x, tol, cap, prec)
             f2, ok2 = hyp2f1_series(
-                Hyp2F1Params(1, mp.mpf(c0 + 1) / 2, mp.mpf(c0 + 1 - h2) / 2), w * w, tol, 10 ** 6, prec)
+                Hyp2F1Params(1, mp.mpf(c0 + 1) / 2, mp.mpf(c0 + 1 - h2) / 2), x, tol, cap, prec)
             if ok1 and ok2:
                 value_closed = prefactor * (-g0 + g0 * f1 + w * g1 * f2) * z_tail
         return MinorantReport(value, value_closed, growing, w,

@@ -279,6 +279,14 @@ def test_gauss_bad_c_exits_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("args", [("1e400", "1", "1"), ("1", "-1e400", "1"), ("1", "1", "1e400")],
+                         ids=["a", "b", "c"])
+def test_gauss_parameter_past_float64_exits_3(args, capsys):
+    code, out, err = run(capsys, ["gauss", *args, "--n-max", "4096"])
+    assert code == 3 and out == ""
+    assert "gauss parameter does not fit in float64" in err and "Traceback" not in err
+
+
 def test_proof_audit_heun(a2_file, capsys):
     doc = run_doc(capsys, ["proof-audit", str(a2_file), "--n-check", "5000"])
     assert doc["command"] == "proof-audit"

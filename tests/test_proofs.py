@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import time
 from fractions import Fraction
 from functools import lru_cache
 
@@ -10,11 +11,12 @@ import pytest
 from conftest import admissible_roots
 from mpmath import mp
 
+import heunlab.proofs as proofs
 from heunlab import (CASE1, CASE2, CASE3, CASE4, DegreeMismatch, DomainError,
-                     H_LABELS, HeunParams, InputError, InvalidParams,
+                     H_LABELS, HeunParams, Hyp2F1Params, InputError, InvalidParams,
                      NotFoundWithin, RationalFnInN, RecurrenceSystem,
                      boundary_radius, classify_case, eta_z, find_proof_constants,
-                     heun_recurrence, limit_profile, minorant_partial,
+                     heun_recurrence, hyp2f1_series, limit_profile, minorant_partial,
                      poly_from, series_limits, verify_proof_constants,
                      z_power_tail)
 from heunlab.instances import render_value
@@ -370,6 +372,50 @@ def test_minorant_divergent_regime_reported(sample_limits):
     assert float(rep.w) == pytest.approx(81.73111990733928, rel=1e-12)
     assert rep.value_closed is None
     assert rep.j_sum > mp.mpf("1e100")
+
+
+# limits (3/2, 1) give r* = 1/2 and w = 1 at eps = 1/3; w falls below 1 by
+# about 6 (eps - 1/3) just above it
+NEAR_ONE_LIMITS = (F(3, 2), F(1))
+
+
+def test_minorant_skips_a_closed_route_that_cannot_converge():
+    # w = 1 - about 10^-90: summing both Gauss series to their 10^6-term cap
+    # at 256 bits took minutes, and they stopped unconverged
+    start = time.process_time()
+    rep = minorant_partial(301, 3, NEAR_ONE_LIMITS, eps=F(1, 3) + F(1, 2 ** 300), m=1)
+    assert time.process_time() - start < 1.0
+    assert rep.regime == "summable" and rep.w < 1
+    assert rep.value_closed is None
+
+
+def test_minorant_closed_route_skip_is_conservative(monkeypatch):
+    # under a 3000-term cap: a skipped cross-check would not have converged,
+    # checked by summing the two series it skipped.  At eps = 1/3 + 1/212
+    # x^3000 is just above e tol, so it is skipped; 1/210 is just below and
+    # summed, and fails; 1/200 converges
+    monkeypatch.setattr(proofs, "_CLOSED_ROUTE_TERMS", 3000)
+    summed = []
+
+    def series(*args):
+        summed.append(args)
+        return hyp2f1_series(*args)
+
+    monkeypatch.setattr(proofs, "hyp2f1_series", series)
+    skipped = 0
+    for delta in (F(1, 1000), F(1, 212), F(1, 210), F(1, 200), F(1, 50)):
+        summed.clear()
+        rep = minorant_partial(301, 3, NEAR_ONE_LIMITS, eps=F(1, 3) + delta, m=1)
+        assert rep.regime == "summable"
+        if summed:
+            continue
+        skipped += 1
+        c0 = 1 + 301 + 2
+        converged = [hyp2f1_series(Hyp2F1Params(1, mp.mpf(c) / 2, mp.mpf(c - 3) / 2),
+                                   rep.w * rep.w, mp.mpf(2) ** (8 - DEFAULT_PRECISION),
+                                   3000, DEFAULT_PRECISION)[1] for c in (c0, c0 + 1)]
+        assert not all(converged), delta
+    assert skipped == 2
 
 
 def test_minorant_regime_is_decided_exactly():
