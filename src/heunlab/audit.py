@@ -9,10 +9,10 @@ serialized with sorted keys.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from mpmath import mp
+from mpmath.libmp import fone, fzero, mpf_add, mpf_mul, round_nearest, to_float
 
 from ._version import __version__
 from .convergence import boundary_radius, eta_z, radius_bracketed
@@ -33,13 +33,6 @@ DOMINATION_EXACT_CAP = 5000  # exact streams beyond this get the floating tier
 # the a=2 sample a whole proof-audit peaks at 34 MB at depth 100, then at 38,
 # 47 and 65 MB at depths 200, 300 and 400 (ru_maxrss of one process)
 AUDIT_DEPTH_CAP = 256
-
-
-def _safe_float(x) -> float:
-    try:
-        return float(x)
-    except (OverflowError, ValueError):
-        return math.inf if x > 0 else -math.inf
 
 
 def _exact_terms(system, count: int, start: int, prec: int):
@@ -171,23 +164,24 @@ def run_system_audit(system, limits, *, root_echo=None, eps=Fraction(1, 100),
             p *= r_closed
         regroup_diff = mp.fabs(grouped - direct)
 
+    # on raw mpf values, each step rounded to nearest at prec as mpf
+    # arithmetic would; to_float saturates to +-inf
     trace_rows = []
-    with mp.workprec(prec):
-        rs = r_closed
-        partial = mp.mpf(0)
-        p = mp.mpf(1)
-        for n, mv in enumerate(terms):
-            term = mv * p
-            partial += term
-            trace_rows.append((
-                n,
-                _safe_float(mv),
-                0.0,
-                log_abs(mv),
-                _safe_float(term),
-                _safe_float(partial),
-            ))
-            p *= rs
+    rs, rnd = r_closed._mpf_, round_nearest
+    partial, p = fzero, fone
+    for n, mv in enumerate(terms):
+        v = mv._mpf_
+        term = mpf_mul(v, p, prec, rnd)
+        partial = mpf_add(partial, term, prec, rnd)
+        trace_rows.append((
+            n,
+            to_float(v, rnd=rnd),
+            0.0,
+            log_abs(mv),
+            to_float(term, rnd=rnd),
+            to_float(partial, rnd=rnd),
+        ))
+        p = mpf_mul(p, rs, prec, rnd)
 
     verdicts = {
         "constants_verified": bool(constants.verified and reverify.ok),

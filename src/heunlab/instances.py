@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -174,9 +175,28 @@ def build_document(command: str, echo: dict, outputs: dict, precision,
     }
 
 
+def _finite_json(x):
+    """x with every non-finite float spelled as the CSV spells it."""
+    if isinstance(x, float) and not math.isfinite(x):
+        return repr(float(x))  # 'inf', '-inf' or 'nan'
+    if isinstance(x, dict):
+        return {k: _finite_json(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_finite_json(v) for v in x]
+    return x
+
+
 def document_bytes(document: dict) -> bytes:
-    """Canonical serialization: sorted keys, two-space indent, final newline."""
-    return (json.dumps(document, sort_keys=True, indent=2) + "\n").encode("utf-8")
+    """Canonical serialization: sorted keys, two-space indent, final newline.
+
+    Strict JSON (RFC 8259): a non-finite float is written as the string
+    "inf", "-inf" or "nan", since the NaN and Infinity tokens are not JSON.
+    """
+    try:
+        text = json.dumps(document, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        text = json.dumps(_finite_json(document), sort_keys=True, indent=2, allow_nan=False)
+    return (text + "\n").encode("utf-8")
 
 
 def _cell(v) -> str:

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp
+from mpmath.libmp import (from_int, fzero, mpf_add, mpf_div, mpf_mul, mpf_mul_int,
+                          mpf_pos, mpf_sqrt, round_nearest)
 
 from .convergence import boundary_radius, eta_z, exact_membership_sum
 from .errors import (DegreeMismatch, DomainError, InputError, InvalidParams,
@@ -280,14 +282,18 @@ def z_power_tail(z, h2: int, m: int, k_max: int, prec: int = DEFAULT_PRECISION):
         guard = prec + 32
         with mp.workprec(guard):
             zk = zv ** m
-        total = mp.mpf(0)
+        # on raw mpf values, each step rounded to nearest as mpf arithmetic
+        # would: sqrt(k) at prec, then times the integer k^(h2 // 2)
+        zk, zt, rnd, total = zk._mpf_, zv._mpf_, round_nearest, fzero
         for k in range(m, k_max + 1):
-            den = k ** half * mp.sqrt(k) if odd else k ** half
-            new = total + (+zk) / den
+            den = (mpf_mul_int(mpf_sqrt(from_int(k), prec, rnd), k ** half, prec, rnd)
+                   if odd else from_int(k ** half))
+            new = mpf_add(total, mpf_div(mpf_pos(zk, prec, rnd), den, prec, rnd), prec, rnd)
             if new == total:
                 break
             total = new
-            zk = mp.fmul(zk, zv, prec=guard)
+            zk = mpf_mul(zk, zt, guard, rnd)
+        total = mp.make_mpf(total)
         rem = zv ** (k_max + 1) / ((1 - zv) * mp.mpf(k_max + 1) ** (mp.mpf(h2) / 2))
         return total, rem
 
@@ -364,26 +370,28 @@ def minorant_partial(N: int, h2: int, limits, eps=Fraction(1, 100), m: int = 2,
             )
         c0 = 1 + N + 2 * m
         lg = mp.loggamma
-        log_w = mp.log(w)
-        terms = []
+        # g_i = Gamma((c0 + i)/2) / Gamma((c0 - h2 + i)/2); the j-th term is
+        # g_j w^j, and g_{j+2} = g_j (c0 + j) / (c0 - h2 + j)
+        g0 = mp.exp(lg(mp.mpf(c0) / 2) - lg(mp.mpf(c0 - h2) / 2))
+        g1 = mp.exp(lg(mp.mpf(c0 + 1) / 2) - lg(mp.mpf(c0 + 1 - h2) / 2))
+        w2 = w * w
+        terms = [g1 * w, g0 * w2 * c0 / (c0 - h2)]
+        for j in range(1, j_max - 1):
+            terms.append(terms[j - 1] * w2 * (c0 + j) / (c0 - h2 + j))
         j_sum = mp.mpf(0)
-        for j in range(1, j_max + 1):
-            t = mp.exp(lg(mp.mpf(c0 + j) / 2) - lg(mp.mpf(c0 - h2 + j) / 2) + j * log_w)
+        for t in terms:
             j_sum += t
-            terms.append(t)
         growing = bool(terms[-1] > terms[len(terms) // 2])
         z_tail, z_rem = z_power_tail(z_v, h2, m, k_max, prec)
         prefactor = (1 - K_v) * eps_v / 2
         value = prefactor * j_sum * z_tail
         value_closed = None
-        x, tol, cap = w * w, mp.mpf(2) ** (8 - prec), _CLOSED_ROUTE_TERMS
+        x, tol, cap = w2, mp.mpf(2) ** (8 - prec), _CLOSED_ROUTE_TERMS
         # with h2 >= 0 the k-th term of each 2F1(1, b; b - h2/2; x) is at
         # least x^k, so when x^cap > e tol (e covers the sums' rounding)
         # neither can reach tol within cap terms: the capped sums would
         # drop the cross-check anyway
         if not divergent and (h2 < 0 or cap * mp.log(x) <= mp.log(tol) + 1):
-            g0 = mp.exp(lg(mp.mpf(c0) / 2) - lg(mp.mpf(c0 - h2) / 2))
-            g1 = mp.exp(lg(mp.mpf(c0 + 1) / 2) - lg(mp.mpf(c0 + 1 - h2) / 2))
             f1, ok1 = hyp2f1_series(
                 Hyp2F1Params(1, mp.mpf(c0) / 2, mp.mpf(c0 - h2) / 2), x, tol, cap, prec)
             f2, ok2 = hyp2f1_series(

@@ -137,10 +137,29 @@ def _exact_mpf(n: int):
 def rational_to_mp(num: int, den: int, prec: int = DEFAULT_PRECISION):
     """num / den (den > 0) correctly rounded to nearest at prec bits.
 
-    One division of the exact integers with a sticky bit, so no gcd is
-    needed and wide operands are not rounded first.  as_mp, the mp stepper
-    and the audit trace all round exact values here.
+    When both operands are wider than prec + 96 bits, their top prec + 64
+    bits are divided as integers first.  That quotient lies within 4 units
+    of the exact quotient at the same scale, so unless it is within 4 units
+    of a half-ulp its top prec bits round as the exact value does (Ziv's
+    rounding test).  Otherwise, and for narrower operands, one division of
+    the exact integers with a sticky bit decides.  Either way no gcd is
+    needed, and the result is p/q rounded once, not a quotient of rounded
+    p and q.  as_mp, the mp stepper and the audit all round exact values
+    here.
     """
+    keep = prec + 64
+    cut_num, cut_den = num.bit_length() - keep, den.bit_length() - keep
+    if cut_num > 32 and cut_den > 32:
+        # with n = |num| 2^-cut_num and d = den 2^-cut_den, both of keep
+        # bits: quot - n 2^keep / d lies in (-3, 4)
+        quot = ((abs(num) >> cut_num) << keep) // (den >> cut_den)
+        extra = quot.bit_length() - prec
+        half = 1 << (extra - 1)
+        low = quot & (2 * half - 1)
+        if abs(low - half) > 4:
+            man = (quot >> extra) + (low > half)
+            return mp.make_mpf(from_man_exp(-man if num < 0 else man,
+                                            cut_num - cut_den - keep + extra))
     return mp.make_mpf(mpf_div(_exact_mpf(num), _exact_mpf(den), prec, round_nearest))
 
 

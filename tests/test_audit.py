@@ -219,6 +219,63 @@ GOLDEN_AUDITS = {
         "c7669a9ce6f93ed2b6c4d568b1fa367d4421a4a4b6e49c119d1a7fe40b9c044b",
         "fb8c5f87ba2adc037bb8972763540e7cdde8f26d74564c20e369932fb40cb9e8",
     ),
+    # recorded at 0.3.0, before the audit's floating work moved onto raw mpf
+    # values: both exponents, even and odd h2, both minorant regimes
+    "even_root0": (  # h2 = 2
+        '{"heun": {"a": "-3", "q": "1", "alpha": "3/5", "beta": "3/2", '
+        '"gamma": "3/4", "delta": "-1/4", "lambda": "0"}}',
+        "9ee8c7b491cb38c86e261b55b2dd67b8a949aab34923b8a9beb52f4534be3578",
+        "fe5ba21b2263cd052a3c38424590486b4f031ce3740b55af43e44b2e30b4af82",
+    ),
+    "even_root1": (  # h2 = 2
+        '{"heun": {"a": "-3", "q": "1", "alpha": "3/5", "beta": "3/2", '
+        '"gamma": "3/4", "delta": "-1/4", "lambda": "1/4"}}',
+        "143d6a05c8be955fc73aa0ce677931dd6ca67c8ccde582a3036bc0bcff05024f",
+        "c1b8ce6bcd1ef4b2a483bbbe43871e344163ad7524a13a8cbdbd438430ab3970",
+    ),
+    "h4_root1": (
+        '{"heun": {"a": "3", "q": "1/2", "alpha": "-3/5", "beta": "-2/5", '
+        '"gamma": "-1/5", "delta": "-1/3", "lambda": "6/5"}}',
+        "fc716ab3262fb2914619f9b1e3add07837ebee0046cf5b67e35290688ff0b2a1",
+        "bf24a8cd66461bf1ecbcf0eec655ae467d0a389836adaf52a7072979f5aeacd1",
+    ),
+    "odd_root1": (  # h2 = 3
+        '{"heun": {"a": "-2", "q": "-6/5", "alpha": "1/2", "beta": "-1/4", '
+        '"gamma": "-3/4", "delta": "1", "lambda": "7/4"}}',
+        "d2c4bd67653a3cbe32c75aa618340d8b60299d8e90a2643b89c798cb2ab782a5",
+        "97f49d8dac49eedbdff7db1af5d37b673373c5ac414759197b8fae35e2b5ad37",
+    ),
+    "h5_root0": (
+        '{"heun": {"a": "4", "q": "-3/8", "alpha": "0", "beta": "-6/5", '
+        '"gamma": "1/4", "delta": "2/5", "lambda": "0"}}',
+        "cbb365a5b8f249d3ce70dfcd273ca23f36795b14323f1d4c691ad3fa93a7162d",
+        "93d466056880362420d933ecf8f50fe625d8d97e91c57bda584a6633f2b43525",
+    ),
+    "h7_root1": (
+        '{"heun": {"a": "1/2", "q": "-3/4", "alpha": "-2/3", "beta": "-3/2", '
+        '"gamma": "5/4", "delta": "1/4", "lambda": "-1/4"}}',
+        "f3bb37b3552ddcdcc7247e54312a7c21055e8a13b482b4b21b342847835239b9",
+        "8cbefe4439733cc24fd86e9fa488d534d9bcd8624e0361df16c0384d84e25a5b",
+    ),
+    "summable_even": (  # h2 = 2, with a closed-route value
+        '{"heun": {"a": "7/3", "q": "1/4", "alpha": "-1/2", "beta": "1/3", '
+        '"gamma": "-5/4", "delta": "5/6", "lambda": "9/4"}, "analysis": {"eps": "1/3"}}',
+        "3a1f4d540edf9529271f0c0a908139c57f19f0b66a19cd5c0516ebde57f5f3fc",
+        "d66818229f1b3bd7b9d1b7df5f2760a703997d14d438db9687db19b9127d68b2",
+    ),
+    "summable_odd": (  # h2 = 3, with a closed-route value
+        '{"heun": {"a": "-5/2", "q": "6/5", "alpha": "3/8", "beta": "-5/8", '
+        '"gamma": "-2/5", "delta": "1/4", "lambda": "0"}, "analysis": {"eps": "1/2"}}',
+        "ecc1721c15158668e9f9f6f9a59720a04b0b642dbe88795445f4ea8d31b09d35",
+        "620d6911cd1f2ba43ccd084e5ad1c9215019534c7e7ace4b53377a8664d27233",
+    ),
+    # its domination window holds ~10^5-bit integers
+    "wide": (
+        '{"heun": {"a": "21/11", "q": "2", "alpha": "-33/7' + "0" * 81 + '", "beta": "0", '
+        '"gamma": "1/1875' + "0" * 80 + '", "delta": "1", "lambda": "0"}}',
+        "fa1cb7511817fc6d5dfda63dd0142a165fac451626051f6141740a85bfce517b",
+        "2e03d7aa21451b07f643385f05c23ba664db166ccea0a721229eecdbe7245fee",
+    ),
 }
 
 

@@ -287,6 +287,23 @@ def test_gauss_parameter_past_float64_exits_3(args, capsys):
     assert "gauss parameter does not fit in float64" in err and "Traceback" not in err
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not a JSON value")
+
+
+def test_gauss_document_with_non_finite_values_is_strict_json(capsys, tmp_path):
+    # the terms overflow float64: the sums are infinite, the gaps and fit nan
+    out_dir = tmp_path / "g"
+    code, out, err = run(capsys, ["gauss", "1e308", "1e308", "1", "--n-max", "4096",
+                                  "--out", str(out_dir)])
+    assert code == 0, err
+    assert out == (out_dir / "gauss.json").read_text()
+    outputs = json.loads(out, parse_constant=_reject_constant)["outputs"]
+    assert outputs["checkpoints"][-1] == [4096, "inf"]
+    assert (outputs["s"], outputs["fitted_exponent"]) == ("-inf", "nan")
+    assert outputs["verdict"] == "DIVERGENT"
+
+
 def test_proof_audit_heun(a2_file, capsys):
     doc = run_doc(capsys, ["proof-audit", str(a2_file), "--n-check", "5000"])
     assert doc["command"] == "proof-audit"

@@ -1,7 +1,10 @@
-"""Every top-level import of a package module is read somewhere in it."""
+"""Every top-level import of a package module is read somewhere in it, and raw
+mpf arithmetic (mpmath.libmp) stays in the modules allowed to use it."""
 
 import ast
 from pathlib import Path
+
+import pytest
 
 import heunlab
 
@@ -34,3 +37,40 @@ def test_package_modules_read_every_import():
     assert len(modules) >= 10
     found = {p.name: unused_imports(p.read_text()) for p in modules}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+# the modules whose hot loops work on raw mpf tuples; everything else uses mpf
+LIBMP_MODULES = {"audit.py", "proofs.py", "scalars.py"}
+
+
+def imports_libmp(source: str) -> bool:
+    """Whether the module imports mpmath.libmp or reads it as an attribute."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            if node.module.split(".")[:2] == ["mpmath", "libmp"]:
+                return True
+            if node.module == "mpmath" and any(a.name == "libmp" for a in node.names):
+                return True
+        if isinstance(node, ast.Import) and any(
+                a.name.split(".")[:2] == ["mpmath", "libmp"] for a in node.names):
+            return True
+        if isinstance(node, ast.Attribute) and node.attr == "libmp":
+            return True
+    return False
+
+
+@pytest.mark.parametrize("source, found", [
+    ("from mpmath.libmp import mpf_add\n", True),
+    ("from mpmath.libmp.libmpf import to_float\n", True),
+    ("from mpmath import libmp, mp\n", True),
+    ("import mpmath.libmp as raw\n", True),
+    ("import mpmath\nmpmath.libmp.fzero\n", True),
+    ("from mpmath import mp\nimport mpmath\n", False),
+])
+def test_libmp_imports_are_found(source, found):
+    assert imports_libmp(source) is found
+
+
+def test_only_allowed_modules_import_libmp():
+    users = {p.name for p in PACKAGE.glob("*.py") if imports_libmp(p.read_text())}
+    assert users == LIBMP_MODULES

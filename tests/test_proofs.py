@@ -329,6 +329,34 @@ def test_z_power_tail_matches_per_term_loop(z, h2):
             assert rem == ref_rem, case
 
 
+def _mpf_object_tail(z, h2, m, k_max, prec=DEFAULT_PRECISION):
+    """z_power_tail's sum by the same steps on mpf objects at working precision."""
+    with mp.workprec(prec):
+        zv = as_mp(z, prec)
+        half, odd = divmod(h2, 2)
+        with mp.workprec(prec + 32):
+            zk = zv ** m
+        total = mp.mpf(0)
+        for k in range(m, k_max + 1):
+            den = k ** half * mp.sqrt(k) if odd else k ** half
+            new = total + (+zk) / den
+            if new == total:
+                break
+            total = new
+            zk = mp.fmul(zk, zv, prec=prec + 32)
+        return total
+
+
+@pytest.mark.parametrize("z", PARITY_Z, ids=str)
+@pytest.mark.parametrize("h2", (1, 2, 3, 4, 5))
+def test_z_power_tail_is_the_mpf_object_loop_bit_for_bit(z, h2):
+    for prec in (53, DEFAULT_PRECISION):
+        for m in (1, 2):
+            for k_max in (m, 50, 4096):
+                total, _ = z_power_tail(z, h2, m, k_max, prec)
+                assert total._mpf_ == _mpf_object_tail(z, h2, m, k_max, prec)._mpf_, (prec, m, k_max)
+
+
 def test_z_power_tail_parity_covers_both_stops():
     # past its last moving term the loop may stop; near z = 1 every term counts
     assert _reference_tails(F(1, 2), 3, 2)[4096][1] < 4096
@@ -435,6 +463,43 @@ def test_minorant_regime_matches_the_sample(sample_limits):
         rep = minorant_partial(301, 3, sample_limits, eps=eps, m=1, allow_divergent=True)
         assert rep.regime == regime
         assert rep.regime_strict == (regime == "divergent")
+
+
+def _loggamma_j_series(N, h2, m, w, j_max=64, prec=DEFAULT_PRECISION):
+    """(J, growing) with each term exp(loggamma - loggamma + j log w) on its own."""
+    with mp.workprec(prec):
+        c0, lg, log_w = 1 + N + 2 * m, mp.loggamma, mp.log(w)
+        terms = [mp.exp(lg(mp.mpf(c0 + j) / 2) - lg(mp.mpf(c0 - h2 + j) / 2) + j * log_w)
+                 for j in range(1, j_max + 1)]
+        total = mp.mpf(0)
+        for t in terms:
+            total += t
+        return total, bool(terms[-1] > terms[len(terms) // 2])
+
+
+# (limits, eps, regime): w from about 0.4 to 80, and just below 1
+J_GRID = (
+    ((F(3, 2), F(-1, 2)), F(1, 2), "summable"),
+    ((F(3, 2), F(-1, 2)), F(1, 100), "divergent"),
+    (NEAR_ONE_LIMITS, F(1, 3) + F(1, 50), "summable"),
+    (NEAR_ONE_LIMITS, F(1, 5), "divergent"),
+)
+
+
+@pytest.mark.parametrize("limits, eps, regime", J_GRID,
+                         ids=["a2-summable", "a2-divergent", "near-one-summable", "w-1.8"])
+@pytest.mark.parametrize("N", (8, 41, 301, 2001))
+def test_minorant_j_series_steps_match_the_loggamma_terms(limits, eps, regime, N):
+    # the stepped Gamma ratios against terms each from its own loggamma pair;
+    # past N ~ 10^4 both lose bits to loggamma's absolute error
+    for h2 in (0, 1, 2, 3, 4, 5, 7):
+        for m in (1, 2):
+            rep = minorant_partial(N, h2, limits, eps=eps, m=m, allow_divergent=True)
+            assert rep.regime == regime
+            ref, growing = _loggamma_j_series(N, h2, m, rep.w)
+            with mp.workprec(DEFAULT_PRECISION):
+                assert mp.fabs(rep.j_sum - ref) <= mp.ldexp(ref, -240), (h2, m)
+            assert rep.growing == growing, (h2, m)
 
 
 def test_minorant_guards(sample_limits):

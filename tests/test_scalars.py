@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 from mpmath import mp
+from mpmath.libmp import mpf_div
 
 from heunlab import (DEFAULT_PRECISION, InputError, as_mp, fmt_scalar,
                      is_exact, parse_number, parse_point, parse_precision,
                      precision_from_env, to_scalar)
+from heunlab import scalars
 from heunlab.scalars import ENV_PRECISION, log_abs, rational_to_mp, scalar_abs
 
 
@@ -114,17 +116,56 @@ def tie_cases(prec):
             yield -(tie * TIE_Q + 2 * side) * 5 ** 40, 2 * TIE_Q * 2 ** 90
 
 
+def wide_cases(prec):
+    """(num, den) both wider than prec + 96 bits.
+
+    Generic quotients, and quotients at tie / 2 + s 2^-64 for a prec + 1 bit
+    odd tie: with s near 0 they sit within a unit of the half boundary of the
+    top prec + 64 bits' quotient, and with |s| up to 9 just outside it.
+    """
+    wide = 7 ** (prec // 2 + 60)  # 1.4 prec + 168 bits
+    for num in (11 ** (prec // 2 + 80), -(13 ** (prec + 40)), 2 ** (prec + 200) - 1):
+        yield num, wide
+        yield num, wide * 3 ** 90 + 1
+    for mant in (2 ** (prec - 1) + 4, 2 ** (prec - 1) + 5):
+        tie = 2 * mant + 1
+        for s in (-9, -5, -4, -3, -1, 0, 1, 3, 4, 5, 9):
+            yield (tie * 2 ** 63 + s) * wide, 2 ** 64 * wide
+            yield -(tie * 2 ** 63 + s) * wide * 5, 2 ** 64 * wide * 5
+        yield tie * wide + 1, 2 * wide  # within 1/(2 wide) of the tie
+    # den's dropped bits all ones and num's all zero: the top bits' quotient
+    # lies 2 units above this value, which is just below a tie
+    den = (((1 << (prec + 63)) + 1) << 40) | ((1 << 40) - 1)
+    yield (((((2 ** (prec + 1) - 1) * den) << 59 >> 40) - 1) << 40), den
+
+
 @pytest.mark.parametrize("prec", [12, 53, 256])
-def test_rational_to_mp_rounds_correctly(prec):
+def test_rational_to_mp_rounds_correctly(prec, monkeypatch):
+    divisions = []
+
+    def counting(*args):
+        divisions.append(args)
+        return mpf_div(*args)
+
+    monkeypatch.setattr(scalars, "mpf_div", counting)
     cases = [(0, 1), (0, 7 ** 50), (1, 3), (-2, 3), (-10 ** 400, 7), (10 ** 400, 3 ** 500),
              (5 ** 300, 2 ** 1000 * 3 ** 700), (-(2 ** 700) * 3, 2 ** 350),
-             *tie_cases(prec)]
+             *tie_cases(prec), *wide_cases(prec)]
+    wide_exact = []
     for num, den in cases:
+        before = len(divisions)
         got = rational_to_mp(num, den, prec)
         assert got == nearest(num, den, prec), (num, den)
         assert got._mpf_[3] <= prec
+        exact = len(divisions) > before
+        if min(num.bit_length(), den.bit_length()) > prec + 96:
+            wide_exact.append(exact)
+        else:
+            assert exact, (num, den)
         # as_mp rounds a Fraction by the same rule, not p and q separately
         assert as_mp(Fraction(num, den), prec) == got, (num, den)
+    # wide operands take the top-bits quotient, and near a tie the exact division
+    assert any(wide_exact) and not all(wide_exact)
 
 
 def test_scalar_abs_stays_in_tier():
