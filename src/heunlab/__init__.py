@@ -34,9 +34,9 @@ from .proofs import (CASE1, CASE2, CASE3, CASE4, H_LABELS, classify_case,
 from .rearrange import (grouped_partial_sum, path_table,
                         path_table_enumerate, row_series_coefficients,
                         table_matches_stream)
-from .recurrence import (RecurrenceSystem, dominating_series_check,
-                         limit_profile, modulus_stream, modulus_system,
-                         recurrence_residuals, stream_coefficients)
+from .recurrence import (RecurrenceSystem, limit_profile, modulus_stream,
+                         modulus_system, recurrence_residuals,
+                         stream_coefficients)
 from .scalars import (DEFAULT_PRECISION, as_mp, fmt_scalar, is_exact,
                       parse_number, parse_point, parse_precision,
                       precision_from_env, to_scalar)
@@ -63,9 +63,8 @@ __all__ = [
     "z_power_tail",
     "grouped_partial_sum", "path_table", "path_table_enumerate",
     "row_series_coefficients", "table_matches_stream",
-    "RecurrenceSystem", "dominating_series_check", "limit_profile",
-    "modulus_stream", "modulus_system", "recurrence_residuals",
-    "stream_coefficients",
+    "RecurrenceSystem", "limit_profile", "modulus_stream", "modulus_system",
+    "recurrence_residuals", "stream_coefficients",
     "DEFAULT_PRECISION", "as_mp", "fmt_scalar", "is_exact", "parse_number",
     "parse_point", "parse_precision", "precision_from_env", "to_scalar",
     "Hyp2F1Params", "hyp2f1_series", "min_index_for_ratio_bound",

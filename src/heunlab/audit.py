@@ -23,46 +23,41 @@ from .proofs import (find_proof_constants, minorant_partial,
                      verify_proof_constants)
 from .rearrange import (grouped_partial_sum, path_table, path_table_enumerate,
                         table_matches_stream)
-from .recurrence import (dominating_series_check, domination_bounds, domination_verdict,
-                         iter_cleared, modulus_system, stream_coefficients)
+from .recurrence import (domination_bounds, domination_verdict, iter_cleared,
+                         modulus_system, stream_coefficients)
 from .scalars import is_exact, log_abs, rational_to_mp, scalar_abs
 from .special import min_index_for_ratio_bound, pochhammer_ratio_lower_bound
 
-DOMINATION_EXACT_CAP = 5000  # exact streams beyond this get the floating tier
+# the trace's terms d_0 .. d_{N+M} come from the exact pass when N + M is at
+# most this and from the stream at the precision beyond it: over 30 audit-pool
+# audits the exact pass took 114 ms against 298 ms for the 256-bit stream, but
+# its integers grow with the index: 5001 terms of the wide-rational instance
+# took 29 s exact against 0.14 s at 256 bits (process time, 2-core x86)
+EXACT_TRACE_CAP = 5000
 # the audit's path table holds (M+1)^2 integers whose size grows with M: on
 # the a=2 sample a whole proof-audit peaks at 34 MB at depth 100, then at 38,
 # 47 and 65 MB at depths 200, 300 and 400 (ru_maxrss of one process)
 AUDIT_DEPTH_CAP = 256
 
 
-def _exact_terms(system, count: int, start: int, prec: int):
-    """d_0 .. d_{count-1} each correctly rounded to prec bits, and the window
-    d_start .. d_{count-1} unreduced, with the denominator it shares.
-
-    One pass of the integer stepper: d_n = P_n / Q_n with Q_n = Q_{n-1} g_n.
-    The window holds (P_n, g_{start+1} .. g_n) for n >= start, so that
-    d_n = P_n / (g_{start+1} .. g_n Q_start); it returns Q_start too.
-    """
-    terms, window, q, rel = [], [], 1, 1
-    for n, (p, g) in zip(range(count), iter_cleared(system)):
+def _exact_terms(system, count: int, prec: int):
+    """d_0 .. d_{count-1} each correctly rounded to prec bits, from one pass
+    of the integer stepper: d_n = P_n / Q_n with Q_n = Q_{n-1} g_n."""
+    terms, q = [], 1
+    for _, (p, g) in zip(range(count), iter_cleared(system)):
         q *= g
         terms.append(rational_to_mp(p, q, prec))
-        if n > start:
-            rel *= g
-        elif n == start:
-            shared = q
-        if n >= start:
-            window.append((p, rel))
-    return terms, window, shared
+    return terms
 
 
 def run_proof_audit(params: HeunParams, root=0, **options):
     """Audit one Heun instance; returns (document, trace_rows).
 
     The options and their defaults are run_system_audit's.  trace_rows
-    carry (n, value_re, value_im, log_mag, term_at_r, partial_sum) for the
-    coefficient stream used by the domination stage, evaluated at the
-    boundary radius.
+    carry (n, value_re, value_im, log_mag, term_at_r, partial_sum) for
+    d_0 .. d_{N+M}, evaluated at the boundary radius: each term correctly
+    rounded from its exact value while N + M <= EXACT_TRACE_CAP, from the
+    stream at the precision beyond it.
     """
     if not (params.is_exact() and is_exact(root)):
         raise InputError("the audit needs rational parameters; its certificates are exact")
@@ -132,17 +127,11 @@ def run_system_audit(system, limits, *, root_echo=None, eps=Fraction(1, 100),
         mino_doc = {"error": str(exc)}
         minorant_divergent = False
 
-    dom_prec = "exact" if constants.N + M <= DOMINATION_EXACT_CAP else prec
-    if dom_prec == "exact":
-        terms, window, shared = _exact_terms(system, constants.N + M + 1, constants.N - 1, prec)
-        dom_holds, least, least_den = domination_verdict(
-            domination_bounds(system, window, constants.N, M))
-        dom_min_margin = rational_to_mp(least, least_den * shared, prec)  # rounded once
+    if constants.N + M <= EXACT_TRACE_CAP:
+        terms = _exact_terms(system, constants.N + M + 1, prec)
     else:
-        stream = stream_coefficients(system, constants.N + M + 1, prec)
-        terms = stream.values
-        dom = dominating_series_check(system, stream, constants.N, M)
-        dom_holds, dom_min_margin = dom.holds, min(dom.margins)
+        terms = stream_coefficients(system, constants.N + M + 1, prec).values
+    dom_holds, least, least_den = domination_verdict(domination_bounds(system, constants.N, M))
 
     mod_at_N = modulus_system(system, constants.N)
     tbl = path_table(mod_at_N, M)
@@ -239,8 +228,8 @@ def run_system_audit(system, limits, *, root_echo=None, eps=Fraction(1, 100),
         "minorant": mino_doc,
         "domination": {
             "N": constants.N, "M": M, "holds": dom_holds,
-            "precision": dom_prec if dom_prec == "exact" else int(dom_prec),
-            "min_margin": _num(dom_min_margin, prec),
+            "precision": "exact",
+            "min_margin": _num(rational_to_mp(least, least_den, prec), prec),
         },
         "rearrangement": {
             "depth": M,

@@ -7,7 +7,10 @@ reproduces the usual seeding (d_1 = alpha_1(0) d_0, and so on).
 
 The module also builds the modulus-majorant sequences: replace every
 coefficient by its absolute value evaluated from a base offset upward.  Those
-majorants drive the domination bound used by the boundary analysis.
+majorants drive the domination bound used by the boundary analysis, which
+domination_bounds decides at any N without the solution's values: it bounds
+the coefficients of d_{N+j} on d_N and d_{N-1} by the majorants (the
+majorant lemma), so the bound holds for every solution.
 
 An exact system's lags are read through one evaluator, cached on it:
 alpha_i(n) = A_i(n) / G(n) with integer polynomials A_i over one shared
@@ -18,10 +21,9 @@ sequence, the solution d_n or a majorant:
   running product of step divisors, with no gcd.  Exact streams
   (stream_coefficients, modulus_stream) reduce each value to a Fraction;
   heun_eval's exact sum reduces once at the end (heun._sum_exact); the
-  audit rounds every term once, correctly, from the integer pair and
-  decides its domination bound on the unreduced pairs
-  (domination_bounds); the audit's path tables (rearrange) hold unreduced
-  integers over the same divisors.
+  audit rounds every term once, correctly, from the integer pair;
+  domination_bounds steps the lemma's coefficients and the audit's path
+  tables (rearrange) hold unreduced integers over the same divisors.
 - iter_values steps at a bit count.  Exact systems round each lag value
   once, correctly, from its cleared integer pair (scalars.rational_to_mp,
   the rule as_mp applies to a Fraction); systems with floating
@@ -52,8 +54,7 @@ from functools import cached_property
 
 from mpmath import mp
 
-from .errors import (DegreeMismatch, IndicialPole, InputError, InsufficientData,
-                     InvalidParams)
+from .errors import DegreeMismatch, IndicialPole, InputError, InvalidParams
 from .polynomials import PolynomialInN, RationalFnInN, exact_div
 from .scalars import (as_mp, is_exact, log_abs, parse_precision, rational_to_mp,
                       scalar_abs)
@@ -309,51 +310,45 @@ def modulus_stream(mod: ModulusRecurrence, count: int,
     return _stream(mod.base, count, precision, mod.offset)
 
 
-@dataclass(frozen=True)
-class DominationReport:
-    """Margins of |d_{N+j}| <= cbar_j |d_N| + chat_{j-1} |B_N| |d_{N-1}|, j = 0..M."""
+def domination_bounds(system: RecurrenceSystem, N: int, M: int) -> tuple:
+    """The majorant lemma's 2(M + 1) inequalities at N, each on integers.
 
-    N: int
-    M: int
-    lhs: tuple
-    rhs: tuple
-    margins: tuple  # rhs - lhs, nonnegative when the bound holds
-    holds: bool
-
-
-def domination_bounds(system: RecurrenceSystem, pairs, N: int, M: int) -> tuple:
-    """The domination bound's M + 1 inequalities, each on integers.
-
-    pairs[i] = (P, D) with D > 0 holds d_{N-1+i} = P / (D s) for i = 0 ..
-    M + 1, where s > 0 is any factor common to every term: the bound is
-    homogeneous in d, so s changes no verdict.  cbar_j = C_j / Qc_j and
-    chat_j = H_j / Qh_j come unreduced from iter_cleared at offsets N and
-    N + 1, |alpha_2(N)| = |A_2| / G from cleared_at.  Returns one (lhs, rhs,
-    den) per j with |d_{N+j}| = lhs / (den s) and
-    cbar_j |d_N| + chat_{j-1} |alpha_2(N)| |d_{N-1}| = rhs / (den s): the
-    j-th bound is rhs >= lhs, cross-multiplied, with no gcd.
+    Any solution of a three-term system has d_{N+j} = u_j d_N + v_j d_{N-1},
+    with u, v stepped by the recurrence from (u_{-1}, u_0) = (0, 1) and
+    (v_{-1}, v_0) = (1, 0).  The triangle inequality bounds them by the
+    majorants, |u_j| <= cbar_j and |v_j| <= |alpha_2(N)| chat_{j-1}
+    (chat_{-1} = 0), and together they give the domination bound
+    |d_{N+j}| <= cbar_j |d_N| + chat_{j-1} |alpha_2(N)| |d_{N-1}| for every
+    pair of start values.  U_j, V_j step like iter_cleared over
+    Q_j = G(N) .. G(N+j-1); cbar_j = C_j / Q_j comes from iter_cleared at
+    offset N, and |alpha_2(N)| chat_{j-1} = |A_2(N)| H_{j-1} / Q_j from
+    offset N + 1 (G has no zero past n = 0, so every divisor is G's own).
+    Returns (|U_j|, C_j, Q_j) and (|V_j|, |A_2(N)| H_{j-1}, Q_j) for
+    j = 0 .. M: the lemma holds iff rhs >= lhs in each.
     """
-    (p0, q0), (p1, q1) = pairs[0], pairs[1]
-    (_, a2), g = system.cleared_at(N, 2)
-    # cbar_j |d_N| = C_j x / Qc_j, chat_{j-1} |alpha_2(N)| |d_{N-1}| = H_{j-1} y / Qh_{j-1},
-    # over the common denominators x_den = q1 and y_den = g q0
-    x_den, y_den = q1, g * q0
-    base, cbar_num, chat_num = x_den * y_den, abs(p1) * y_den, abs(a2) * abs(p0) * x_den
+    if system.k != 2:
+        raise InvalidParams("domination bound is stated for three-term recurrences")
+    if N < 1:
+        raise InvalidParams("need N >= 1 so that d_{N-1} exists")
     cbar = iter_cleared(system, N)
     chat = itertools.chain([(0, 1)], iter_cleared(system, N + 1))  # chat_{-1} = 0
-    out, qc, qh = [], 1, 1
-    for (p, q), (c, gc), (h, gh) in zip(pairs[1:M + 2], cbar, chat):
-        qc *= gc
-        qh *= gh
-        scale = qc * qh * base
-        out.append((abs(p) * scale, q * (c * qh * cbar_num + h * qc * chat_num), q * scale))
+    a2 = abs(system.cleared_at(N, 2)[0][1])
+    # (numerator at j - 1, numerator at j) of u and v, and the last step's divisor
+    u, v, lift, q, out = (0, 1), (1, 0), 1, 1, []
+    for j, (c, _), (h, _) in zip(range(M + 1), cbar, chat):
+        if j:
+            (a, b), g = system.cleared_at(N + j - 1, 2)
+            u = u[1], a * u[1] + b * lift * u[0]
+            v = v[1], a * v[1] + b * lift * v[0]
+            lift, q = g, q * g
+        out += [(abs(u[1]), c, q), (abs(v[1]), a2 * h, q)]
     return tuple(out)
 
 
 def domination_verdict(bounds) -> tuple:
     """(holds, num, den) for domination_bounds' triples: holds iff rhs >= lhs
-    for every j, and num / den is the least margin (rhs - lhs) / den, found
-    by cross-multiplying (the common factor s is left out)."""
+    for every one, and num / den is the least margin (rhs - lhs) / den,
+    found by cross-multiplying."""
     num, den = bounds[0][1] - bounds[0][0], bounds[0][2]
     holds = True
     for lhs, rhs, d in bounds:
@@ -361,51 +356,6 @@ def domination_verdict(bounds) -> tuple:
         if (rhs - lhs) * den < num * d:
             num, den = rhs - lhs, d
     return holds, num, den
-
-
-def dominating_series_check(system: RecurrenceSystem, stream: CoefficientStream,
-                            N: int, M: int) -> DominationReport:
-    """Verify the two-sided majorant bound for a three-term system.
-
-    cbar runs with offset N and chat with offset N+1; the j-th bound reads
-    |d_{N+j}| <= cbar_j |d_N| + chat_{j-1} |alpha_2(N)| |d_{N-1}| with the
-    chat term absent at j = 0.  Exact streams are decided on integers
-    (domination_bounds, from each value's numerator and denominator);
-    floating streams allow a 2^(10-p) relative slack for accumulated
-    rounding.
-    """
-    if system.k != 2:
-        raise InvalidParams("domination bound is stated for three-term recurrences")
-    if N < 1:
-        raise InvalidParams("need N >= 1 so that d_{N-1} exists")
-    if N + M >= len(stream) + stream.start:
-        raise InsufficientData(f"stream ends before index {N + M}")
-    precision = stream.precision
-    if precision == "exact":
-        values = [stream[n] for n in range(N - 1, N + M + 1)]
-        bounds = domination_bounds(system, [(v.numerator, v.denominator) for v in values], N, M)
-        lhs = tuple(Fraction(left, den) for left, _, den in bounds)
-        rhs = tuple(Fraction(right, den) for _, right, den in bounds)
-        margins = tuple(r - l for l, r in zip(lhs, rhs))
-        return DominationReport(N, M, lhs, rhs, margins, domination_verdict(bounds)[0])
-    cbar = modulus_stream(modulus_system(system, N), M + 1, precision)
-    chat = modulus_stream(modulus_system(system, N + 1), max(M, 1), precision)
-    lhs, rhs, margins = [], [], []
-    with mp.workprec(precision):
-        b_at_N = scalar_abs(system.coefficient(2, N), precision)
-        dN = scalar_abs(stream[N], precision)
-        dNm1 = scalar_abs(stream[N - 1], precision)
-        for j in range(M + 1):
-            left = scalar_abs(stream[N + j], precision)
-            right = cbar[j] * dN
-            if j >= 1:
-                right = right + chat[j - 1] * b_at_N * dNm1
-            lhs.append(left)
-            rhs.append(right)
-            margins.append(right - left)
-        slack = mp.mpf(2) ** (10 - precision)
-        holds = all(m >= -slack * (1 + r) for m, r in zip(margins, rhs))
-    return DominationReport(N, M, tuple(lhs), tuple(rhs), tuple(margins), holds)
 
 
 @dataclass(frozen=True)

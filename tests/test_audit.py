@@ -10,7 +10,8 @@ from mpmath import mp
 
 from heunlab import (DegreeMismatch, HeunParams, InputError, TruncationTooLarge,
                      document_bytes, heun_recurrence, run_proof_audit,
-                     run_system_audit, series_limits, stream_coefficients)
+                     run_system_audit, series_limits, stream_coefficients,
+                     trace_bytes)
 from heunlab import audit
 from heunlab.audit import AUDIT_DEPTH_CAP
 from heunlab.cli import main as cli_main
@@ -307,12 +308,37 @@ def test_ratio_floor_at_an_exact_tie_from_the_cli(tmp_path, capsys):
 
 
 def test_wide_rational_instance_audits_exactly():
-    # the window of this instance holds ~10^5-bit integers; its domination
-    # bound is decided on them without a gcd
+    # the trace's exact pass rounds ~10^5-bit integers; the domination lemma
+    # steps only the window's own coefficients
     params = HeunParams(F(21, 11), 2, F(-33, 7 * 10 ** 81), 0, F(1, 1875 * 10 ** 80), 1)
     document, _ = run_proof_audit(params)
     assert document["domination"]["precision"] == "exact"
     assert document["verdicts"]["overall"] is True
+
+
+# trace CSVs recorded before the domination bound moved onto the majorant
+# lemma; N + M crosses audit.EXACT_TRACE_CAP between 1/1650 and 1/1700, so
+# the first trace is rounded from exact values and the others come from the
+# 256-bit stream
+@pytest.mark.parametrize("params, eps, N, csv_sha", [
+    (HeunParams(2, 1, 1, 1, 1, 1), F(1, 1650), 4951,
+     "1810637dd6690910c20e071a387e5e30db42d543c390a461d632001922f0a8e5"),
+    (HeunParams(2, 1, 1, 1, 1, 1), F(1, 1700), 5101,
+     "b02ede4ae0911628016efa6f6e5b2e2118851f179f0ae6b422936537b70ad54e"),
+    # the floating bound's slack once let this pass with min_margin -4.9e-91
+    (HeunParams(-2, F(1, 8), F(2, 3), F(-1, 6), F(-5, 4), -1), F(1, 1650), 13201,
+     "b6a525fcfb0f87da52d1e69395359166950564232a5e62356723b551af21368b"),
+])
+def test_domination_is_exact_on_both_sides_of_the_trace_cap(params, eps, N, csv_sha):
+    document, rows = run_proof_audit(params, eps=eps)
+    M = document["options"]["M"]
+    assert (N + M <= audit.EXACT_TRACE_CAP) is (N == 4951)
+    assert document["constants"]["N"] == N
+    assert document["domination"]["precision"] == "exact"
+    assert document["domination"]["min_margin"] == "0.0"
+    assert document["verdicts"]["overall"] is True
+    assert len(rows) == N + M + 1
+    assert hashlib.sha256(trace_bytes(rows)).hexdigest() == csv_sha
 
 
 def test_audit_makes_no_fraction_in_the_domination_window(a2_params, monkeypatch):

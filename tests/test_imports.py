@@ -1,5 +1,6 @@
-"""Every top-level import of a package module is read somewhere in it, and raw
-mpf arithmetic (mpmath.libmp) stays in the modules allowed to use it."""
+"""Every top-level import of a package module is read somewhere in it, the
+package exports exactly what its __init__ imports, and raw mpf arithmetic
+(mpmath.libmp) stays in the modules allowed to use it."""
 
 import ast
 from pathlib import Path
@@ -74,3 +75,11 @@ def test_libmp_imports_are_found(source, found):
 def test_only_allowed_modules_import_libmp():
     users = {p.name for p in PACKAGE.glob("*.py") if imports_libmp(p.read_text())}
     assert users == LIBMP_MODULES
+
+
+def test_all_is_exactly_what_the_package_imports():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert len(heunlab.__all__) == len(set(heunlab.__all__))
+    assert set(heunlab.__all__) == set(imported)

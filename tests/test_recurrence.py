@@ -1,17 +1,18 @@
 """Recurrence streaming, majorant sequences, and the domination bound."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 from mpmath import mp
 
-from heunlab import (DegreeMismatch, IndicialPole, InsufficientData,
-                     InvalidParams, RationalFnInN, RecurrenceSystem,
-                     dominating_series_check, heun_recurrence, limit_profile,
-                     modulus_stream, modulus_system, poly_from,
+from heunlab import (DegreeMismatch, HeunParams, IndicialPole, InvalidParams,
+                     RationalFnInN, RecurrenceSystem, heun_recurrence,
+                     limit_profile, modulus_stream, modulus_system, poly_from,
                      recurrence_residuals, stream_coefficients)
-from heunlab.recurrence import domination_bounds, domination_verdict, iter_cleared
+from heunlab import recurrence
+from heunlab.recurrence import domination_bounds, domination_verdict
 
 F = Fraction
 
@@ -111,45 +112,37 @@ def test_modulus_offset_must_be_nonnegative(a2_params):
 
 
 def test_domination_base_case_is_equality(a2_params):
-    system = heun_recurrence(a2_params)
-    stream = stream_coefficients(system, 30)
-    report = dominating_series_check(system, stream, N=5, M=0)
-    assert report.holds
-    assert report.margins == (F(0),)
+    # u_0 = cbar_0 = 1 and v_0 = chat_{-1} = 0, over Q_0 = 1
+    bounds = domination_bounds(heun_recurrence(a2_params), N=5, M=0)
+    assert bounds == ((1, 1, 1), (0, 0, 1))
+    assert domination_verdict(bounds) == (True, 0, 1)
 
 
 def test_domination_holds_deep(a2_params):
-    system = heun_recurrence(a2_params)
-    stream = stream_coefficients(system, 120)
-    report = dominating_series_check(system, stream, N=10, M=100)
-    assert report.holds
-    assert all(m >= 0 for m in report.margins)
-    assert report.lhs[0] == abs(stream[10])
+    bounds = domination_bounds(heun_recurrence(a2_params), N=10, M=100)
+    assert len(bounds) == 2 * 101
+    assert all(rhs >= lhs for lhs, rhs, _ in bounds)
+    assert domination_verdict(bounds) == (True, 0, 1)
 
 
 def test_domination_is_equality_for_positive_systems():
-    # with every coefficient and term positive there is no cancellation to absorb
+    # with every coefficient positive, u_j and v_j are the majorants themselves
     one = poly_from(F(1))
     system = RecurrenceSystem((
         RationalFnInN(poly_from(F(1, 3)), one),
         RationalFnInN(poly_from(F(1, 5)), one),
     ))
-    stream = stream_coefficients(system, 40)
-    report = dominating_series_check(system, stream, N=4, M=20)
-    assert report.holds
-    assert all(m == 0 for m in report.margins)
+    bounds = domination_bounds(system, N=4, M=20)
+    assert all(lhs == rhs for lhs, rhs, _ in bounds)
 
 
 def test_domination_input_checks(a2_params):
     system = heun_recurrence(a2_params)
-    stream = stream_coefficients(system, 20)
     with pytest.raises(InvalidParams):
-        dominating_series_check(system, stream, N=0, M=5)
-    with pytest.raises(InsufficientData):
-        dominating_series_check(system, stream, N=10, M=15)
+        domination_bounds(system, N=0, M=5)
     one_lag = RecurrenceSystem((RationalFnInN(poly_from(F(1, 2)), poly_from(F(1))),))
     with pytest.raises(InvalidParams):
-        dominating_series_check(one_lag, stream, N=1, M=1)
+        domination_bounds(one_lag, N=1, M=1)
 
 
 def fraction_domination(system, values, N, M):
@@ -166,35 +159,70 @@ def fraction_domination(system, values, N, M):
     return out
 
 
+def lemma_coefficients(system, N, M):
+    """(u_j, v_j) for j = 0..M in Fractions: d_{N+j} = u_j d_N + v_j d_{N-1}."""
+    u, v, out = (F(0), F(1)), (F(1), F(0)), []
+    for j in range(M + 1):
+        if j:
+            a, b = system.coefficient(1, N + j - 1), system.coefficient(2, N + j - 1)
+            u, v = (u[1], a * u[1] + b * u[0]), (v[1], a * v[1] + b * v[0])
+        out.append((u[1], v[1]))
+    return out
+
+
 @pytest.mark.parametrize("N, M", [(1, 0), (3, 6), (12, 20)])
 def test_domination_bounds_match_fraction_reference(instance_pool, N, M):
     rng = random.Random(N * 100 + M)
     for params in instance_pool[:12]:
         system = heun_recurrence(params)
-        values = stream_coefficients(system, N + M + 1).values
-        expect = fraction_domination(system, values, N, M)
-        # reduced pairs times unrelated factors: no reduction is assumed
-        pairs = []
-        for v in values[N - 1:]:
-            u = rng.randrange(1, 10 ** 6)
-            pairs.append((v.numerator * u, v.denominator * u))
-        got = domination_bounds(system, pairs, N, M)
+        coeffs = lemma_coefficients(system, N, M)
+        cbar = modulus_stream(modulus_system(system, N), M + 1).values
+        chat = (F(0),) + modulus_stream(modulus_system(system, N + 1), max(M, 1)).values
+        b = abs(system.coefficient(2, N))
+        expect = []
+        for j, (u, v) in enumerate(coeffs):
+            expect += [(abs(u), cbar[j]), (abs(v), b * chat[j])]
+        got = domination_bounds(system, N, M)
         assert [(F(l, d), F(r, d)) for l, r, d in got] == expect, params
-        # the stepper's pairs over the divisors since N - 1, with Q_{N-1} shared
-        q, rel, window = 1, 1, []
-        for n, (p, g) in zip(range(N + M + 1), iter_cleared(system)):
-            q *= g
-            if n == N - 1:
-                shared = q
-            elif n >= N:
-                rel *= g
-            if n >= N - 1:
-                window.append((p, rel))
-        got = domination_bounds(system, window, N, M)
-        assert [(F(l, d * shared), F(r, d * shared)) for l, r, d in got] == expect, params
         holds, num, den = domination_verdict(got)
-        assert holds == all(r >= l for l, r in expect)
-        assert F(num, den * shared) == min(r - l for l, r in expect)
+        assert holds and all(r >= l for l, r in expect)
+        assert F(num, den) == min(r - l for l, r in expect) == 0
+        # the decomposition on the solution itself
+        values = stream_coefficients(system, N + M + 1).values
+        assert all(values[N + j] == u * values[N] + v * values[N - 1]
+                   for j, (u, v) in enumerate(coeffs)), params
+        # so the value bound holds for any start pair, not only the solution's
+        for _ in range(25):
+            x, y = (F(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6)) for _ in "xy")
+            start = [None] * (N - 1) + [x, y]
+            window = start + [u * y + v * x for u, v in coeffs[1:]]
+            assert all(r >= l for l, r in fraction_domination(system, window, N, M)), params
+
+
+def signed_majorant(system, offset=None):
+    """iter_cleared's majorant pairs with the lags' signs kept (no abs)."""
+    history = [(1, 1)]
+    yield history[0]
+    for n in itertools.count(offset):
+        values, g = system.cleared_at(n, min(2, n - offset + 1))
+        p, lift = 0, 1
+        for a, (h, gh) in zip(values, reversed(history)):
+            p += a * lift * h
+            lift *= gh
+        history = (history + [(p, g)])[-2:]
+        yield p, g
+
+
+@pytest.mark.parametrize("a, holds", [(F(-1, 2), False), (2, True)])
+def test_domination_without_abs_fails_where_signs_cancel(monkeypatch, a, holds):
+    # the signed "majorant" from N is u_j itself.  a = -1/2 has lag-1 limit
+    # -1 and a dominant root -2, so u_j changes sign and |u_j| <= u_j fails;
+    # on the a=2 sample (limits 3/2 and -1/2, roots 1 and 1/2) u_j and the
+    # signed chat stay positive, so the signed stream is still a majorant
+    system = heun_recurrence(HeunParams(a, 1, 1, 1, 1, 1))
+    assert domination_verdict(domination_bounds(system, 10, 30))[0]
+    monkeypatch.setattr(recurrence, "iter_cleared", signed_majorant)
+    assert domination_verdict(domination_bounds(system, 10, 30))[0] is holds
 
 
 def test_domination_verdict_takes_the_least_margin():
