@@ -1,8 +1,9 @@
 """Path-product rearrangement of the modulus-majorant series.
 
-Every term of the majorant sequence c_n (built by modulus_stream) is a sum of
-products of step factors: a path from index 0 to index n takes steps of size
-1 (factor |alpha_1| at the arrival index) and size 2 (factor |alpha_2|).
+Every term of the majorant sequence c_n (built by
+iter_cleared(..., modulus=True)) is a sum of products of step factors: a path
+from index 0 to index n takes steps of size 1 (factor |alpha_1| at the
+arrival index) and size 2 (factor |alpha_2|).
 Grouping paths by their count tau of size-1 steps rearranges the series
 
     sum_n c_n |x|^n  =  sum_tau eta^tau * y_tau(z)
@@ -132,7 +133,8 @@ def table_matches_stream(tbl: PathTable, mod: ModulusRecurrence) -> bool:
     """Column sums of the path table must equal the majorant sequence exactly:
     the same integers P_n over the same divisors as iter_cleared's."""
     q = 1
-    for s, d, (p, g) in zip(tbl.columns, tbl.den, iter_cleared(mod.base, mod.offset)):
+    majorant = iter_cleared(mod.base, mod.offset, modulus=True)
+    for s, d, (p, g) in zip(tbl.columns, tbl.den, majorant):
         q *= g
         if (s, d) != (p, q):
             return False

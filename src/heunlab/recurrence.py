@@ -15,21 +15,25 @@ majorant lemma), so the bound holds for every solution.
 An exact system's lags are read through one evaluator, cached on it:
 alpha_i(n) = A_i(n) / G(n) with integer polynomials A_i over one shared
 denominator G (RecurrenceSystem.cleared).  One stepper per tier runs every
-sequence, the solution d_n or a majorant:
+sequence s_{j+1} = sum_i alpha_i(offset + j) s_{j+1-i} from
+(s_{-1}, s_0) = (0, 1), with every lag through its absolute value when
+`modulus` is set: offset 0 gives the solution d_n, modulus at N the
+majorant c_j, and offset N alone the signed sequence the lemma compares
+with it.
 
 - iter_cleared steps exact sequences as unreduced integer numerators over a
   running product of step divisors, with no gcd.  Exact streams
   (stream_coefficients, modulus_stream) reduce each value to a Fraction;
   heun_eval's exact sum reduces once at the end (heun._sum_exact); the
   audit rounds every term once, correctly, from the integer pair;
-  domination_bounds steps the lemma's coefficients and the audit's path
-  tables (rearrange) hold unreduced integers over the same divisors.
-- iter_values steps at a bit count.  Exact systems round each lag value
-  once, correctly, from its cleared integer pair (scalars.rational_to_mp,
-  the rule as_mp applies to a Fraction); systems with floating
-  coefficients evaluate each lag with PolynomialInN at the working
-  precision.  Floating systems have no exact tier, and exact streams
-  refuse them.
+  domination_bounds zips four of its streams, and the audit's path tables
+  (rearrange) hold unreduced integers over the same divisors.
+- iter_values steps the same sequences at a bit count.  Exact systems round
+  each lag value once, correctly, from its cleared integer pair
+  (scalars.rational_to_mp, the rule as_mp applies to a Fraction); systems
+  with floating coefficients evaluate each lag with PolynomialInN at the
+  working precision.  Floating systems have no exact tier, and exact
+  streams refuse them.
 
 recurrence_residuals keeps the per-lag RationalFnInN evaluation as the
 reference the steppers are checked against.
@@ -149,27 +153,29 @@ class CoefficientStream:
         return tuple(log_abs(v) for v in self.values)
 
 
-def iter_values(system: RecurrenceSystem, precision: int, offset: int | None = None):
-    """Yield d_0 = 1, d_1, ... as mpmath numbers at `precision` bits.
+def iter_values(system: RecurrenceSystem, precision: int, offset: int = 0, *,
+                modulus: bool = False):
+    """Yield s_0 = 1, s_1, ... as mpmath numbers at `precision` bits.
 
-    With an offset N the sequence is the majorant c_0 = 1,
-    c_{j+1} = sum_i |alpha_i(j + N)| c_{j+1-i}.  Values are computed at the
-    working precision in force when the generator is advanced, so callers
-    advance it inside workprec(precision).
+    The sequence is iter_cleared's for the same offset and modulus: the
+    step into s_{j+1} reads the lags at n = offset + j, through their
+    absolute values with modulus.  Values are computed at the working
+    precision in force when the generator is advanced, so callers advance
+    it inside workprec(precision).
     """
-    k, majorant = system.k, offset is not None
+    k = system.k
     history = [mp.mpf(1)]
     yield history[0]
     for j in itertools.count():
-        n, m = j + (offset or 0), min(k, j + 1)
+        n, m = j + offset, min(k, j + 1)
         if system.cleared is None:
             factors = [system.coefficient(i, n) for i in range(1, m + 1)]
-            if majorant:
+            if modulus:
                 factors = [scalar_abs(v) for v in factors]
             factors = [as_mp(v, precision) for v in factors]
         else:
             factors, divisor = system.cleared_at(n, m)
-            if majorant:
+            if modulus:
                 factors = [abs(a) for a in factors]
             factors = [rational_to_mp(a, divisor, mp.prec) for a in factors]
         acc = factors[0] * history[-1]
@@ -181,76 +187,68 @@ def iter_values(system: RecurrenceSystem, precision: int, offset: int | None = N
         yield acc
 
 
-def iter_cleared(system: RecurrenceSystem, offset: int | None = None):
-    """Yield (P_n, g_n) for n = 0, 1, ..., with d_n = P_n / Q_n unreduced.
+def iter_cleared(system: RecurrenceSystem, offset: int = 0, *, modulus: bool = False):
+    """Yield (P_j, g_j) for j = 0, 1, ..., with s_j = P_j / Q_j unreduced.
 
-    Q_0 = 1 and Q_n = Q_{n-1} g_n, where g_n > 0 is the divisor of the step
-    that made d_n (g_0 = 1), so a caller holding the running Q_n has every
-    value without a gcd.  Over the cleared lags alpha_i(n) = A_i(n) / G(n),
-    P_{n+1} = sum_i A_i(n) P_{n+1-i} g_{n+2-i} .. g_n: each lag's numerator
+    The sequence starts from (s_{-1}, s_0) = (0, 1) and steps
+    s_{j+1} = sum_i alpha_i(offset + j) s_{j+1-i}; offset 0 gives the
+    solution d_n, and with modulus every lag is replaced by |alpha_i|, so
+    offset N gives the majorant c_j.  Q_0 = 1 and Q_j = Q_{j-1} g_j, where
+    g_j > 0 is the divisor of the step that made s_j (g_0 = 1), so a caller
+    holding the running Q_j has every value without a gcd.  Over the
+    cleared lags alpha_i(n) = A_i(n) / G(n),
+    P_{j+1} = sum_i A_i(n) P_{j+1-i} g_{j+2-i} .. g_j: each lag's numerator
     is lifted by the divisors of the steps since it was made.  Where G
     vanishes at a lag that has not fired yet, cleared_at supplies the step.
-
-    With an offset N the pairs are the majorant's, c_j = P_j / Q_j, built
-    from |A_i(j + N)| and G(j + N) > 0 as cleared_at gives them.  Systems
-    with floating coefficients raise InputError.
+    Systems with floating coefficients raise InputError.
     """
     if system.cleared is None:
         raise InputError("exact streams need rational coefficients")
     k = system.k
-    history = [(1, 1)]  # (P_m, g_m) of the last k values, oldest first
+    history = [(1, 1)]  # (P, g) of the last k values, oldest first
     yield history[0]
-    if offset is not None:
-        for n in itertools.count(offset):
-            values, g = system.cleared_at(n, min(k, n - offset + 1))
-            p, lift = 0, 1
-            for a, (h, gh) in zip(values, reversed(history)):
-                p += abs(a) * lift * h
-                lift *= gh
-            history.append((p, g))
-            if len(history) > k:
-                del history[0]
-            yield p, g
     lags, den = system.cleared
     # Horner inline on the coefficients, highest power first: a PolynomialInN
     # call per polynomial per step took 1.8x the time of a 60-term step loop
     den_row, lag_rows = den.coeffs[::-1], [a.coeffs[::-1] for a in lags]
-    for n in itertools.count():
+    for j, n in enumerate(itertools.count(offset)):
         g, rows = 0, lag_rows
         for c in den_row:
             g = g * n + c
         if not g:  # the pole of a lag that has not fired yet
-            values, g = system.cleared_at(n, min(k, n + 1))
+            values, g = system.cleared_at(n, min(k, j + 1))
             rows = [(v,) for v in values]
         p, lift = 0, 1
-        # zip stops at the lags that fire: history holds min(k, n + 1) values
+        # zip stops at the lags that fire: history holds min(k, j + 1) values
         for row, (h, gh) in zip(rows, reversed(history)):
             a = 0
             for c in row:
                 a = a * n + c
-            p += a * lift * h
+            p += (abs(a) if modulus else a) * lift * h
             lift *= gh
-        if g < 0:
-            g, p = -g, -p
+        if g < 0:  # G's sign moves into the numerator; |A_i| carry none
+            g, p = -g, p if modulus else -p
         history.append((p, g))
         if len(history) > k:
             del history[0]
         yield p, g
 
 
-def _stream(system: RecurrenceSystem, count: int, precision, offset=None) -> CoefficientStream:
-    """The first `count` values of the solution (offset None) or a majorant."""
+def _stream(system: RecurrenceSystem, count: int, precision, offset=0, *,
+            modulus=False) -> CoefficientStream:
+    """The first `count` values of iter_cleared's or iter_values' sequence."""
     precision = parse_precision(precision)
     if count < 1:
         raise InvalidParams("count must be at least 1")
     if precision == "exact":
         q, values = 1, []
-        for p, g in itertools.islice(iter_cleared(system, offset), count):
+        for p, g in itertools.islice(iter_cleared(system, offset, modulus=modulus), count):
             q *= g
             values.append(Fraction(p, q))
     else:
         with mp.workprec(precision):
-            values = list(itertools.islice(iter_values(system, precision, offset), count))
+            values = list(itertools.islice(
+                iter_values(system, precision, offset, modulus=modulus), count))
     return CoefficientStream(tuple(values), precision)
 
 
@@ -307,41 +305,37 @@ def modulus_stream(mod: ModulusRecurrence, count: int,
                    precision: int | str = "exact") -> CoefficientStream:
     """First `count` values of the majorant sequence (all nonnegative), in
     the tiers of stream_coefficients."""
-    return _stream(mod.base, count, precision, mod.offset)
+    return _stream(mod.base, count, precision, mod.offset, modulus=True)
 
 
 def domination_bounds(system: RecurrenceSystem, N: int, M: int) -> tuple:
     """The majorant lemma's 2(M + 1) inequalities at N, each on integers.
 
-    Any solution of a three-term system has d_{N+j} = u_j d_N + v_j d_{N-1},
-    with u, v stepped by the recurrence from (u_{-1}, u_0) = (0, 1) and
-    (v_{-1}, v_0) = (1, 0).  The triangle inequality bounds them by the
-    majorants, |u_j| <= cbar_j and |v_j| <= |alpha_2(N)| chat_{j-1}
-    (chat_{-1} = 0), and together they give the domination bound
+    Any solution of a three-term system has d_{N+j} = u_j d_N + v_j d_{N-1}:
+    u is iter_cleared's signed sequence from N, and v_j = alpha_2(N) w_{j-1}
+    with w the signed sequence from N + 1 (w_{-1} = 0).  The triangle
+    inequality bounds them by the majorants from the same offsets,
+    |u_j| <= cbar_j and |v_j| <= |alpha_2(N)| chat_{j-1} (chat_{-1} = 0),
+    and together they give the domination bound
     |d_{N+j}| <= cbar_j |d_N| + chat_{j-1} |alpha_2(N)| |d_{N-1}| for every
-    pair of start values.  U_j, V_j step like iter_cleared over
-    Q_j = G(N) .. G(N+j-1); cbar_j = C_j / Q_j comes from iter_cleared at
-    offset N, and |alpha_2(N)| chat_{j-1} = |A_2(N)| H_{j-1} / Q_j from
-    offset N + 1 (G has no zero past n = 0, so every divisor is G's own).
-    Returns (|U_j|, C_j, Q_j) and (|V_j|, |A_2(N)| H_{j-1}, Q_j) for
-    j = 0 .. M: the lemma holds iff rhs >= lhs in each.
+    pair of start values.  All four share the divisor product
+    Q_j = G(N) .. G(N+j-1) once |alpha_2(N)| = |A_2(N)| / G(N) joins the
+    pair from N + 1 (G has no zero past n = 0, so every divisor is G's own).
+    Returns (|U_j|, C_j, Q_j) and (|A_2(N)| |W_{j-1}|, |A_2(N)| H_{j-1}, Q_j)
+    for j = 0 .. M: the lemma holds iff rhs >= lhs in each.
     """
     if system.k != 2:
         raise InvalidParams("domination bound is stated for three-term recurrences")
     if N < 1:
         raise InvalidParams("need N >= 1 so that d_{N-1} exists")
-    cbar = iter_cleared(system, N)
-    chat = itertools.chain([(0, 1)], iter_cleared(system, N + 1))  # chat_{-1} = 0
     a2 = abs(system.cleared_at(N, 2)[0][1])
-    # (numerator at j - 1, numerator at j) of u and v, and the last step's divisor
-    u, v, lift, q, out = (0, 1), (1, 0), 1, 1, []
-    for j, (c, _), (h, _) in zip(range(M + 1), cbar, chat):
-        if j:
-            (a, b), g = system.cleared_at(N + j - 1, 2)
-            u = u[1], a * u[1] + b * lift * u[0]
-            v = v[1], a * v[1] + b * lift * v[0]
-            lift, q = g, q * g
-        out += [(abs(u[1]), c, q), (abs(v[1]), a2 * h, q)]
+    u, cbar = (iter_cleared(system, N, modulus=m) for m in (False, True))
+    w, chat = (itertools.chain([(0, 1)], iter_cleared(system, N + 1, modulus=m))
+               for m in (False, True))  # w_{-1} = chat_{-1} = 0
+    q, out = 1, []
+    for _, (p, g), (c, _), (h, _), (e, _) in zip(range(M + 1), u, cbar, w, chat):
+        q *= g
+        out += [(abs(p), c, q), (a2 * abs(h), a2 * e, q)]
     return tuple(out)
 
 

@@ -5,10 +5,12 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from heunlab import (AllZeroLimits, InvalidC, InvalidParams, boundary_radius,
-                     domain_membership, eta_z, gauss_test, membership_sum,
-                     series_limits)
+from heunlab import (AllZeroLimits, HeunParams, InvalidC, InvalidParams,
+                     boundary_radius, domain_membership, eta_z, gauss_test,
+                     membership_sum, series_limits)
 from heunlab.convergence import exact_membership_sum, radius_bracketed
+
+from conftest import A_POOL
 
 F = Fraction
 A2_LIMITS = (F(3, 2), F(-1, 2))
@@ -160,3 +162,14 @@ def test_gauss_input_guards():
 def test_heun_limits_feed_the_domain(a2_params):
     r = boundary_radius(series_limits(a2_params))
     assert float(r) == pytest.approx(0.5615528128088303)
+
+
+def test_r_star_is_the_singular_radius_only_for_negative_a():
+    # S(r) = |L1| r + |L2| r^2 grows with r and is 1 at r*.  At the singular
+    # radius min(1, |a|) it is 1 when a < 0, so r* is that radius, and
+    # 1 + 2 min(a, 1/a) > 1 when a > 0, so r* lies inside it and the series
+    # converges absolutely on |x| = r*
+    for a in (*A_POOL, F(-1), F(21, 11)):
+        limits = series_limits(HeunParams(a, 1, 1, 1, 1, 1))
+        s = exact_membership_sum(limits, min(1, abs(a)))
+        assert s == (1 if a < 0 else 1 + 2 * min(a, 1 / a)), a  # a = 2: 2, a = 3: 5/3

@@ -1,8 +1,10 @@
 """Every top-level import of a package module is read somewhere in it, the
-package exports exactly what its __init__ imports, and raw mpf arithmetic
-(mpmath.libmp) stays in the modules allowed to use it."""
+package exports exactly what its __init__ imports, raw mpf arithmetic
+(mpmath.libmp) stays in the modules allowed to use it, and pyproject.toml
+reads the package's one version."""
 
 import ast
+import warnings
 from pathlib import Path
 
 import pytest
@@ -83,3 +85,11 @@ def test_all_is_exactly_what_the_package_imports():
                 if isinstance(node, ast.ImportFrom) for alias in node.names]
     assert len(heunlab.__all__) == len(set(heunlab.__all__))
     assert set(heunlab.__all__) == set(imported)
+
+
+def test_pyproject_reads_the_package_version():
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # [tool.setuptools] is flagged as beta
+        config = pyprojecttoml.read_configuration(PACKAGE.parents[1] / "pyproject.toml")
+    assert config["project"]["version"] == heunlab.__version__

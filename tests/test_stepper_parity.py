@@ -4,7 +4,8 @@ The reference loops below are the stepping code the package used before
 every tier moved onto `iter_cleared` (exact) and `iter_values` (a bit
 count): the exact `Fraction` stream, the mpmath stream with the lag
 polynomials converted once and evaluated by Horner, and the modulus-majorant
-loop.  Exact and majorant values must equal them in value and type.  mpmath
+loop; reference_from steps the signed or modulus sequence from any offset.
+Exact and majorant values must equal them in value and type.  mpmath
 streams of exact systems round each lag value once, so they must equal a
 loop that rounds the exact lag values once, bit for bit, and stay within
 2^(10-p) of the Horner loop relative to the majorant c_n >= |d_n|.
@@ -20,7 +21,7 @@ import heunlab
 from heunlab import (HeunParams, InputError, RationalFnInN, RecurrenceSystem,
                      heun_recurrence, modulus_stream, modulus_system,
                      poly_from, stream_coefficients)
-from heunlab.recurrence import iter_cleared
+from heunlab.recurrence import iter_cleared, iter_values
 from heunlab.scalars import as_mp, is_exact, scalar_abs
 
 from conftest import admissible_roots
@@ -170,8 +171,46 @@ def test_integer_stepper_reduces_to_the_exact_stream(instance_pool):
     for system in systems:
         assert _reduced_pairs(iter_cleared(system), COUNT) == reference_exact(system, COUNT)
         for offset in (0, 1, 40):
-            assert (_reduced_pairs(iter_cleared(system, offset), 40)
+            assert (_reduced_pairs(iter_cleared(system, offset, modulus=True), 40)
                     == reference_modulus(system, offset, 40, "exact"))
+
+
+def reference_from(system, offset, count, modulus):
+    """s_{j+1} = sum_i alpha_i(offset + j) s_{j+1-i} from (s_{-1}, s_0) = (0, 1)
+    in Fractions, through |alpha_i| with modulus; a lag reaching before s_0
+    multiplies a zero and is skipped, pole or not."""
+    values = [Fraction(1)]
+    for j in range(count - 1):
+        acc = Fraction(0)
+        for i in range(1, min(system.k, j + 1) + 1):
+            factor = system.coefficient(i, offset + j)
+            acc += (abs(factor) if modulus else factor) * values[j + 1 - i]
+        values.append(acc)
+    return values
+
+
+@pytest.mark.parametrize("offset", [0, 1, 40])
+def test_signed_stepper_from_any_offset_reduces_to_the_fraction_loop(instance_pool, offset):
+    # k3_pole's G vanishes at n = 1, where its lag 3 has not fired yet: the
+    # step at j = 1 from offset 0 and the first step from offset 1 go through
+    # cleared_at's fallback
+    assert user_systems()["k3_pole"].cleared[1](1) == 0
+    for system in all_systems(instance_pool):
+        assert (_reduced_pairs(iter_cleared(system, offset), 40)
+                == reference_from(system, offset, 40, False))
+
+
+@pytest.mark.parametrize("offset", [0, 1, 40])
+def test_values_stepper_from_any_offset_is_within_2_to_the_minus_240(instance_pool, offset):
+    bound = mp.mpf(2) ** -240
+    for system in all_systems(instance_pool):
+        for modulus in (False, True):
+            expected = reference_from(system, offset, 40, modulus)
+            with mp.workprec(256):
+                values = itertools.islice(iter_values(system, 256, offset, modulus=modulus), 40)
+                for v, e in zip(values, expected):
+                    e = as_mp(e, 256)
+                    assert abs(v - e) <= bound * abs(e), (system, offset, modulus)
 
 
 # at 12 bits the cleared lag integers are wider than the precision; rounded
