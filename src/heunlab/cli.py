@@ -3,7 +3,7 @@
 Every command prints a deterministic JSON result document to stdout; with
 --out DIR the document plus any CSV trace are also written there.  When the
 instance argument is a directory, the command fans out over every .json file
-in it (--jobs workers) and prints one status line per file instead.
+in it (--jobs workers, one per file at most) and prints a status line each.
 
 Exit codes: 0 success, 2 evaluation refused on convergence-domain grounds,
 3 bad input.
@@ -265,7 +265,8 @@ def _dispatch(args) -> int:
     ns = {k: v for k, v in vars(args).items() if k != "func"}
     if ns.get("out") is None:
         ns["out"] = str(path)
-    jobs = max(1, int(getattr(args, "jobs", 1) or 1))
+    # a fork pool starts every worker at once: never more than there are files
+    jobs = min(max(1, int(getattr(args, "jobs", 1) or 1)), len(files))
     if jobs == 1:
         results = [_worker(ns, str(f)) for f in files]
     else:

@@ -38,15 +38,8 @@ def _abs_limits(limits, prec):
 
 def membership_sum(limits, x, prec: int = DEFAULT_PRECISION):
     """sum_i |L_i| |x|^i evaluated at working precision."""
-    mags = _abs_limits(limits, prec)
     with mp.workprec(prec):
-        ax = mp.fabs(as_mp(x, prec))
-        total = mp.mpf(0)
-        p = mp.mpf(1)
-        for m in mags:
-            p = p * ax
-            total = total + m * p
-        return total
+        return sum(eta_z(limits, mp.fabs(as_mp(x, prec)), prec), mp.mpf(0))
 
 
 @dataclass(frozen=True)

@@ -301,8 +301,11 @@ def heun_eval(params: HeunParams, x, root=0, tol=Fraction(1, 10 ** 30),
         EvalResult with the value, terms consumed, and convergence flag.
 
     Raises:
+        InvalidParams: when n_max < 1.
         OutsideDomain: when force is False and the membership sum is >= 1.
     """
+    if n_max < 1:
+        raise InvalidParams(f"n_max {n_max} must be at least 1: an empty sum is no value")
     precision = parse_precision(precision)
     lam = _check_root(params, root)
     x = to_scalar(x, precision if precision != "exact" else DEFAULT_PRECISION)

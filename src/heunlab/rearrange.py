@@ -12,17 +12,17 @@ with eta = |L_1| |x| and z = |L_2| |x|^2, where y_tau collects the normalized
 path products with exactly tau size-1 steps, as a power series in z.
 
 The tables are built on the majorant stepper's integers (recurrence.iter_cleared
-at the same offset): with |alpha_i(n - 1 + offset)| = |A_i| / g_n from
-RecurrenceSystem.cleared_at, every entry of column n is an unreduced integer
-over den[n] = g_1 .. g_n, so no gcd runs.  A size-1 step into n carries the
-integer factor |A_1|, a size-2 step |A_2| g_{n-1}, the divisor of the index it
-skips.  Two implementations live here: a lattice-path dynamic program (linear
-in the table size) and a brute-force path enumeration (exponential, small
-depths only).  They must agree entry by entry.  Every audit compares them
-at its enumeration depth, on purpose: at the default depth 14 the walk costs
-1.0-1.5 ms on the a=2 sample at its audit offset N = 301, against 18 ms for
-the Fraction walk it replaced (minimum of 7 runs, 2-core x86).  Floating
-systems have no exact table and are refused.
+at the same offset): with |alpha_i(n - 1 + offset)| = |A_i| / g_n from the one
+lag evaluator, recurrence.cleared_steps, every entry of column n is an
+unreduced integer over den[n] = g_1 .. g_n, so no gcd runs.  A size-1 step
+into n carries the integer factor |A_1|, a size-2 step |A_2| g_{n-1}, the
+divisor of the index it skips.  Two implementations live here: a lattice-path
+dynamic program (linear in the table size) and a brute-force path enumeration
+(exponential, small depths only).  They must agree entry by entry.  Every
+audit compares them at its enumeration depth, on purpose: at the default
+depth 14 the walk costs 1.0-1.5 ms on the a=2 sample at its audit offset
+N = 301, against 18 ms for the Fraction walk it replaced (minimum of 7 runs,
+2-core x86).  Floating systems have no exact table and are refused.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from functools import cached_property
 from mpmath import mp
 
 from .errors import InputError, InvalidParams, TruncationTooLarge
-from .recurrence import ModulusRecurrence, iter_cleared
+from .recurrence import ModulusRecurrence, cleared_steps, iter_cleared
 from .scalars import as_mp, is_exact, rational_to_mp
 
 ENUMERATION_DEPTH_CAP = 32  # paths grow like Fibonacci(M); past this the walk is hopeless
@@ -78,14 +78,13 @@ def _step_factors(mod: ModulusRecurrence, M: int):
     and the divisors den[n], for n = 0..M (index 0 unused by the steps)."""
     if mod.base.k != 2:
         raise InvalidParams("path rearrangement is stated for three-term recurrences")
-    if mod.base.cleared is None:
-        raise InputError("path tables need rational coefficients")
     a1, a2, g = [0], [0], [1]
-    for n in range(1, M + 1):
-        # the step into n reads the lags at n - 1 + offset, as iter_cleared does
-        values, gn = mod.base.cleared_at(n - 1 + mod.offset, min(2, n))
-        a1.append(abs(values[0]))
-        a2.append(abs(values[1]) * g[-1] if n >= 2 else 0)
+    # the step into n reads the lags at n - 1 + offset, as iter_cleared does;
+    # zip advances the steps first, so floating systems are refused at M = 0 too
+    steps = cleared_steps(mod.base, mod.offset, modulus=True)
+    for (values, gn), n in zip(steps, range(1, M + 1)):
+        a1.append(values[0])
+        a2.append(values[1] * g[-1] if n >= 2 else 0)
         g.append(gn)
     return a1, a2, tuple(itertools.accumulate(g, operator.mul))
 

@@ -12,12 +12,12 @@ domination_bounds decides at any N without the solution's values: it bounds
 the coefficients of d_{N+j} on d_N and d_{N-1} by the majorants (the
 majorant lemma), so the bound holds for every solution.
 
-An exact system's lags are read through one evaluator, cached on it:
-alpha_i(n) = A_i(n) / G(n) with integer polynomials A_i over one shared
-denominator G (RecurrenceSystem.cleared).  One stepper per tier runs every
-sequence s_{j+1} = sum_i alpha_i(offset + j) s_{j+1-i} from
-(s_{-1}, s_0) = (0, 1), with every lag through its absolute value when
-`modulus` is set: offset 0 gives the solution d_n, modulus at N the
+An exact system's lags have one evaluator, cleared_steps: over the integer
+polynomials of RecurrenceSystem.cleared, alpha_i(n) = A_i(n) / G(n) with one
+shared denominator G, it yields each step's integers (A_i(n), |G(n)|) by
+inline Horner, through |A_i| when `modulus` is set.  One stepper per tier
+runs every sequence s_{j+1} = sum_i alpha_i(offset + j) s_{j+1-i} from
+(s_{-1}, s_0) = (0, 1): offset 0 gives the solution d_n, modulus at N the
 majorant c_j, and offset N alone the signed sequence the lemma compares
 with it.
 
@@ -27,9 +27,10 @@ with it.
   heun_eval's exact sum reduces once at the end (heun._sum_exact); the
   audit rounds every term once, correctly, from the integer pair;
   domination_bounds zips four of its streams, and the audit's path tables
-  (rearrange) hold unreduced integers over the same divisors.
+  (rearrange) hold unreduced integers over the same divisors, read from
+  cleared_steps.
 - iter_values steps the same sequences at a bit count.  Exact systems round
-  each lag value once, correctly, from its cleared integer pair
+  each of cleared_steps' lag values once, correctly, from its integer pair
   (scalars.rational_to_mp, the rule as_mp applies to a Fraction); systems
   with floating coefficients evaluate each lag with PolynomialInN at the
   working precision.  Floating systems have no exact tier, and exact
@@ -52,6 +53,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -116,21 +119,6 @@ class RecurrenceSystem:
                      for (num, c), (den, e) in zip(nums, dens))
         return lags, math.prod(distinct, start=PolynomialInN((lcm,)))
 
-    def cleared_at(self, n: int, m: int):
-        """Integers ([A_1(n), .., A_m(n)], G(n)) of the first m lags, G(n) > 0.
-
-        G vanishes at every lag's poles; where it does, the lags that fire at
-        n are cleared over their own common denominator instead.
-        """
-        lags, den = self.cleared
-        g = den(n)
-        if g == 0:
-            values = [Fraction(fn.num(n), fn.den(n)) for fn in self.lags[:m]]
-            g = math.lcm(*(v.denominator for v in values))
-            return [v.numerator * (g // v.denominator) for v in values], g
-        sign = 1 if g > 0 else -1
-        return [sign * a(n) for a in lags[:m]], sign * g
-
 
 @dataclass(frozen=True)
 class CoefficientStream:
@@ -153,38 +141,69 @@ class CoefficientStream:
         return tuple(log_abs(v) for v in self.values)
 
 
+def cleared_steps(system: RecurrenceSystem, offset: int = 0, *, modulus: bool = False):
+    """Yield (A, g) for the steps j = 0, 1, ..., alpha_i(offset + j) = A[i-1] / g.
+
+    The one evaluator of RecurrenceSystem.cleared: A holds the integers
+    A_i(n) at n = offset + j, or |A_i(n)| with modulus, and g = |G(n)| > 0,
+    with G's sign moved into A.  Where G vanishes, at the pole of a lag that
+    has not fired yet, A holds only the min(k, j + 1) lags that fire at step
+    j, cleared over their own common denominator g.  Systems with floating
+    coefficients raise InputError.
+    """
+    if system.cleared is None:
+        raise InputError("exact streams need rational coefficients")
+    # Horner inline on the coefficients, from the leading one (a zero
+    # polynomial reads (0,)): a PolynomialInN call per polynomial per step
+    # took 1.8x the time of a 60-term step loop
+    lags, den = system.cleared
+    rows = [poly.coeffs[::-1] or (0,) for poly in (den, *lags)]
+    (g0, den_row), *lag_rows = [(r[0], r[1:]) for r in rows]
+    for n in itertools.count(offset):
+        g = g0
+        for c in den_row:
+            g = g * n + c
+        if g:
+            values = []
+            for a, row in lag_rows:
+                for c in row:
+                    a = a * n + c
+                values.append(abs(a) if modulus else a if g > 0 else -a)
+            yield values, abs(g)
+        else:  # the pole of a lag that has not fired yet, at step n - offset
+            fired = [Fraction(fn.num(n), fn.den(n)) for fn in system.lags[:n - offset + 1]]
+            g = math.lcm(*(v.denominator for v in fired))
+            values = [v.numerator * (g // v.denominator) for v in fired]
+            yield ([abs(a) for a in values] if modulus else values), g
+
+
 def iter_values(system: RecurrenceSystem, precision: int, offset: int = 0, *,
                 modulus: bool = False):
     """Yield s_0 = 1, s_1, ... as mpmath numbers at `precision` bits.
 
     The sequence is iter_cleared's for the same offset and modulus: the
     step into s_{j+1} reads the lags at n = offset + j, through their
-    absolute values with modulus.  Values are computed at the working
-    precision in force when the generator is advanced, so callers advance
-    it inside workprec(precision).
+    absolute values with modulus.  An exact system's lags come from
+    cleared_steps, each rounded once from its integer pair; a floating
+    system's are evaluated at the working precision.  Values are computed
+    at the working precision in force when the generator is advanced, so
+    callers advance it inside workprec(precision).
     """
-    k = system.k
-    history = [mp.mpf(1)]
+    if system.cleared is None:
+        mag = scalar_abs if modulus else (lambda v: v)
+        steps = ([as_mp(mag(system.coefficient(i, n)), precision)
+                  for i in range(1, min(system.k, j + 1) + 1)]
+                 for j, n in enumerate(itertools.count(offset)))
+    else:
+        steps = ([rational_to_mp(a, g, mp.prec) for a in values]
+                 for values, g in cleared_steps(system, offset, modulus=modulus))
+    history = deque([mp.mpf(1)], maxlen=system.k)
     yield history[0]
-    for j in itertools.count():
-        n, m = j + offset, min(k, j + 1)
-        if system.cleared is None:
-            factors = [system.coefficient(i, n) for i in range(1, m + 1)]
-            if modulus:
-                factors = [scalar_abs(v) for v in factors]
-            factors = [as_mp(v, precision) for v in factors]
-        else:
-            factors, divisor = system.cleared_at(n, m)
-            if modulus:
-                factors = [abs(a) for a in factors]
-            factors = [rational_to_mp(a, divisor, mp.prec) for a in factors]
-        acc = factors[0] * history[-1]
-        for i in range(1, m):
-            acc = acc + factors[i] * history[-1 - i]
-        history.append(acc)
-        if len(history) > k:
-            del history[0]
-        yield acc
+    for factors in steps:
+        # left to right from lag 1: the pinned documents' values depend on this order
+        products = map(operator.mul, factors, reversed(history))
+        history.append(sum(products, next(products)))
+        yield history[-1]
 
 
 def iter_cleared(system: RecurrenceSystem, offset: int = 0, *, modulus: bool = False):
@@ -195,43 +214,26 @@ def iter_cleared(system: RecurrenceSystem, offset: int = 0, *, modulus: bool = F
     solution d_n, and with modulus every lag is replaced by |alpha_i|, so
     offset N gives the majorant c_j.  Q_0 = 1 and Q_j = Q_{j-1} g_j, where
     g_j > 0 is the divisor of the step that made s_j (g_0 = 1), so a caller
-    holding the running Q_j has every value without a gcd.  Over the
-    cleared lags alpha_i(n) = A_i(n) / G(n),
-    P_{j+1} = sum_i A_i(n) P_{j+1-i} g_{j+2-i} .. g_j: each lag's numerator
-    is lifted by the divisors of the steps since it was made.  Where G
-    vanishes at a lag that has not fired yet, cleared_at supplies the step.
-    Systems with floating coefficients raise InputError.
+    holding the running Q_j has every value without a gcd.  Over the lags
+    A_i / g of cleared_steps, P_{j+1} = sum_i A_i P_{j+1-i} g_{j+2-i} .. g_j:
+    each lag's numerator is lifted by the divisors of the steps since it was
+    made.  Systems with floating coefficients raise InputError.
     """
-    if system.cleared is None:
-        raise InputError("exact streams need rational coefficients")
-    k = system.k
-    history = [(1, 1)]  # (P, g) of the last k values, oldest first
-    yield history[0]
-    lags, den = system.cleared
-    # Horner inline on the coefficients, highest power first: a PolynomialInN
-    # call per polynomial per step took 1.8x the time of a 60-term step loop
-    den_row, lag_rows = den.coeffs[::-1], [a.coeffs[::-1] for a in lags]
-    for j, n in enumerate(itertools.count(offset)):
-        g, rows = 0, lag_rows
-        for c in den_row:
-            g = g * n + c
-        if not g:  # the pole of a lag that has not fired yet
-            values, g = system.cleared_at(n, min(k, j + 1))
-            rows = [(v,) for v in values]
-        p, lift = 0, 1
-        # zip stops at the lags that fire: history holds min(k, j + 1) values
-        for row, (h, gh) in zip(rows, reversed(history)):
-            a = 0
-            for c in row:
-                a = a * n + c
-            p += (abs(a) if modulus else a) * lift * h
+    history = deque(maxlen=system.k)  # (P, g) of the last k values, oldest first
+    step = (1, 1)  # s_0 = 1 over g_0 = 1
+    # lags are read one step ahead, so a floating system fails at the first advance
+    for values, g in cleared_steps(system, offset, modulus=modulus):
+        history.append(step)
+        yield step
+        # zip stops at the lags that fire: history holds min(k, j + 1) values;
+        # lag 1 reads the newest numerator unlifted, so it starts the sum
+        lags = zip(values, reversed(history))
+        a, (p, lift) = next(lags)
+        p *= a
+        for a, (h, gh) in lags:
+            p += a * lift * h
             lift *= gh
-        if g < 0:  # G's sign moves into the numerator; |A_i| carry none
-            g, p = -g, p if modulus else -p
-        history.append((p, g))
-        if len(history) > k:
-            del history[0]
-        yield p, g
+        step = (p, g)
 
 
 def _stream(system: RecurrenceSystem, count: int, precision, offset=0, *,
@@ -328,7 +330,7 @@ def domination_bounds(system: RecurrenceSystem, N: int, M: int) -> tuple:
         raise InvalidParams("domination bound is stated for three-term recurrences")
     if N < 1:
         raise InvalidParams("need N >= 1 so that d_{N-1} exists")
-    a2 = abs(system.cleared_at(N, 2)[0][1])
+    a2 = next(cleared_steps(system, N, modulus=True))[0][1]  # |A_2(N)|, G(N) > 0
     u, cbar = (iter_cleared(system, N, modulus=m) for m in (False, True))
     w, chat = (itertools.chain([(0, 1)], iter_cleared(system, N + 1, modulus=m))
                for m in (False, True))  # w_{-1} = chat_{-1} = 0

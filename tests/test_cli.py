@@ -7,6 +7,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -96,6 +97,18 @@ def test_eval_huge_exponent_exits_3(tmp_path, capsys):
     assert err.count("\n") == 1 and "use a bit precision" in err
     doc = run_doc(capsys, ["eval", str(path), "--x", "1/10", "--precision", "64"])
     assert doc["outputs"]["converged"]
+
+
+@pytest.mark.parametrize("precision", ["256", "exact"])
+@pytest.mark.parametrize("n_max", ["0", "-3"])
+def test_eval_without_terms_exits_3(a2_file, capsys, precision, n_max):
+    # an empty partial sum is no value
+    code, out, err = run(capsys, ["eval", str(a2_file), f"--n-max={n_max}",
+                                  "--precision", precision])
+    assert (code, out) == (3, "")
+    assert f"n_max {n_max} must be at least 1" in err and err.count("\n") == 1
+    doc = run_doc(capsys, ["eval", str(a2_file), "--n-max", "1", "--precision", precision])
+    assert doc["outputs"]["n_used"] == 1 and doc["outputs"]["value"] in ("1", "1.0")
 
 
 def test_eval_force(a2_file, capsys):
@@ -352,6 +365,38 @@ def test_directory_fan_out(tmp_path, capsys):
     assert all(line.endswith(": ok") for line in lines)
     assert (tmp_path / "one.domain.json").exists()
     assert (tmp_path / "two.domain.json").exists()
+
+
+def test_directory_fan_out_clamps_jobs_to_the_files(tmp_path, capsys, monkeypatch):
+    # a fork pool starts max_workers processes at once; this one starts none
+    workers = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(heunlab.cli, "concurrent", SimpleNamespace(
+        futures=SimpleNamespace(ProcessPoolExecutor=InlinePool)))
+    (tmp_path / "one.json").write_text(A2_JSON)
+    (tmp_path / "two.json").write_text(REC_JSON)
+    code, out, _ = run(capsys, ["domain", str(tmp_path), "--jobs", "5000"])
+    assert code == 0 and workers == [2]
+    assert [line.endswith(": ok") for line in out.strip().splitlines()] == [True, True]
+    single = tmp_path / "single"
+    single.mkdir()
+    (single / "one.json").write_text(A2_JSON)
+    code, out, _ = run(capsys, ["domain", str(single), "--jobs", "5000"])
+    assert code == 0 and workers == [2]  # one file runs inline, without a pool
+    assert out.strip().endswith("one.json: ok")
 
 
 def test_directory_fan_out_reports_failures(tmp_path, capsys):

@@ -18,10 +18,11 @@ import pytest
 from mpmath import mp
 
 import heunlab
-from heunlab import (HeunParams, InputError, RationalFnInN, RecurrenceSystem,
-                     heun_recurrence, modulus_stream, modulus_system,
-                     poly_from, stream_coefficients)
-from heunlab.recurrence import iter_cleared, iter_values
+from heunlab import (HeunParams, InputError, PolynomialInN, RationalFnInN,
+                     RecurrenceSystem, heun_recurrence, modulus_stream,
+                     modulus_system, path_table, poly_from, stream_coefficients)
+from heunlab.recurrence import (cleared_steps, domination_bounds, iter_cleared,
+                                iter_values)
 from heunlab.scalars import as_mp, is_exact, scalar_abs
 
 from conftest import admissible_roots
@@ -193,7 +194,7 @@ def reference_from(system, offset, count, modulus):
 def test_signed_stepper_from_any_offset_reduces_to_the_fraction_loop(instance_pool, offset):
     # k3_pole's G vanishes at n = 1, where its lag 3 has not fired yet: the
     # step at j = 1 from offset 0 and the first step from offset 1 go through
-    # cleared_at's fallback
+    # cleared_steps' fallback
     assert user_systems()["k3_pole"].cleared[1](1) == 0
     for system in all_systems(instance_pool):
         assert (_reduced_pairs(iter_cleared(system, offset), 40)
@@ -271,10 +272,32 @@ def test_cleared_lags_reproduce_every_lag(instance_pool):
         lags, den = system.cleared
         assert all(is_exact(c) and Fraction(c).denominator == 1
                    for poly in (*lags, den) for c in poly.coeffs)
-        for n in range(system.k - 1, 40):
-            nums, g = system.cleared_at(n, system.k)
+        # from n = k - 1 on, G has no zero and every lag is read
+        steps = cleared_steps(system, system.k - 1)
+        for n, (nums, g) in zip(range(system.k - 1, 40), steps):
+            assert g > 0
             assert [Fraction(a, g) for a in nums] == [
                 system.coefficient(i, n) for i in range(1, system.k + 1)]
+
+
+def test_exact_readers_evaluate_no_lag_polynomial(a2_params, monkeypatch):
+    # every exact reader takes its lag integers from cleared_steps' Horner rows
+    system = heun_recurrence(a2_params)
+    calls = []
+    call = PolynomialInN.__call__
+
+    def counting(self, n):
+        calls.append(n)
+        return call(self, n)
+
+    monkeypatch.setattr(PolynomialInN, "__call__", counting)
+    with mp.workprec(256):
+        assert len(list(itertools.islice(iter_values(system, 256), 200))) == 200
+    path_table(modulus_system(system, 301), 30)
+    domination_bounds(system, 301, 30)
+    assert calls == []
+    system.coefficient(1, 5)  # the per-lag reference still goes through the patch
+    assert calls
 
 
 def test_heun_lags_share_one_denominator(a2_params):
@@ -287,7 +310,7 @@ def test_cleared_at_skips_a_silent_lag_pole():
     # G vanishes at lag 2's pole n = 0, where only lag 1 fires
     system = user_systems()["lag2_pole_at_0"]
     assert system.cleared[1](0) == 0
-    assert system.cleared_at(0, 1) == ([1], 1)
+    assert next(cleared_steps(system)) == ([1], 1)
     assert stream_coefficients(system, 4).values == (1, 1, 2, F(5, 2))
 
 
