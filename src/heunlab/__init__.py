@@ -11,7 +11,7 @@ boundary test provide the empirical counterpart.
 """
 
 from ._version import __version__
-from .audit import run_proof_audit, run_system_audit
+from .audit import run_system_audit
 from .convergence import (boundary_radius, domain_membership, eta_z,
                           gauss_test, membership_sum)
 from .errors import (AllZeroLimits, DegreeMismatch, DomainError, HeunLabError,
@@ -34,8 +34,7 @@ from .proofs import (CASE1, CASE2, CASE3, CASE4, H_LABELS, classify_case,
 from .rearrange import (grouped_partial_sum, path_table,
                         path_table_enumerate, row_series_coefficients,
                         table_matches_stream)
-from .recurrence import (RecurrenceSystem, limit_profile, modulus_stream,
-                         modulus_system, recurrence_residuals,
+from .recurrence import (RecurrenceSystem, limit_profile, recurrence_residuals,
                          stream_coefficients)
 from .scalars import (DEFAULT_PRECISION, as_mp, fmt_scalar, is_exact,
                       parse_number, parse_point, parse_precision,
@@ -45,7 +44,7 @@ from .special import (Hyp2F1Params, hyp2f1_series, min_index_for_ratio_bound,
 
 __all__ = [
     "__version__",
-    "run_proof_audit", "run_system_audit",
+    "run_system_audit",
     "boundary_radius", "domain_membership", "eta_z", "gauss_test",
     "membership_sum",
     "AllZeroLimits", "DegreeMismatch", "DomainError", "HeunLabError",
@@ -63,8 +62,8 @@ __all__ = [
     "z_power_tail",
     "grouped_partial_sum", "path_table", "path_table_enumerate",
     "row_series_coefficients", "table_matches_stream",
-    "RecurrenceSystem", "limit_profile", "modulus_stream", "modulus_system",
-    "recurrence_residuals", "stream_coefficients",
+    "RecurrenceSystem", "limit_profile", "recurrence_residuals",
+    "stream_coefficients",
     "DEFAULT_PRECISION", "as_mp", "fmt_scalar", "is_exact", "parse_number",
     "parse_point", "parse_precision", "precision_from_env", "to_scalar",
     "Hyp2F1Params", "hyp2f1_series", "min_index_for_ratio_bound",

@@ -1,10 +1,11 @@
 """End-to-end boundary-divergence audit for a single equation instance.
 
-Runs every stage of the divergence argument against one instance and collects
-the results into a plain-dict document plus a per-term trace.  The document
-contains no timestamps, no environment echoes, and only deterministically
-rendered numbers, so two runs with the same inputs are byte-identical once
-serialized with sorted keys.
+run_system_audit, the one entry point, runs every stage of the divergence
+argument against one three-term system (for a Heun instance, the system of
+heun.heun_recurrence) and collects the results into a plain-dict document
+plus a per-term trace.  The document contains no timestamps, no environment
+echoes, and only deterministically rendered numbers, so two runs with the
+same inputs are byte-identical once serialized with sorted keys.
 """
 
 from __future__ import annotations
@@ -17,15 +18,14 @@ from mpmath.libmp import fone, fzero, mpf_add, mpf_mul, round_nearest, to_float
 from ._version import __version__
 from .convergence import boundary_radius, eta_z, radius_bracketed
 from .errors import DomainError, InputError, InvalidParams, TruncationTooLarge
-from .heun import HeunParams, heun_recurrence, series_limits
 from .instances import render_value as _num
 from .proofs import (find_proof_constants, minorant_partial,
                      verify_proof_constants)
 from .rearrange import (grouped_partial_sum, path_table, path_table_enumerate,
                         table_matches_stream)
 from .recurrence import (domination_bounds, domination_verdict, iter_cleared,
-                         modulus_system, stream_coefficients)
-from .scalars import is_exact, log_abs, rational_to_mp, scalar_abs
+                         limit_profile, stream_coefficients)
+from .scalars import log_abs, rational_to_mp, scalar_abs
 from .special import min_index_for_ratio_bound, pochhammer_ratio_lower_bound
 
 # the trace's terms d_0 .. d_{N+M} come from the exact pass when N + M is at
@@ -50,39 +50,33 @@ def _exact_terms(system, count: int, prec: int):
     return terms
 
 
-def run_proof_audit(params: HeunParams, root=0, **options):
-    """Audit one Heun instance; returns (document, trace_rows).
-
-    The options and their defaults are run_system_audit's.  trace_rows
-    carry (n, value_re, value_im, log_mag, term_at_r, partial_sum) for
-    d_0 .. d_{N+M}, evaluated at the boundary radius: each term correctly
-    rounded from its exact value while N + M <= EXACT_TRACE_CAP, from the
-    stream at the precision beyond it.
-    """
-    if not (params.is_exact() and is_exact(root)):
-        raise InputError("the audit needs rational parameters; its certificates are exact")
-    return run_system_audit(heun_recurrence(params, root), series_limits(params),
-                            root_echo=Fraction(root), **options)
-
-
-def run_system_audit(system, limits, *, root_echo=None, eps=Fraction(1, 100),
+def run_system_audit(system, *, root_echo=None, eps=Fraction(1, 100),
                      N_check: int = 10 ** 5, M: int = 30, m_trunc: int = 2,
                      K=Fraction(1, 2), j_max: int = 64, k_max: int = 4096,
                      prec: int = 256, enum_depth: int = 14,
                      instance_echo: dict | None = None):
-    """Audit any three-term system with known lag limits; see run_proof_audit."""
+    """Audit one three-term system with rational coefficients; returns
+    (document, trace_rows).
+
+    The lag limits are limit_profile's, and root_echo, the indicial exponent
+    of a Heun instance, is echoed as the document's root.  trace_rows carry
+    (n, value_re, value_im, log_mag, term_at_r, partial_sum) for
+    d_0 .. d_{N+M}, evaluated at the boundary radius: each term correctly
+    rounded from its exact value while N + M <= EXACT_TRACE_CAP, from the
+    stream at the precision beyond it.
+    """
     if M < 1:
         raise InvalidParams(f"audit depth {M} must be at least 1")
     if M > AUDIT_DEPTH_CAP:
         raise TruncationTooLarge(
             f"audit depth {M} would build a {M + 1} x {M + 1} exact path table; "
             f"cap is {AUDIT_DEPTH_CAP}")
-    if not (system.is_exact() and all(is_exact(v) for v in limits)):
+    if not system.is_exact():
         raise InputError("the audit needs rational coefficients; its certificates are exact")
     constants = find_proof_constants(system, eps, N_check)
     reverify = verify_proof_constants(system, constants)
 
-    A, B = limits
+    A, B = limit_profile(system).limits
     r_closed = boundary_radius((A, B), prec, "closed")
     with mp.workprec(prec):
         weights = eta_z((A, B), r_closed, prec)
@@ -133,11 +127,10 @@ def run_system_audit(system, limits, *, root_echo=None, eps=Fraction(1, 100),
         terms = stream_coefficients(system, constants.N + M + 1, prec).values
     dom_holds, least, least_den = domination_verdict(domination_bounds(system, constants.N, M))
 
-    mod_at_N = modulus_system(system, constants.N)
-    tbl = path_table(mod_at_N, M)
-    tbl_ok = table_matches_stream(tbl, mod_at_N)
+    tbl = path_table(system, constants.N, M)
+    tbl_ok = table_matches_stream(tbl, system)
     enum_d = min(enum_depth, M)
-    enum_tbl = path_table_enumerate(mod_at_N, enum_d)
+    enum_tbl = path_table_enumerate(system, constants.N, enum_d)
     # the DP at depth enum_d is tbl's top-left corner: entry n reads only smaller n
     corner = tuple(row[:enum_d + 1] for row in tbl.num[:enum_d + 1])
     enum_ok = enum_tbl.num == corner and enum_tbl.den == tbl.den[:enum_d + 1]

@@ -30,7 +30,7 @@ from .instances import (Instance, build_document, document_bytes,
 from .probes import term_scan
 from .proofs import H_LABELS, classify_case
 from .recurrence import limit_profile
-from .scalars import (DEFAULT_PRECISION, parse_number, parse_point,
+from .scalars import (DEFAULT_PRECISION, parse_int, parse_number, parse_point,
                       parse_precision, precision_from_env)
 
 EXIT_OK = 0
@@ -77,6 +77,11 @@ def _opt(args, instance: Instance, name: str, default=None):
     return instance.analysis.get(name, default)
 
 
+def _int_opt(args, instance: Instance, name: str, default: int) -> int:
+    """An integer option, looked up as _opt does."""
+    return parse_int(_opt(args, instance, name, default), f"analysis.{name}")
+
+
 def _require_heun(instance: Instance) -> None:
     if instance.heun is None:
         raise InputError(f"{instance.source}: this command needs a heun block")
@@ -90,8 +95,11 @@ def _cmd_eval(instance, args, precision):
     prec = _bits(precision)
     x = parse_point(str(raw_x), prec)
     tol = parse_number(str(_opt(args, instance, "tol", "1e-30")))
-    n_max = int(_opt(args, instance, "n-max", 10 ** 5))
-    force = bool(getattr(args, "force", False) or instance.analysis.get("force", False))
+    n_max = _int_opt(args, instance, "n-max", 10 ** 5)
+    force = instance.analysis.get("force", False)
+    if not isinstance(force, bool):
+        raise InputError(f"analysis.force: expected true or false, got {force!r}")
+    force = args.force or force
     result = heun_eval(instance.heun, x, instance.root, tol, n_max, force, precision)
     outputs = {
         "x": render_value(x, prec),
@@ -163,10 +171,9 @@ def _cmd_boundary(instance, args, precision):
     which = _opt(args, instance, "which", "modulus")
     if which not in ("signed", "modulus"):
         raise InputError("which must be 'signed' or 'modulus'")
-    offset = int(_opt(args, instance, "offset", 1))
-    n_terms = int(_opt(args, instance, "n-max", 1 << 20))
-    raw_stride = _opt(args, instance, "stride")
-    stride = int(raw_stride) if raw_stride is not None else max(1, n_terms // 4096)
+    offset = _int_opt(args, instance, "offset", 1)
+    n_terms = _int_opt(args, instance, "n-max", 1 << 20)
+    stride = _int_opt(args, instance, "stride", max(1, n_terms // 4096))
     r_star = boundary_radius(instance.limits(), prec)
     raw_r = _opt(args, instance, "radius")
     try:
@@ -194,20 +201,18 @@ def _cmd_boundary(instance, args, precision):
 
 
 def _cmd_proof_audit(instance, args, precision):
-    prec = _bits(precision)
-    analysis = instance.analysis
     document, rows = run_system_audit(
-        instance.system, instance.limits(),
+        instance.system,
         root_echo=instance.root,
         eps=parse_number(str(_opt(args, instance, "eps", "1/100"))),
-        N_check=int(_opt(args, instance, "n-check", 10 ** 5)),
-        M=int(_opt(args, instance, "depth", 30)),
-        m_trunc=int(analysis.get("minorant-m", 2)),
-        K=parse_number(str(analysis.get("minorant-K", "1/2"))),
-        j_max=int(analysis.get("j-max", 64)),
-        k_max=int(analysis.get("k-max", 4096)),
-        prec=prec,
-        enum_depth=int(analysis.get("enum-depth", 14)),
+        N_check=_int_opt(args, instance, "n-check", 10 ** 5),
+        M=_int_opt(args, instance, "depth", 30),
+        m_trunc=_int_opt(args, instance, "minorant-m", 2),
+        K=parse_number(str(_opt(args, instance, "minorant-K", "1/2"))),
+        j_max=_int_opt(args, instance, "j-max", 64),
+        k_max=_int_opt(args, instance, "k-max", 4096),
+        prec=_bits(precision),
+        enum_depth=_int_opt(args, instance, "enum-depth", 14),
         instance_echo=instance.echo,
     )
     document["command"] = "proof-audit"
@@ -243,15 +248,22 @@ def _process_file(path: Path, args) -> bytes:
     return payload
 
 
+# what a command may raise on bad input or a refused evaluation
+_FAILURES = (HeunLabError, OSError, ValueError)
+
+
+def _exit_code(exc: Exception) -> int:
+    """The exit code of one of _FAILURES."""
+    return EXIT_DOMAIN if isinstance(exc, (OutsideDomain, DomainError)) else EXIT_INPUT
+
+
 def _worker(ns: dict, path_str: str):
     args = argparse.Namespace(**ns)
     try:
         _process_file(Path(path_str), args)
         return path_str, EXIT_OK, ""
-    except (OutsideDomain, DomainError) as exc:
-        return path_str, EXIT_DOMAIN, str(exc)
-    except (HeunLabError, OSError, ValueError) as exc:
-        return path_str, EXIT_INPUT, str(exc)
+    except _FAILURES as exc:
+        return path_str, _exit_code(exc), str(exc)
 
 
 def _dispatch(args) -> int:
@@ -376,15 +388,9 @@ def main(argv=None) -> int:
     args = _parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OutsideDomain, DomainError) as exc:
+    except _FAILURES as exc:
         print(f"{PROG}: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except HeunLabError as exc:
-        print(f"{PROG}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (OSError, ValueError) as exc:
-        print(f"{PROG}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _exit_code(exc)
 
 
 if __name__ == "__main__":

@@ -32,10 +32,11 @@ from mpmath import mp
 
 from ._version import __version__
 from .errors import InputError
-from .heun import HeunParams, heun_recurrence, indicial_roots, series_limits
+from .heun import HeunParams, heun_recurrence, indicial_roots
 from .polynomials import PolynomialInN, RationalFnInN
 from .recurrence import RecurrenceSystem, limit_profile
-from .scalars import DEFAULT_PRECISION, fmt_scalar, is_exact, parse_number, parse_precision
+from .scalars import (DEFAULT_PRECISION, fmt_scalar, is_exact, parse_int,
+                      parse_number, parse_precision)
 
 HEUN_KEYS = ("a", "q", "alpha", "beta", "gamma", "delta")
 TRACE_HEADER = ("n", "value_re", "value_im", "log_mag", "term_at_r", "partial_sum")
@@ -71,8 +72,6 @@ class Instance:
     source: str = "<memory>"
 
     def limits(self):
-        if self.heun is not None:
-            return series_limits(self.heun)
         return limit_profile(self.system).limits
 
 
@@ -118,7 +117,7 @@ def _parse_recurrence(block) -> RecurrenceSystem:
     raw = block.get("lags")
     if not isinstance(raw, list) or not raw:
         raise InputError("recurrence.lags: expected a nonempty list of {num, den} objects")
-    if "k" in block and int(block["k"]) != len(raw):
+    if "k" in block and parse_int(block["k"], "recurrence.k") != len(raw):
         raise InputError(
             f"recurrence.k = {block['k']} disagrees with the {len(raw)} lag entries")
     lags = []

@@ -1,9 +1,10 @@
 """Path-product rearrangement of the modulus-majorant series.
 
-Every term of the majorant sequence c_n (built by
-iter_cleared(..., modulus=True)) is a sum of products of step factors: a path
-from index 0 to index n takes steps of size 1 (factor |alpha_1| at the
-arrival index) and size 2 (factor |alpha_2|).
+Every term of the majorant sequence c_n from an offset N (built by
+iter_cleared(system, N, modulus=True)) is a sum of products of step factors:
+a path from index 0 to index n takes steps of size 1 (factor |alpha_1| at the
+arrival index) and size 2 (factor |alpha_2|).  path_table(system, N, M)
+tabulates them to depth M.
 Grouping paths by their count tau of size-1 steps rearranges the series
 
     sum_n c_n |x|^n  =  sum_tau eta^tau * y_tau(z)
@@ -36,7 +37,7 @@ from functools import cached_property
 from mpmath import mp
 
 from .errors import InputError, InvalidParams, TruncationTooLarge
-from .recurrence import ModulusRecurrence, cleared_steps, iter_cleared
+from .recurrence import RecurrenceSystem, cleared_steps, iter_cleared
 from .scalars import as_mp, is_exact, rational_to_mp
 
 ENUMERATION_DEPTH_CAP = 32  # paths grow like Fibonacci(M); past this the walk is hopeless
@@ -73,15 +74,16 @@ class PathTable:
         return Fraction(self.columns[n], self.den[n])
 
 
-def _step_factors(mod: ModulusRecurrence, M: int):
+def _step_factors(system: RecurrenceSystem, offset: int, M: int):
     """Integer factors (a1[n], a2[n]) of a size-1 and a size-2 step into n,
     and the divisors den[n], for n = 0..M (index 0 unused by the steps)."""
-    if mod.base.k != 2:
+    if system.k != 2:
         raise InvalidParams("path rearrangement is stated for three-term recurrences")
     a1, a2, g = [0], [0], [1]
     # the step into n reads the lags at n - 1 + offset, as iter_cleared does;
-    # zip advances the steps first, so floating systems are refused at M = 0 too
-    steps = cleared_steps(mod.base, mod.offset, modulus=True)
+    # zip advances the steps first, so floating systems and negative offsets
+    # are refused at M = 0 too
+    steps = cleared_steps(system, offset, modulus=True)
     for (values, gn), n in zip(steps, range(1, M + 1)):
         a1.append(values[0])
         a2.append(values[1] * g[-1] if n >= 2 else 0)
@@ -89,11 +91,12 @@ def _step_factors(mod: ModulusRecurrence, M: int):
     return a1, a2, tuple(itertools.accumulate(g, operator.mul))
 
 
-def path_table(mod: ModulusRecurrence, M: int) -> PathTable:
-    """Dynamic program over (tau, n) on the stepper's integers."""
+def path_table(system: RecurrenceSystem, offset: int, M: int) -> PathTable:
+    """Dynamic program over (tau, n) on the stepper's integers: the majorant
+    from `offset` to depth M."""
     if M < 0:
         raise InvalidParams("truncation depth must be nonnegative")
-    a1, a2, den = _step_factors(mod, M)
+    a1, a2, den = _step_factors(system, offset, M)
     num = [[0] * (M + 1) for _ in range(M + 1)]
     num[0][0] = 1
     for n in range(1, M + 1):
@@ -103,10 +106,10 @@ def path_table(mod: ModulusRecurrence, M: int) -> PathTable:
             if n >= 2:
                 acc += f2 * num[tau][n - 2]
             num[tau][n] = acc
-    return PathTable(tuple(map(tuple, num)), den, M, mod.offset)
+    return PathTable(tuple(map(tuple, num)), den, M, offset)
 
 
-def path_table_enumerate(mod: ModulusRecurrence, M: int) -> PathTable:
+def path_table_enumerate(system: RecurrenceSystem, offset: int, M: int) -> PathTable:
     """Walk every step sequence explicitly; oracle for the dynamic program."""
     if M < 0:
         raise InvalidParams("truncation depth must be nonnegative")
@@ -114,7 +117,7 @@ def path_table_enumerate(mod: ModulusRecurrence, M: int) -> PathTable:
         raise TruncationTooLarge(
             f"enumeration at depth {M} would walk too many paths; cap is {ENUMERATION_DEPTH_CAP}"
         )
-    a1, a2, den = _step_factors(mod, M)
+    a1, a2, den = _step_factors(system, offset, M)
     num = [[0] * (M + 1) for _ in range(M + 1)]
     # depth-first over (position, tau, prefix product); every node is a valid path
     stack = [(0, 0, 1)]
@@ -125,14 +128,15 @@ def path_table_enumerate(mod: ModulusRecurrence, M: int) -> PathTable:
             stack.append((pos + 1, tau + 1, prod * a1[pos + 1]))
         if pos + 2 <= M:
             stack.append((pos + 2, tau, prod * a2[pos + 2]))
-    return PathTable(tuple(map(tuple, num)), den, M, mod.offset)
+    return PathTable(tuple(map(tuple, num)), den, M, offset)
 
 
-def table_matches_stream(tbl: PathTable, mod: ModulusRecurrence) -> bool:
+def table_matches_stream(tbl: PathTable, system: RecurrenceSystem) -> bool:
     """Column sums of the path table must equal the majorant sequence exactly:
-    the same integers P_n over the same divisors as iter_cleared's."""
+    the same integers P_n over the same divisors as iter_cleared's from the
+    table's offset."""
     q = 1
-    majorant = iter_cleared(mod.base, mod.offset, modulus=True)
+    majorant = iter_cleared(system, tbl.offset, modulus=True)
     for s, d, (p, g) in zip(tbl.columns, tbl.den, majorant):
         q *= g
         if (s, d) != (p, q):

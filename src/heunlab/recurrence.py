@@ -23,7 +23,7 @@ with it.
 
 - iter_cleared steps exact sequences as unreduced integer numerators over a
   running product of step divisors, with no gcd.  Exact streams
-  (stream_coefficients, modulus_stream) reduce each value to a Fraction;
+  (stream_coefficients) reduce each value to a Fraction;
   heun_eval's exact sum reduces once at the end (heun._sum_exact); the
   audit rounds every term once, correctly, from the integer pair;
   domination_bounds zips four of its streams, and the audit's path tables
@@ -122,19 +122,18 @@ class RecurrenceSystem:
 
 @dataclass(frozen=True)
 class CoefficientStream:
-    """Computed values d_start .. d_{start+len-1} of a recurrence solution."""
+    """Computed values s_0 .. s_{len-1} of a recurrence sequence."""
 
     values: tuple
     precision: object  # "exact" or bit count
-    start: int = 0
 
     def __len__(self):
         return len(self.values)
 
     def __getitem__(self, n: int):
-        if n < self.start or n >= self.start + len(self.values):
+        if not 0 <= n < len(self.values):
             raise IndexError(f"index {n} outside stream range")
-        return self.values[n - self.start]
+        return self.values[n]
 
     @cached_property
     def log_mags(self) -> tuple:
@@ -149,8 +148,10 @@ def cleared_steps(system: RecurrenceSystem, offset: int = 0, *, modulus: bool = 
     with G's sign moved into A.  Where G vanishes, at the pole of a lag that
     has not fired yet, A holds only the min(k, j + 1) lags that fire at step
     j, cleared over their own common denominator g.  Systems with floating
-    coefficients raise InputError.
+    coefficients raise InputError, and a negative offset InvalidParams.
     """
+    if offset < 0:
+        raise InvalidParams(f"offset {offset} must be nonnegative")
     if system.cleared is None:
         raise InputError("exact streams need rational coefficients")
     # Horner inline on the coefficients, from the leading one (a zero
@@ -187,9 +188,12 @@ def iter_values(system: RecurrenceSystem, precision: int, offset: int = 0, *,
     cleared_steps, each rounded once from its integer pair; a floating
     system's are evaluated at the working precision.  Values are computed
     at the working precision in force when the generator is advanced, so
-    callers advance it inside workprec(precision).
+    callers advance it inside workprec(precision).  A negative offset raises
+    InvalidParams, in both tiers.
     """
     if system.cleared is None:
+        if offset < 0:  # cleared_steps checks the exact tier's
+            raise InvalidParams(f"offset {offset} must be nonnegative")
         mag = scalar_abs if modulus else (lambda v: v)
         steps = ([as_mp(mag(system.coefficient(i, n)), precision)
                   for i in range(1, min(system.k, j + 1) + 1)]
@@ -236,9 +240,17 @@ def iter_cleared(system: RecurrenceSystem, offset: int = 0, *, modulus: bool = F
         step = (p, g)
 
 
-def _stream(system: RecurrenceSystem, count: int, precision, offset=0, *,
-            modulus=False) -> CoefficientStream:
-    """The first `count` values of iter_cleared's or iter_values' sequence."""
+def stream_coefficients(system: RecurrenceSystem, count: int,
+                        precision: int | str = "exact", offset: int = 0, *,
+                        modulus: bool = False) -> CoefficientStream:
+    """The first `count` values of iter_cleared's sequence for the same
+    offset and modulus: d_0 = 1, d_1, ... by default, the majorant c_j
+    with modulus at offset N.
+
+    With precision="exact" the values are Fractions and satisfy the recurrence
+    identically; with a bit count they are iter_values' mpmath numbers at that
+    working precision.  The exact tier needs rational coefficients.
+    """
     precision = parse_precision(precision)
     if count < 1:
         raise InvalidParams("count must be at least 1")
@@ -254,60 +266,18 @@ def _stream(system: RecurrenceSystem, count: int, precision, offset=0, *,
     return CoefficientStream(tuple(values), precision)
 
 
-def stream_coefficients(system: RecurrenceSystem, count: int,
-                        precision: int | str = "exact") -> CoefficientStream:
-    """Run the recurrence from d_0 = 1 and return the first `count` values.
-
-    With precision="exact" the values are Fractions and satisfy the recurrence
-    identically; with a bit count they are mpmath numbers computed at that
-    working precision.  The exact tier needs rational coefficients.
-    """
-    return _stream(system, count, precision)
-
-
-def _work_ctx(precision):
-    return mp.workprec(53 if precision == "exact" else precision)
-
-
 def recurrence_residuals(system: RecurrenceSystem, stream: CoefficientStream):
     """d_{n+1} - sum_i alpha_i(n) d_{n+1-i} for every computable n; exact tier gives exact zeros."""
     out = []
     vals = stream.values
     k = system.k
-    with _work_ctx(stream.precision):
+    with mp.workprec(53 if stream.precision == "exact" else stream.precision):
         for n in range(len(vals) - 1):
             acc = vals[n + 1] * 0
             for i in range(1, min(k, n + 1) + 1):
                 acc += system.coefficient(i, n) * vals[n + 1 - i]
             out.append(vals[n + 1] - acc)
     return out
-
-
-def modulus_system(system: RecurrenceSystem, offset: int) -> "ModulusRecurrence":
-    return ModulusRecurrence(system, offset)
-
-
-@dataclass(frozen=True)
-class ModulusRecurrence:
-    """The majorant recurrence c_0 = 1, c_{j+1} = sum_i |alpha_i(j + offset)| c_{j+1-i}.
-
-    Offset N gives the sequence dominating |d_{N+j}| / |d_N| contributions;
-    offset N+1 gives the companion sequence attached to the d_{N-1} term.
-    """
-
-    base: RecurrenceSystem
-    offset: int
-
-    def __post_init__(self):
-        if self.offset < 0:
-            raise InvalidParams("modulus offset must be nonnegative")
-
-
-def modulus_stream(mod: ModulusRecurrence, count: int,
-                   precision: int | str = "exact") -> CoefficientStream:
-    """First `count` values of the majorant sequence (all nonnegative), in
-    the tiers of stream_coefficients."""
-    return _stream(mod.base, count, precision, mod.offset, modulus=True)
 
 
 def domination_bounds(system: RecurrenceSystem, N: int, M: int) -> tuple:

@@ -74,6 +74,21 @@ def parse_number(text: str) -> Fraction:
         raise InputError(f"not a rational literal: {text!r}") from exc
 
 
+def parse_int(value, where: str) -> int:
+    """An instance field that must be an integer: an int or an integer string.
+
+    A bool, float, null, list or object raises InputError naming the field.
+    """
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise InputError(f"{where}: expected an integer, got {value!r}")
+
+
 def parse_point(text: str, prec: int = DEFAULT_PRECISION):
     """Parse an evaluation point: rational if possible, else a complex literal."""
     try:

@@ -24,7 +24,6 @@ from heunlab import (HeunParams, OutsideDomain, absolute_profile_sum,
 from heunlab.cli import main as cli_main
 from heunlab.rearrange import (grouped_partial_sum, path_table,
                                path_table_enumerate, table_matches_stream)
-from heunlab.recurrence import modulus_stream, modulus_system
 
 from conftest import SEED, admissible_roots, sample_pool
 
@@ -109,15 +108,14 @@ def test_c05_rearrangement_identity(instance_pool):
         A, B = series_limits(params)
         system = heun_recurrence(params)
         for offset in (0, 11):
-            mod = modulus_system(system, offset)
-            tbl = path_table(mod, 30)
-            assert table_matches_stream(tbl, mod), params
+            tbl = path_table(system, offset, 30)
+            assert table_matches_stream(tbl, system), params
             grouped = grouped_partial_sum(tbl, abs(A), abs(B), x)
-            stream = modulus_stream(mod, 31)
+            stream = stream_coefficients(system, 31, offset=offset, modulus=True)
             direct = sum(stream[n] * x ** n for n in range(31))
             assert grouped == direct, params
-            small = path_table(mod, 14)
-            assert small.table == path_table_enumerate(mod, 14).table, params
+            small = path_table(system, offset, 14)
+            assert small.table == path_table_enumerate(system, offset, 14).table, params
 
 
 def test_c06_proof_constant_audit(instance_pool):

@@ -9,7 +9,7 @@ import pytest
 from mpmath import mp
 
 from heunlab import (DegreeMismatch, HeunParams, InputError, TruncationTooLarge,
-                     document_bytes, heun_recurrence, run_proof_audit,
+                     document_bytes, heun_recurrence, parse_instance,
                      run_system_audit, series_limits, stream_coefficients,
                      trace_bytes)
 from heunlab import audit
@@ -24,7 +24,7 @@ F = Fraction
 @pytest.fixture(scope="module")
 def a2_audit():
     params = HeunParams(2, 1, 1, 1, 1, 1)
-    return run_proof_audit(params)
+    return run_system_audit(heun_recurrence(params), root_echo=F(0))
 
 
 def test_verdicts_all_true(a2_audit):
@@ -98,7 +98,7 @@ def golden_traces(a2_audit):
     """(params, trace rows) of the two golden audits."""
     pool06 = HeunParams(2, 0, 2, 2, 1, 1)
     return [(HeunParams(2, 1, 1, 1, 1, 1), a2_audit[1]),
-            (pool06, run_proof_audit(pool06)[1])]
+            (pool06, run_system_audit(heun_recurrence(pool06))[1])]
 
 
 def exact_terms(params, count):
@@ -133,9 +133,11 @@ def test_trace_values_match_the_reduced_fraction_path(golden_traces):
 
 
 def test_system_route_matches_heun_route(a2_audit):
-    params = HeunParams(2, 1, 1, 1, 1, 1)
-    document, rows = run_system_audit(heun_recurrence(params),
-                                      series_limits(params))
+    # a recurrence instance with the Heun lags audits as the heun one does
+    lags = heun_recurrence(HeunParams(2, 1, 1, 1, 1, 1)).lags
+    block = {"lags": [{"num": list(map(str, fn.num.coeffs)), "den": list(map(str, fn.den.coeffs))}
+                      for fn in lags]}
+    document, rows = run_system_audit(parse_instance({"recurrence": block}).system)
     base_doc, base_rows = a2_audit
     expect = dict(base_doc)
     expect["root"] = None
@@ -145,7 +147,7 @@ def test_system_route_matches_heun_route(a2_audit):
 
 def test_determinism(a2_audit):
     params = HeunParams(2, 1, 1, 1, 1, 1)
-    document, _ = run_proof_audit(params)
+    document, _ = run_system_audit(heun_recurrence(params), root_echo=F(0))
     assert document_bytes(document) == document_bytes(a2_audit[0])
 
 
@@ -153,28 +155,28 @@ def test_audit_needs_rational_input():
     with mp.workprec(64):
         loose = HeunParams(mp.mpf(2), 1, 1, 1, 1, 1)
     with pytest.raises(InputError):
-        run_proof_audit(loose)
+        run_system_audit(heun_recurrence(loose))
     params = HeunParams(2, 1, 1, 1, 1, 1)
     with pytest.raises(InputError):
-        run_proof_audit(params, root=mp.mpf(0))
+        run_system_audit(heun_recurrence(params, mp.mpf(0)))
 
 
 def test_audit_depth_is_capped():
     params = HeunParams(2, 1, 1, 1, 1, 1)
     with pytest.raises(TruncationTooLarge):
-        run_proof_audit(params, M=AUDIT_DEPTH_CAP + 1)
+        run_system_audit(heun_recurrence(params), M=AUDIT_DEPTH_CAP + 1)
 
 
 def test_audit_rejects_out_of_hypothesis_systems():
     params = HeunParams(-1, 1, 1, 1, 1, 1)
     with pytest.raises(DegreeMismatch):
-        run_system_audit(heun_recurrence(params), series_limits(params))
+        run_system_audit(heun_recurrence(params))
 
 
 def test_audit_echoes_instance(a2_audit):
     params = HeunParams(2, 1, 1, 1, 1, 1)
     echo = {"heun": {"a": "2"}}
-    document, _ = run_proof_audit(params, instance_echo=echo)
+    document, _ = run_system_audit(heun_recurrence(params), instance_echo=echo)
     assert document["instance"] == echo
     assert a2_audit[0]["instance"] == {}
 
@@ -311,7 +313,7 @@ def test_wide_rational_instance_audits_exactly():
     # the trace's exact pass rounds ~10^5-bit integers; the domination lemma
     # steps only the window's own coefficients
     params = HeunParams(F(21, 11), 2, F(-33, 7 * 10 ** 81), 0, F(1, 1875 * 10 ** 80), 1)
-    document, _ = run_proof_audit(params)
+    document, _ = run_system_audit(heun_recurrence(params))
     assert document["domination"]["precision"] == "exact"
     assert document["verdicts"]["overall"] is True
 
@@ -330,7 +332,7 @@ def test_wide_rational_instance_audits_exactly():
      "b6a525fcfb0f87da52d1e69395359166950564232a5e62356723b551af21368b"),
 ])
 def test_domination_is_exact_on_both_sides_of_the_trace_cap(params, eps, N, csv_sha):
-    document, rows = run_proof_audit(params, eps=eps)
+    document, rows = run_system_audit(heun_recurrence(params), eps=eps)
     M = document["options"]["M"]
     assert (N + M <= audit.EXACT_TRACE_CAP) is (N == 4951)
     assert document["constants"]["N"] == N
@@ -367,6 +369,6 @@ def test_audit_makes_no_fraction_in_the_domination_window(a2_params, monkeypatch
         monkeypatch.setattr(audit, name, watched(getattr(audit, name)))
     system = heun_recurrence(a2_params)
     system.cleared  # the lags cleared to integers once, before the window
-    document, _ = run_system_audit(system, series_limits(a2_params))
+    document, _ = run_system_audit(system)
     assert document["verdicts"]["domination_holds"]
     assert made == []

@@ -409,6 +409,90 @@ def test_directory_fan_out_reports_failures(tmp_path, capsys):
     assert any(line.endswith(": ok") for line in lines)
 
 
+def write_json(path, doc):
+    path.write_text(json.dumps(doc))
+    return path
+
+
+INTEGER_FIELDS = [("eval", "n-max"), ("boundary", "n-max"), ("boundary", "stride"),
+                  ("boundary", "offset"), ("proof-audit", "depth"),
+                  ("proof-audit", "n-check"), ("proof-audit", "minorant-m"),
+                  ("proof-audit", "j-max"), ("proof-audit", "k-max"),
+                  ("proof-audit", "enum-depth")]
+
+
+@pytest.mark.parametrize("value", [None, [3], {"n": 3}, True, 3.5, "three"], ids=repr)
+@pytest.mark.parametrize("command, field", INTEGER_FIELDS)
+def test_integer_fields_refuse_other_json_values(tmp_path, capsys, command, field, value):
+    doc = json.loads(A2_JSON)
+    doc["analysis"][field] = value
+    path = write_json(tmp_path / "bad.json", doc)
+    code, out, err = run(capsys, [command, str(path)])
+    assert (code, out) == (3, "")
+    assert f"analysis.{field}: expected an integer" in err and err.count("\n") == 1
+
+
+def test_integer_fields_read_integer_strings(tmp_path, capsys):
+    doc = json.loads(A2_JSON)
+    doc["analysis"].update({"n-max": "5", "depth": "3", "enum-depth": "2"})
+    path = write_json(tmp_path / "strings.json", doc)
+    assert run_doc(capsys, ["eval", str(path)])["outputs"]["n_used"] == 5
+    audit = run_doc(capsys, ["proof-audit", str(path), "--n-check", "5000"])
+    assert (audit["options"]["M"], audit["options"]["enum_depth"]) == (3, 2)
+
+
+@pytest.mark.parametrize("k", [None, [2], {"k": 2}, True, "two"], ids=repr)
+def test_recurrence_k_must_be_an_integer(tmp_path, capsys, k):
+    doc = json.loads(REC_JSON)
+    doc["recurrence"]["k"] = k
+    code, out, err = run(capsys, ["domain", str(write_json(tmp_path / "rec.json", doc))])
+    assert (code, out) == (3, "")
+    assert "recurrence.k: expected an integer" in err and err.count("\n") == 1
+    doc["recurrence"]["k"] = "2"
+    assert run_doc(capsys, ["domain", str(write_json(tmp_path / "rec.json", doc))])
+
+
+@pytest.mark.parametrize("force, code", [(True, 0), (False, 2), ("no", 3), ("true", 3),
+                                         (1, 3), (None, 3)])
+def test_force_must_be_a_json_boolean(tmp_path, capsys, force, code):
+    doc = json.loads(A2_JSON)
+    doc["analysis"].update({"x": "9/10", "force": force})
+    path = write_json(tmp_path / "f.json", doc)
+    got, out, err = run(capsys, ["eval", str(path), "--precision", "64"])
+    assert got == code
+    if code == 0:
+        assert json.loads(out)["outputs"]["forced"]
+    if code == 3:
+        assert "analysis.force: expected true or false" in err and err.count("\n") == 1
+
+
+def test_directory_fan_out_reports_a_bad_integer_field(tmp_path, capsys):
+    (tmp_path / "one.json").write_text(A2_JSON)
+    (tmp_path / "two.json").write_text(REC_JSON)
+    bad = json.loads(REC_JSON)
+    bad["recurrence"]["k"] = None
+    write_json(tmp_path / "bad.json", bad)
+    code, out, err = run(capsys, ["domain", str(tmp_path)])
+    assert code == 3 and err == ""
+    lines = dict(line.rsplit(".json: ", 1) for line in out.strip().splitlines())
+    assert {Path(k).name: v for k, v in lines.items()} == {
+        "bad": "exit 3: recurrence.k: expected an integer, got None",
+        "one": "ok", "two": "ok"}
+
+
+def test_fan_out_and_single_file_share_exit_codes(tmp_path, capsys):
+    # exit 2 for a refused evaluation, 3 for bad input, in both routes
+    doc = json.loads(A2_JSON)
+    for name, x, code in (("outside", "9/10", 2), ("junk", "nine", 3)):
+        doc["analysis"]["x"] = x
+        folder = tmp_path / name
+        folder.mkdir()
+        path = write_json(folder / "one.json", doc)
+        assert run(capsys, ["eval", str(path)])[0] == code
+        got, out, _ = run(capsys, ["eval", str(folder)])
+        assert got == code and f"one.json: exit {code}: " in out
+
+
 def test_empty_directory_exits_3(tmp_path, capsys):
     code, _, err = run(capsys, ["domain", str(tmp_path)])
     assert code == 3

@@ -7,9 +7,9 @@ import pytest
 
 from heunlab import (InsufficientData, InvalidParams, RationalFnInN,
                      RecurrenceSystem, boundary_radius, discrepancy_report,
-                     empirical_radius, eta_z, heun_recurrence, modulus_stream,
-                     modulus_system, poly_from, series_limits,
-                     stream_coefficients, term_scan, term_trace)
+                     empirical_radius, eta_z, heun_recurrence, poly_from,
+                     series_limits, stream_coefficients, term_scan,
+                     term_trace)
 
 F = Fraction
 R_STAR_A2 = 0.5615528128088303
@@ -118,7 +118,7 @@ def test_trace_matches_exact_majorant(a2_params):
     system = heun_recurrence(a2_params)
     r = 0.5
     rows = term_trace(system, r, 60, stride=1)
-    exact = modulus_stream(modulus_system(system, 1), 60)
+    exact = stream_coefficients(system, 60, offset=1, modulus=True)
     assert rows[0] == (0, 1.0, 0.0, 0.0, 1.0, 1.0)
     partial = 1.0
     for n, value, value_im, log_mag, term, total in rows[1:]:

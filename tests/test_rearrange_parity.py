@@ -16,10 +16,9 @@ from mpmath import mp
 
 from heunlab import (HeunParams, IndicialPole, InputError, RationalFnInN,
                      RecurrenceSystem, find_proof_constants,
-                     grouped_partial_sum, heun_recurrence, modulus_system,
-                     path_table, path_table_enumerate, poly_from,
-                     row_series_coefficients, run_proof_audit, series_limits,
-                     table_matches_stream)
+                     grouped_partial_sum, heun_recurrence, path_table,
+                     path_table_enumerate, poly_from, row_series_coefficients,
+                     run_system_audit, series_limits, table_matches_stream)
 from heunlab.scalars import as_mp, rational_to_mp, scalar_abs
 
 F = Fraction
@@ -27,17 +26,17 @@ M = 30
 ENUM_DEPTH = 14
 
 
-def factor(mod, i, j):
-    return scalar_abs(mod.base.coefficient(i, j + mod.offset))
+def factor(system, offset, i, j):
+    return scalar_abs(system.coefficient(i, j + offset))
 
 
-def reference_table(mod, depth):
+def reference_table(system, offset, depth):
     zero = Fraction(0)
     tbl = [[zero] * (depth + 1) for _ in range(depth + 1)]
     tbl[0][0] = Fraction(1)
     for n in range(1, depth + 1):
-        a_fac = factor(mod, 1, n - 1)
-        b_fac = factor(mod, 2, n - 1) if n >= 2 else None
+        a_fac = factor(system, offset, 1, n - 1)
+        b_fac = factor(system, offset, 2, n - 1) if n >= 2 else None
         for tau in range(0, n + 1):
             acc = zero
             if tau >= 1:
@@ -48,7 +47,7 @@ def reference_table(mod, depth):
     return tuple(tuple(row) for row in tbl)
 
 
-def reference_enumerate(mod, depth):
+def reference_enumerate(system, offset, depth):
     zero = Fraction(0)
     tbl = [[zero] * (depth + 1) for _ in range(depth + 1)]
     stack = [(0, 0, Fraction(1))]
@@ -56,9 +55,9 @@ def reference_enumerate(mod, depth):
         pos, tau, prod = stack.pop()
         tbl[tau][pos] = tbl[tau][pos] + prod
         if pos + 1 <= depth:
-            stack.append((pos + 1, tau + 1, prod * factor(mod, 1, pos)))
+            stack.append((pos + 1, tau + 1, prod * factor(system, offset, 1, pos)))
         if pos + 2 <= depth:
-            stack.append((pos + 2, tau, prod * factor(mod, 2, pos + 1)))
+            stack.append((pos + 2, tau, prod * factor(system, offset, 2, pos + 1)))
     return tuple(tuple(row) for row in tbl)
 
 
@@ -68,15 +67,15 @@ def reference_rows(table, a_mag, b_mag):
                  for tau in range(len(table)))
 
 
-def assert_tables(mod, limits=None):
-    tbl = path_table(mod, M)
-    expected = reference_table(mod, M)
+def assert_tables(system, offset, limits=None):
+    tbl = path_table(system, offset, M)
+    expected = reference_table(system, offset, M)
     assert tbl.table == expected
     assert all(type(v) is Fraction for row in tbl.table for v in row)
     assert [tbl.column_sum(n) for n in range(M + 1)] == [sum(col) for col in zip(*expected)]
-    assert table_matches_stream(tbl, mod)
-    enum = path_table_enumerate(mod, ENUM_DEPTH)
-    assert enum.table == reference_enumerate(mod, ENUM_DEPTH)
+    assert table_matches_stream(tbl, system)
+    enum = path_table_enumerate(system, offset, ENUM_DEPTH)
+    assert enum.table == reference_enumerate(system, offset, ENUM_DEPTH)
     assert enum.num == tuple(row[:ENUM_DEPTH + 1] for row in tbl.num[:ENUM_DEPTH + 1])
     if limits is not None:
         a_mag, b_mag = limits
@@ -90,7 +89,7 @@ def test_tables_match_fraction_loops_over_the_pool(instance_pool):
         limits = (abs(A), abs(B)) if A and B else None
         N = find_proof_constants(system).N
         for offset in (0, 11, N):
-            assert_tables(modulus_system(system, offset), limits)
+            assert_tables(system, offset, limits)
 
 
 def lag(num, den):
@@ -118,7 +117,7 @@ def test_tables_step_over_a_vanishing_denominator(name):
     system = G_ZERO_SYSTEMS[name]
     assert system.cleared[1](0) == 0
     for offset in (0, 1, 11):
-        assert_tables(modulus_system(system, offset))
+        assert_tables(system, offset)
     with pytest.raises(IndicialPole):
         RecurrenceSystem((system.lags[0], lag((F(1),), (F(-1), F(1)))))
 
@@ -126,13 +125,12 @@ def test_tables_step_over_a_vanishing_denominator(name):
 def test_path_tables_refuse_floating_inputs():
     with mp.workprec(80):
         system = heun_recurrence(HeunParams(mp.mpf(2), 1, 1, 1, 1, 1))
-    mod = modulus_system(system, 3)
     with pytest.raises(InputError):
-        path_table(mod, 4)
+        path_table(system, 3, 4)
     with pytest.raises(InputError):
-        path_table_enumerate(mod, 4)
+        path_table_enumerate(system, 3, 4)
     # the rows are normalized by exact limits, in either tier of x
-    tbl = path_table(modulus_system(heun_recurrence(HeunParams(2, 1, 1, 1, 1, 1)), 3), 4)
+    tbl = path_table(heun_recurrence(HeunParams(2, 1, 1, 1, 1, 1)), 3, 4)
     for x in (F(1, 3), mp.mpf(1) / 3):
         with pytest.raises(InputError):
             grouped_partial_sum(tbl, mp.mpf(1.5), F(1, 2), x)
@@ -147,7 +145,7 @@ def test_mp_grouped_sum_rounds_each_coefficient_once(instance_pool, prec):
             continue
         a_mag, b_mag = abs(A), abs(B)
         for offset in (0, 11):
-            tbl = path_table(modulus_system(heun_recurrence(params), offset), M)
+            tbl = path_table(heun_recurrence(params), offset, M)
             rows = row_series_coefficients(tbl, a_mag, b_mag)
             with mp.workprec(prec):
                 x_mp = as_mp(x, prec)
@@ -174,6 +172,6 @@ def test_audit_converts_no_rational_through_mpq(a2_params, monkeypatch):
         return original(p, q, *args)
 
     monkeypatch.setattr(mpmath.rational, "create_reduced", counting)
-    document, _ = run_proof_audit(a2_params)
+    document, _ = run_system_audit(heun_recurrence(a2_params))
     assert document["verdicts"]["rearrangement_ok"]
     assert calls == []

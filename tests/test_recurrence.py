@@ -8,10 +8,12 @@ from mpmath import mp
 
 from heunlab import (DegreeMismatch, HeunParams, IndicialPole, InvalidParams,
                      RationalFnInN, RecurrenceSystem, heun_recurrence,
-                     limit_profile, modulus_stream, modulus_system, poly_from,
-                     recurrence_residuals, stream_coefficients)
+                     limit_profile, poly_from, recurrence_residuals,
+                     series_limits, stream_coefficients)
 from heunlab import recurrence
 from heunlab.recurrence import domination_bounds, domination_verdict
+
+from conftest import admissible_roots
 
 F = Fraction
 
@@ -91,8 +93,7 @@ def test_stream_rejects_empty_request():
 
 def test_modulus_stream_first_values(a2_params):
     system = heun_recurrence(a2_params)
-    mod = modulus_system(system, 10)
-    c = modulus_stream(mod, 3)
+    c = stream_coefficients(system, 3, offset=10, modulus=True)
     a1, a2 = system.lags
     assert c[0] == 1
     assert c[1] == abs(a1(10))
@@ -101,13 +102,17 @@ def test_modulus_stream_first_values(a2_params):
 
 def test_modulus_stream_of_sign_free_system_is_the_stream():
     stream = stream_coefficients(geometric_system(), 12)
-    c = modulus_stream(modulus_system(geometric_system(), 0), 12)
+    c = stream_coefficients(geometric_system(), 12, modulus=True)
     assert c.values == stream.values
 
 
-def test_modulus_offset_must_be_nonnegative(a2_params):
-    with pytest.raises(InvalidParams):
-        modulus_system(heun_recurrence(a2_params), -1)
+@pytest.mark.parametrize("a, precision", [(2, "exact"), (2, 64), (mp.mpf(2), 64)])
+def test_modulus_offset_must_be_nonnegative(a, precision):
+    # the floating system's lags would divide by zero at n = -1
+    with mp.workprec(80):
+        system = heun_recurrence(HeunParams(a, 1, 1, 1, 1, 1))
+    with pytest.raises(InvalidParams, match="offset -1 must be nonnegative"):
+        stream_coefficients(system, 3, precision, -1, modulus=True)
 
 
 def test_domination_base_case_is_equality(a2_params):
@@ -146,8 +151,8 @@ def test_domination_input_checks(a2_params):
 
 def fraction_domination(system, values, N, M):
     """(lhs, rhs) of every bound j = 0..M in reduced Fractions: the reference."""
-    cbar = modulus_stream(modulus_system(system, N), M + 1).values
-    chat = modulus_stream(modulus_system(system, N + 1), max(M, 1)).values
+    cbar = stream_coefficients(system, M + 1, offset=N, modulus=True).values
+    chat = stream_coefficients(system, max(M, 1), offset=N + 1, modulus=True).values
     b = abs(system.coefficient(2, N))
     out = []
     for j in range(M + 1):
@@ -175,8 +180,9 @@ def test_domination_bounds_match_fraction_reference(instance_pool, N, M):
     for params in instance_pool[:12]:
         system = heun_recurrence(params)
         coeffs = lemma_coefficients(system, N, M)
-        cbar = modulus_stream(modulus_system(system, N), M + 1).values
-        chat = (F(0),) + modulus_stream(modulus_system(system, N + 1), max(M, 1)).values
+        cbar = stream_coefficients(system, M + 1, offset=N, modulus=True).values
+        chat = (F(0),) + stream_coefficients(system, max(M, 1), offset=N + 1,
+                                             modulus=True).values
         b = abs(system.coefficient(2, N))
         expect = []
         for j, (u, v) in enumerate(coeffs):
@@ -223,6 +229,21 @@ def test_limit_profile_heun(a2_params):
     assert profile.limits == (F(3, 2), F(-1, 2))
     assert profile.degrees == ((2, 2), (2, 2))
     assert all(sub is not None for sub in profile.subleading)
+
+
+def test_heun_limit_profile_is_series_limits(instance_pool):
+    # instances and the audit read a Heun system's limits from limit_profile
+    pool = [*instance_pool, HeunParams(-1, 1, 1, 1, 1, 1),
+            HeunParams(-1, F(-3, 4), F(1, 2), 2, F(5, 4), F(-1, 3)), HeunParams(2, 1, 1, 1, 1, 1)]
+    exponents = 0
+    for params in pool:
+        expect = series_limits(params)
+        for root in admissible_roots(params):
+            limits = limit_profile(heun_recurrence(params, root)).limits
+            assert limits == expect, (params, root)
+            assert [type(v) for v in limits] == [type(v) for v in expect] == [F, F]
+            exponents += root != 0
+    assert exponents > len(pool) // 2
 
 
 def test_limit_profile_single_lag():

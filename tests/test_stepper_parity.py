@@ -19,8 +19,8 @@ from mpmath import mp
 
 import heunlab
 from heunlab import (HeunParams, InputError, PolynomialInN, RationalFnInN,
-                     RecurrenceSystem, heun_recurrence, modulus_stream,
-                     modulus_system, path_table, poly_from, stream_coefficients)
+                     RecurrenceSystem, heun_recurrence, path_table, poly_from,
+                     stream_coefficients)
 from heunlab.recurrence import (cleared_steps, domination_bounds, iter_cleared,
                                 iter_values)
 from heunlab.scalars import as_mp, is_exact, scalar_abs
@@ -102,7 +102,7 @@ def assert_close(values, expected, system, prec):
     terms, the difference relative to d_n itself reaches 2e-12 at 53 bits
     and 6e-74 at 256 bits on the pool.
     """
-    majorant = modulus_stream(modulus_system(system, 0), len(values)).values
+    majorant = stream_coefficients(system, len(values), modulus=True).values
     slack = mp.mpf(2) ** (10 - prec)
     with mp.workprec(prec):
         for v, e, c in zip(values, expected, majorant):
@@ -228,16 +228,14 @@ def test_mp_streams_round_each_lag_value_once(instance_pool, prec):
 def test_majorants_match_modulus_loop(instance_pool, offset):
     for system in all_systems(instance_pool):
         for precision in ("exact", 53):
-            mod = modulus_system(system, offset)
-            stream = modulus_stream(mod, 40, precision)
+            stream = stream_coefficients(system, 40, precision, offset, modulus=True)
             assert_same(stream.values, reference_modulus(system, offset, 40, precision))
 
 
 def test_majorant_resumes_from_its_memo(a2_params):
     system = heun_recurrence(a2_params)
-    mod = modulus_system(system, 3)
-    head = modulus_stream(mod, 7)
-    full = modulus_stream(modulus_system(system, 3), 50)
+    head = stream_coefficients(system, 7, offset=3, modulus=True)
+    full = stream_coefficients(system, 50, offset=3, modulus=True)
     assert full.values[:7] == head.values
     assert_same(full.values, reference_modulus(system, 3, 50, "exact"))
 
@@ -252,7 +250,7 @@ def test_floating_system_steps_at_working_precision():
     assert not system.is_exact() and system.cleared is None
     stream = stream_coefficients(system, 30, 64)
     assert_same(stream.values, reference_rounded_once(system, 30, 64))
-    majorant = modulus_stream(modulus_system(system, 2), 30, 64)
+    majorant = stream_coefficients(system, 30, 64, 2, modulus=True)
     assert_same(majorant.values, reference_modulus(system, 2, 30, 64))
 
 
@@ -263,7 +261,7 @@ def test_exact_streams_refuse_floating_systems():
     with pytest.raises(InputError):
         stream_coefficients(system, 4, "exact")
     with pytest.raises(InputError):
-        modulus_stream(modulus_system(system, 3), 4, "exact")
+        stream_coefficients(system, 4, "exact", 3, modulus=True)
     assert len(stream_coefficients(system, 4, 64)) == 4
 
 
@@ -293,7 +291,7 @@ def test_exact_readers_evaluate_no_lag_polynomial(a2_params, monkeypatch):
     monkeypatch.setattr(PolynomialInN, "__call__", counting)
     with mp.workprec(256):
         assert len(list(itertools.islice(iter_values(system, 256), 200))) == 200
-    path_table(modulus_system(system, 301), 30)
+    path_table(system, 301, 30)
     domination_bounds(system, 301, 30)
     assert calls == []
     system.coefficient(1, 5)  # the per-lag reference still goes through the patch
