@@ -106,8 +106,13 @@ def test_modulus_stream_of_sign_free_system_is_the_stream():
     assert c.values == stream.values
 
 
-@pytest.mark.parametrize("a, precision", [(2, "exact"), (2, 64), (mp.mpf(2), 64)])
-def test_modulus_offset_must_be_nonnegative(a, precision):
+def test_modulus_offset_must_be_nonnegative(a2_params):
+    with pytest.raises(InvalidParams, match="offset -1 must be nonnegative"):
+        stream_coefficients(heun_recurrence(a2_params), 3, "exact", -1, modulus=True)
+
+
+@pytest.mark.parametrize("a, precision", [(2, 64), (mp.mpf(2), 64)])
+def test_floating_modulus_offset_must_be_nonnegative(a, precision):
     # the floating system's lags would divide by zero at n = -1
     with mp.workprec(80):
         system = heun_recurrence(HeunParams(a, 1, 1, 1, 1, 1))
