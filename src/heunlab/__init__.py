@@ -7,13 +7,14 @@ machinery for the boundary-divergence argument: case classification, proof
 constants with exact positivity certificates, modulus majorants and the
 domination bound, lattice-path series rearrangement, factorial-ratio lower
 bounds, and the divergent minorant.  Long-run float64 probes and a Gauss-type
-boundary test provide the empirical counterpart.
+boundary test provide the empirical counterpart.  They are the only numpy
+code, so the package exports them lazily: numpy loads on first use.
 """
 
 from ._version import __version__
 from .audit import run_system_audit
 from .convergence import (boundary_radius, domain_membership, eta_z,
-                          gauss_test, membership_sum)
+                          membership_sum)
 from .errors import (AllZeroLimits, DegreeMismatch, DomainError, HeunLabError,
                      IndicialPole, InputError, InsufficientData, InvalidC,
                      InvalidParams, MagnitudeOverflow, NotFoundWithin,
@@ -26,8 +27,6 @@ from .instances import (Instance, document_bytes, load_instance,
                         write_trace)
 from .polynomials import (PolynomialInN, RationalFnInN, nonneg_integer_roots,
                           poly_from)
-from .probes import (discrepancy_report, empirical_radius, term_scan,
-                     term_trace)
 from .proofs import (CASE1, CASE2, CASE3, CASE4, H_LABELS, classify_case,
                      find_proof_constants, minorant_partial,
                      verify_proof_constants, z_power_tail)
@@ -42,11 +41,14 @@ from .scalars import (DEFAULT_PRECISION, as_mp, fmt_scalar, is_exact,
 from .special import (Hyp2F1Params, hyp2f1_series, min_index_for_ratio_bound,
                       pochhammer, pochhammer_ratio_lower_bound)
 
+# exported from probes on first access (see __getattr__)
+_LAZY = ("discrepancy_report", "empirical_radius", "gauss_test", "term_scan",
+         "term_trace")
+
 __all__ = [
     "__version__",
     "run_system_audit",
-    "boundary_radius", "domain_membership", "eta_z", "gauss_test",
-    "membership_sum",
+    "boundary_radius", "domain_membership", "eta_z", "membership_sum",
     "AllZeroLimits", "DegreeMismatch", "DomainError", "HeunLabError",
     "IndicialPole", "InputError", "InsufficientData", "InvalidC",
     "InvalidParams", "MagnitudeOverflow", "NotFoundWithin", "OutsideDomain",
@@ -56,7 +58,6 @@ __all__ = [
     "Instance", "document_bytes", "load_instance", "parse_instance",
     "render_value", "trace_bytes", "write_trace",
     "PolynomialInN", "RationalFnInN", "nonneg_integer_roots", "poly_from",
-    "discrepancy_report", "empirical_radius", "term_scan", "term_trace",
     "CASE1", "CASE2", "CASE3", "CASE4", "H_LABELS", "classify_case",
     "find_proof_constants", "minorant_partial", "verify_proof_constants",
     "z_power_tail",
@@ -68,4 +69,20 @@ __all__ = [
     "parse_point", "parse_precision", "precision_from_env", "to_scalar",
     "Hyp2F1Params", "hyp2f1_series", "min_index_for_ratio_bound",
     "pochhammer", "pochhammer_ratio_lower_bound",
+    *_LAZY,
 ]
+
+
+def __getattr__(name):
+    # PEP 562: the float64 probes import numpy, so they load on first use
+    if name in _LAZY:
+        from . import probes
+
+        value = getattr(probes, name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

@@ -25,7 +25,7 @@ from .rearrange import (grouped_partial_sum, path_table, path_table_enumerate,
                         table_matches_stream)
 from .recurrence import (domination_bounds, domination_verdict, iter_cleared,
                          limit_profile, stream_coefficients)
-from .scalars import log_abs, rational_to_mp, scalar_abs
+from .scalars import fmt_scalar, is_exact, log_abs, rational_to_mp, scalar_abs
 from .special import min_index_for_ratio_bound, pochhammer_ratio_lower_bound
 
 # the trace's terms d_0 .. d_{N+M} come from the exact pass when N + M is at
@@ -179,7 +179,8 @@ def run_system_audit(system, *, root_echo=None, eps=Fraction(1, 100),
         "version": __version__,
         "precision": prec,
         "instance": instance_echo or {},
-        "root": _num(root_echo, prec) if root_echo is not None else None,
+        # an int root renders like a Fraction: "0", never 0
+        "root": fmt_scalar(root_echo) if is_exact(root_echo) else _num(root_echo, prec),
         "options": {
             "eps": _num(eps, prec), "N_check": N_check, "M": M,
             "m": m_trunc, "K": _num(K, prec), "j_max": j_max, "k_max": k_max,

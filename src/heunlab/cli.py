@@ -7,6 +7,9 @@ in it (--jobs workers, one per file at most) and prints a status line each.
 
 Exit codes: 0 success, 2 evaluation refused on convergence-domain grounds,
 3 bad input.
+
+Only `boundary` and `gauss` run float64 code; they import probes (and with
+it numpy) on their first call, so every other command starts without numpy.
 """
 
 from __future__ import annotations
@@ -21,13 +24,11 @@ from mpmath import mp
 
 from ._version import __version__
 from .audit import run_system_audit
-from .convergence import (boundary_radius, eta_z, gauss_test, is_inside,
-                          membership_sum)
+from .convergence import boundary_radius, eta_z, is_inside, membership_sum
 from .errors import DomainError, HeunLabError, InputError, OutsideDomain
 from .heun import heun_eval
 from .instances import (Instance, build_document, document_bytes,
                         load_instance, render_value, write_trace)
-from .probes import term_scan
 from .proofs import H_LABELS, classify_case
 from .recurrence import limit_profile
 from .scalars import (DEFAULT_PRECISION, parse_int, parse_number, parse_point,
@@ -80,6 +81,20 @@ def _opt(args, instance: Instance, name: str, default=None):
 def _int_opt(args, instance: Instance, name: str, default: int) -> int:
     """An integer option, looked up as _opt does."""
     return parse_int(_opt(args, instance, name, default), f"analysis.{name}")
+
+
+def term_scan(*args, **kwargs):
+    """probes.term_scan, imported on the first call."""
+    from .probes import term_scan
+
+    return term_scan(*args, **kwargs)
+
+
+def gauss_test(*args, **kwargs):
+    """probes.gauss_test, imported on the first call."""
+    from .probes import gauss_test
+
+    return gauss_test(*args, **kwargs)
 
 
 def _require_heun(instance: Instance) -> None:

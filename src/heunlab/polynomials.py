@@ -11,8 +11,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-import numpy as np
-
 from .errors import InvalidParams, PoleAtIndex
 from .scalars import is_exact
 
@@ -181,6 +179,8 @@ def nonneg_integer_roots(poly: PolynomialInN, tol: float = 1e-9) -> frozenset:
         return frozenset(roots)
     if exact:
         return frozenset(roots | _positive_integer_roots(coeffs))
+    import numpy as np  # floating coefficients only; the exact path never loads numpy
+
     scale = max(1.0, float(max(abs(c) for c in poly.coeffs)))
     for root in np.roots([complex(c) for c in reversed(coeffs)]):
         k = round(root.real)

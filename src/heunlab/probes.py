@@ -15,7 +15,7 @@ long before the last checkpoint, and without the scale channel the recurrence
 itself would degenerate to 0/0.
 
 One driver, stream_terms, streams every float64 scan: the probes, their CSV
-trace and convergence.gauss_test.  It works through the stream in chunks of
+trace and gauss_test.  It works through the stream in chunks of
 _CHUNK terms and carries (state, running total) from one chunk to the next;
 a step rule turns the carried state into the chunk's terms.  Partial sums
 are a cumulative sum seeded with the carried total, so they add the terms in
@@ -53,18 +53,28 @@ The radius enters as r = m 2^k: the scan runs on a m and b m^2, and each
 term's exponent gains j k (a step skipped for radii in [1/2, 1), whose k is
 0), so no radius that float64 holds can overflow the transfer matrices.
 The Gauss series' rule is the scalar (k = 1) case: a cumulative product of
-the term ratio seeded with the carried term.
+the term ratio seeded with the carried term.  gauss_test is the classical
+boundary case, the 2F1 series at x = 1: an exact verdict from Re(c - a - b)
+next to an empirical one, whose decay exponent is fitted from running
+least-squares sums, so no array grows with the number of terms.
+
+This is the package's one numpy module.  Nothing on the exact path imports
+it: heunlab and its CLI reach it on the first probe or Gauss test, so a
+start that never probes never loads numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
-from .errors import InsufficientData, InvalidParams, MagnitudeOverflow
+from .errors import InputError, InsufficientData, InvalidParams, MagnitudeOverflow
 from .recurrence import CoefficientStream, RecurrenceSystem, stream_coefficients
+from .scalars import is_exact
+from .special import Hyp2F1Params, _is_nonpositive_integer
 
 VERDICT_CONVERGES = "converges-empirically"
 VERDICT_DIVERGES = "diverges-empirically"
@@ -528,3 +538,138 @@ def discrepancy_report(system: RecurrenceSystem, r_star, eta, z,
         agreement = "inconclusive"
     return DiscrepancyReport(float(r_star), float(eta), float(z), estimate,
                              signed, modulus, tuple(ratios), agreement)
+
+
+@dataclass(frozen=True)
+class GaussReport:
+    """Verdict and empirical diagnostics for sum |(a)_n (b)_n / ((c)_n n!)|."""
+
+    verdict: str  # ABS_CONVERGENT | DIVERGENT | TERMINATING
+    s: float  # Re(c - a - b)
+    predicted_exponent: float  # |t_n| ~ n^predicted
+    fitted_exponent: float
+    checkpoints: tuple  # (n, partial sum) at powers of two
+    gaps: tuple
+    gap_ratios: tuple
+    trend: str  # shrinking | growing | flat
+    terminated: bool
+    n_terms: int
+
+
+def _ratio_step(ac: complex, bc: complex, cc: complex, terminated: bool):
+    """The scalar step rule: t_j = t_{j-1} |(a+n)(b+n)| / |(c+n)(n+1)|, n = j - 1.
+
+    The k = 1 case of the probes' scan, with no rescaling: the carried state
+    is t_{j0-1}, and a cumulative product seeded with it gives the chunk's
+    terms in stream order.
+    """
+
+    def step(ws, j0, j1, carry):
+        count = j1 - j0
+        n = np.add(ws.base[:count], j0 - 1, out=ws.idx[:count])
+        num, den = ws.c1[:count], ws.c2[:count]
+        ratio, scratch = ws.a[:count], ws.b[:count]
+        np.abs(np.multiply(np.add(n, ac, out=num), np.add(n, bc, out=den), out=num), out=ratio)
+        np.multiply(np.add(n, cc, out=den), np.add(n, 1.0, out=scratch), out=den)
+        np.divide(ratio, np.abs(den, out=scratch), out=ratio)
+        ratio[0] *= carry
+        terms = np.cumprod(ratio, out=ws.terms[:count])
+        if terminated:
+            np.copyto(terms, 0.0, where=np.isnan(terms, out=ws.keep[:count]))
+        return terms, None, float(terms[-1])
+
+    return step
+
+
+def gauss_test(a, b, c, n_max: int = 1 << 20) -> GaussReport:
+    """Classify absolute convergence of the Gauss series at x = 1 and measure it.
+
+    The exact verdict uses the classical criterion: absolutely convergent iff
+    Re(c - a - b) > 0 (with termination when a or b is a nonpositive integer).
+    The empirical channel streams |t_n|, n = 0 .. n_max, in float64 through
+    the chunked driver stream_terms and its reused workspace, so no array
+    grows with n_max.  It reports Cauchy gaps S_{2n} - S_n at dyadic
+    checkpoints (shrinking gaps are the observable signature of a summable
+    tail) and fits the decay exponent of the terms
+    by least squares of ln |t_n| on ln n over [n_max/4, n_max], accumulated
+    chunk by chunk as running sums.  The sums are centred at ln n_max and
+    ln t_{n_max/4}, so the normal equations do not cancel even when the
+    exponent is near 0.
+    """
+    Hyp2F1Params(a, b, c)  # validates c
+    if n_max < 1 << 12:
+        raise InvalidParams("n_max too small for dyadic diagnostics")
+    terminated = _is_nonpositive_integer(a) or _is_nonpositive_integer(b)
+
+    def _c(v):
+        try:
+            return complex(float(v), 0.0) if isinstance(v, Fraction) else complex(v)
+        except OverflowError as exc:
+            raise InputError("gauss parameter does not fit in float64") from exc
+
+    ac, bc, cc = _c(a), _c(b), _c(c)
+    s_val = (cc - ac - bc).real
+    if is_exact(a) and is_exact(b) and is_exact(c):
+        s_exact = Fraction(c) - Fraction(a) - Fraction(b)
+        convergent = s_exact > 0
+    else:
+        convergent = s_val > 0
+    if terminated:
+        verdict = "TERMINATING"
+    else:
+        verdict = "ABS_CONVERGENT" if convergent else "DIVERGENT"
+
+    lo, top = n_max // 4, math.log(n_max)
+    fit = [0, 0.0, 0.0, 0.0, 0.0]  # count, sum x, sum y, sum x^2, sum x y
+    level = None  # ln t_lo, once the window is reached
+
+    def visit(ws, j0, mant, expo, terms, sums):
+        # x = ln n - ln n_max, y = ln t_n - ln t_lo over the window, 0 where t_n <= 0
+        nonlocal level
+        skip = max(lo - j0, 0)
+        size = terms.size - skip
+        if size <= 0:
+            return
+        vals = terms[skip:]
+        if level is None:
+            level = math.log(vals[0]) if vals[0] > 0 else 0.0
+        x, y, keep = ws.idx[:size], ws.a[:size], ws.keep[:size]
+        np.greater(vals, 0.0, out=keep)
+        np.log(np.add(ws.base[:size], j0 + skip, out=x), out=x)
+        x -= top
+        x *= keep
+        y.fill(level)
+        np.log(vals, out=y, where=keep)
+        y -= level
+        # products by ufunc, not BLAS: a threaded BLAS's spinning workers
+        # would bill their wait to this op and the next
+        xx, xy = np.multiply(x, x, out=ws.b[:size]), np.multiply(x, y, out=ws.spare[:size])
+        for i, v in enumerate((np.count_nonzero(keep), x.sum(), y.sum(), xx.sum(), xy.sum())):
+            fit[i] += v
+
+    checkpoints, _ = stream_terms(_ratio_step(ac, bc, cc, terminated), 1.0,
+                                  n_max + 1, n_max, visit)
+    gaps = tuple(round(b2 - b1, 12) for (_, b1), (_, b2) in zip(checkpoints, checkpoints[1:]))
+    ratios_g = []
+    for g0, g1 in zip(gaps, gaps[1:]):
+        ratios_g.append(float("inf") if g0 == 0 else g1 / g0)
+    tail = ratios_g[-3:]
+    if tail and all(q < 0.98 for q in tail):
+        trend = "shrinking"
+    elif tail and all(q > 1.02 for q in tail):
+        trend = "growing"
+    else:
+        trend = "flat"
+
+    count, sx, sy, sxx, sxy = fit
+    if count < 16:
+        slope = float("-inf")
+    else:
+        # a term past float64 range makes the sums non-finite: no fit
+        slope = float((count * sxy - sx * sy) / (count * sxx - sx * sx))
+        if not math.isfinite(slope):
+            slope = float("nan")
+    predicted = (ac + bc - cc).real - 1.0
+    return GaussReport(verdict, float(s_val), float(predicted), slope,
+                       tuple(checkpoints), gaps, tuple(round(q, 12) for q in ratios_g),
+                       trend, bool(terminated), n_max)

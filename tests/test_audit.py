@@ -151,6 +151,13 @@ def test_determinism(a2_audit):
     assert document_bytes(document) == document_bytes(a2_audit[0])
 
 
+def test_int_root_renders_like_a_fraction(a2_audit):
+    params = HeunParams(2, 1, 1, 1, 1, 1)
+    document, _ = run_system_audit(heun_recurrence(params), root_echo=0)
+    assert document["root"] == "0"
+    assert document_bytes(document) == document_bytes(a2_audit[0])
+
+
 def test_audit_needs_rational_input():
     with mp.workprec(64):
         loose = HeunParams(mp.mpf(2), 1, 1, 1, 1, 1)

@@ -581,9 +581,55 @@ def test_import_builds_no_parser():
             "argparse.ArgumentParser.__init__ = spy\n"
             "import heunlab, heunlab.cli\n"
             "assert heunlab.cli._parser is None and not built, built\n")
+    done = run_fresh(code)
+    assert done.returncode == 0, done.stderr
+
+
+def run_fresh(code, *args):
+    """Run code in a fresh interpreter that imports heunlab from this tree."""
     src = str(Path(heunlab.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    done = subprocess.run([sys.executable, "-c", code], env=env,
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
                           capture_output=True, text=True)
+
+
+# the modules only the float64 probes need
+FLOAT64_MODULES = ("numpy", "heunlab.probes")
+
+STARTUP_PREAMBLE = ("import contextlib, io, sys\n"
+                    "def loaded():\n"
+                    f"    return [m for m in {FLOAT64_MODULES!r} if m in sys.modules]\n"
+                    "def run(argv):\n"
+                    "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                    "        assert main(argv) == 0, argv\n"
+                    "import heunlab, heunlab.cli\n"
+                    "from heunlab.cli import main\n"
+                    "assert not loaded(), loaded()\n"
+                    "a2, rec = sys.argv[1:3]\n")
+
+
+def test_exact_commands_start_without_numpy(a2_file, rec_file):
+    code = STARTUP_PREAMBLE + (
+        "heunlab.load_instance(a2), heunlab.load_instance(rec)\n"
+        "assert not loaded(), ('load_instance', loaded())\n"
+        "for argv in (['eval', a2], ['eval', a2, '--precision', '256'],\n"
+        "             ['domain', a2], ['domain', rec, '--x', '1/3'],\n"
+        "             ['classify', a2], ['classify', rec],\n"
+        "             ['proof-audit', a2, '--n-check', '5000']):\n"
+        "    run(argv)\n"
+        "    assert not loaded(), (argv, loaded())\n")
+    done = run_fresh(code, a2_file, rec_file)
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    "['boundary', a2, '--n-max', '4096']",
+    "['gauss', '1/2', '1/3', '5/2', '--n-max', '4096']",
+])
+def test_float64_commands_load_numpy_on_first_use(a2_file, rec_file, argv):
+    code = STARTUP_PREAMBLE + (
+        f"run({argv})\n"
+        f"assert loaded() == {list(FLOAT64_MODULES)!r}, loaded()\n")
+    done = run_fresh(code, a2_file, rec_file)
     assert done.returncode == 0, done.stderr

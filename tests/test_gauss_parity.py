@@ -172,8 +172,11 @@ def _gauss_peak_growth_mb(n_max):
 
     The peak is the kernel's VmHWM: a child's ru_maxrss starts from the peak
     of the process that started it, which under pytest hides the op's own.
+    The child imports probes (and numpy, about 14 MB) before the first read,
+    since the CLI itself loads them on the first `gauss` call.
     """
     code = ("import contextlib, io\n"
+            "import heunlab.probes\n"
             "from heunlab.cli import main\n"
             "def peak():\n"
             "    with open('/proc/self/status') as f:\n"

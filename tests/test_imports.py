@@ -1,7 +1,8 @@
 """Every top-level import of a package module is read somewhere in it, the
-package exports exactly what its __init__ imports, raw mpf arithmetic
-(mpmath.libmp) stays in the modules allowed to use it, and pyproject.toml
-reads the package's one version."""
+package exports exactly what its __init__ imports plus its lazy probe names,
+raw mpf arithmetic (mpmath.libmp) stays in the modules allowed to use it,
+numpy is imported at top level by probes alone, and pyproject.toml reads the
+package's one version."""
 
 import ast
 import warnings
@@ -83,8 +84,30 @@ def test_all_is_exactly_what_the_package_imports():
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
     imported = [alias.asname or alias.name for node in tree.body
                 if isinstance(node, ast.ImportFrom) for alias in node.names]
+    lazy = list(heunlab._LAZY)
     assert len(heunlab.__all__) == len(set(heunlab.__all__))
-    assert set(heunlab.__all__) == set(imported)
+    assert not set(imported) & set(lazy)
+    assert set(heunlab.__all__) == set(imported) | set(lazy)
+    listed = dir(heunlab)
+    for name in heunlab.__all__:
+        assert getattr(heunlab, name) is not None, name
+        assert name in listed, name
+
+
+def top_level_imports(source: str) -> set:
+    """Top-level package names the module imports outside any function."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_only_probes_imports_numpy_at_top_level():
+    users = {p.name for p in PACKAGE.glob("*.py") if "numpy" in top_level_imports(p.read_text())}
+    assert users == {"probes.py"}
 
 
 def test_pyproject_reads_the_package_version():
