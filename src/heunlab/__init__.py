@@ -13,14 +13,13 @@ code, so the package exports them lazily: numpy loads on first use.
 
 from ._version import __version__
 from .audit import run_system_audit
-from .convergence import (boundary_radius, domain_membership, eta_z,
-                          membership_sum)
+from .convergence import boundary_radius, domain_sum, eta_z, membership_sum
 from .errors import (AllZeroLimits, DegreeMismatch, DomainError, HeunLabError,
                      IndicialPole, InputError, InsufficientData, InvalidC,
                      InvalidParams, MagnitudeOverflow, NotFoundWithin,
                      OutsideDomain, PoleAtIndex, TruncationTooLarge)
 from .heun import (HeunParams, absolute_profile_sum, heun_eval,
-                   heun_recurrence, heun_series, indicial_roots, ode_residual,
+                   heun_recurrence, indicial_roots, ode_residual,
                    series_limits)
 from .instances import (Instance, document_bytes, load_instance,
                         parse_instance, render_value, trace_bytes,
@@ -48,13 +47,13 @@ _LAZY = ("discrepancy_report", "empirical_radius", "gauss_test", "term_scan",
 __all__ = [
     "__version__",
     "run_system_audit",
-    "boundary_radius", "domain_membership", "eta_z", "membership_sum",
+    "boundary_radius", "domain_sum", "eta_z", "membership_sum",
     "AllZeroLimits", "DegreeMismatch", "DomainError", "HeunLabError",
     "IndicialPole", "InputError", "InsufficientData", "InvalidC",
     "InvalidParams", "MagnitudeOverflow", "NotFoundWithin", "OutsideDomain",
     "PoleAtIndex", "TruncationTooLarge",
     "HeunParams", "absolute_profile_sum", "heun_eval", "heun_recurrence",
-    "heun_series", "indicial_roots", "ode_residual", "series_limits",
+    "indicial_roots", "ode_residual", "series_limits",
     "Instance", "document_bytes", "load_instance", "parse_instance",
     "render_value", "trace_bytes", "write_trace",
     "PolynomialInN", "RationalFnInN", "nonneg_integer_roots", "poly_from",

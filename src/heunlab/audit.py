@@ -24,7 +24,7 @@ from .proofs import (find_proof_constants, minorant_partial,
 from .rearrange import (grouped_partial_sum, path_table, path_table_enumerate,
                         table_matches_stream)
 from .recurrence import (domination_bounds, domination_verdict, iter_cleared,
-                         limit_profile, stream_coefficients)
+                         stream_coefficients)
 from .scalars import fmt_scalar, is_exact, log_abs, rational_to_mp, scalar_abs
 from .special import min_index_for_ratio_bound, pochhammer_ratio_lower_bound
 
@@ -58,7 +58,7 @@ def run_system_audit(system, *, root_echo=None, eps=Fraction(1, 100),
     """Audit one three-term system with rational coefficients; returns
     (document, trace_rows).
 
-    The lag limits are limit_profile's, and root_echo, the indicial exponent
+    The lag limits are system.limits, and root_echo, the indicial exponent
     of a Heun instance, is echoed as the document's root.  trace_rows carry
     (n, value_re, value_im, log_mag, term_at_r, partial_sum) for
     d_0 .. d_{N+M}, evaluated at the boundary radius: each term correctly
@@ -76,7 +76,7 @@ def run_system_audit(system, *, root_echo=None, eps=Fraction(1, 100),
     constants = find_proof_constants(system, eps, N_check)
     reverify = verify_proof_constants(system, constants)
 
-    A, B = limit_profile(system).limits
+    A, B = system.limits
     r_closed = boundary_radius((A, B), prec, "closed")
     with mp.workprec(prec):
         weights = eta_z((A, B), r_closed, prec)

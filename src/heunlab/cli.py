@@ -24,7 +24,7 @@ from mpmath import mp
 
 from ._version import __version__
 from .audit import run_system_audit
-from .convergence import boundary_radius, eta_z, is_inside, membership_sum
+from .convergence import boundary_radius, domain_sum, eta_z, membership_sum
 from .errors import DomainError, HeunLabError, InputError, OutsideDomain
 from .heun import heun_eval
 from .instances import (Instance, build_document, document_bytes,
@@ -125,14 +125,14 @@ def _cmd_eval(instance, args, precision):
         "inside": result.inside,
         "forced": force,
         "tol": render_value(tol, prec),
-        "r_star": render_value(boundary_radius(instance.limits(), prec), prec),
+        "r_star": render_value(boundary_radius(instance.system.limits, prec), prec),
     }
     return build_document("eval", instance.echo, outputs, precision), None
 
 
 def _cmd_domain(instance, args, precision):
     prec = _bits(precision)
-    limits = instance.limits()
+    limits = instance.system.limits
     if len(limits) != 2:
         raise InputError(f"domain is stated for three-term recurrences (k = 2 lags); "
                          f"this one has k = {len(limits)}")
@@ -150,11 +150,11 @@ def _cmd_domain(instance, args, precision):
     raw_x = _opt(args, instance, "x")
     if raw_x is not None:
         x = parse_point(str(raw_x), prec)
-        total = membership_sum(limits, x, prec)
+        # the sum shown at the working precision, inside by the one rule
         outputs["membership"] = {
             "x": render_value(x, prec),
-            "sum": render_value(total, prec),
-            "inside": is_inside(limits, x, total),
+            "sum": render_value(membership_sum(limits, x, prec), prec),
+            "inside": bool(domain_sum(limits, x, prec) < 1),
         }
     return build_document("domain", instance.echo, outputs, precision), None
 
@@ -189,7 +189,7 @@ def _cmd_boundary(instance, args, precision):
     offset = _int_opt(args, instance, "offset", 1)
     n_terms = _int_opt(args, instance, "n-max", 1 << 20)
     stride = _int_opt(args, instance, "stride", max(1, n_terms // 4096))
-    r_star = boundary_radius(instance.limits(), prec)
+    r_star = boundary_radius(instance.system.limits, prec)
     raw_r = _opt(args, instance, "radius")
     try:
         if raw_r is not None:

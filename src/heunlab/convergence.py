@@ -5,6 +5,8 @@ guaranteed domain of absolute convergence of sum d_n x^n is the set where
 sum_i |L_i| |x|^i < 1.  Its boundary meets the positive axis at the unique
 positive root r* of sum_i |L_i| r^i = 1 (the membership polynomial is
 strictly increasing in r, so the root is simple and bisection is safe).
+domain_sum is the one membership rule: `eval` refuses, and `domain` judges,
+a point by it, exactly for rational limits and a rational point.
 
 Everything here is exact or mpmath; the float64 Gauss-series test of the
 classical boundary case lives with the other float64 scans in probes.
@@ -12,7 +14,6 @@ classical boundary case lives with the other float64 scans in probes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp
@@ -35,13 +36,6 @@ def membership_sum(limits, x, prec: int = DEFAULT_PRECISION):
         return sum(eta_z(limits, mp.fabs(as_mp(x, prec)), prec), mp.mpf(0))
 
 
-@dataclass(frozen=True)
-class MembershipReport:
-    inside: bool
-    total: object
-    radius_bound: object  # r*; |x| < r* is sufficient but not necessary for inside
-
-
 def exact_membership_sum(limits, x) -> Fraction:
     """sum_i |L_i| |x|^i in Fractions, for rational limits and x."""
     ax = abs(Fraction(x))
@@ -52,17 +46,16 @@ def exact_membership_sum(limits, x) -> Fraction:
     return total
 
 
-def is_inside(limits, x, total) -> bool:
-    """Whether sum_i |L_i| |x|^i < 1: exactly for rational limits and x, else
-    from `total`, the sum membership_sum gave."""
+def domain_sum(limits, x, prec: int = DEFAULT_PRECISION):
+    """sum_i |L_i| |x|^i, the membership rule: x lies in the guaranteed
+    domain iff this is below 1.
+
+    An exact Fraction for rational limits and a rational x, so the verdict
+    is exact there; otherwise membership_sum at prec bits.
+    """
     if is_exact(x) and all(is_exact(L) for L in limits):
-        return exact_membership_sum(limits, x) < 1
-    return bool(total < 1)
-
-
-def domain_membership(limits, x, prec: int = DEFAULT_PRECISION) -> MembershipReport:
-    total = membership_sum(limits, x, prec)
-    return MembershipReport(is_inside(limits, x, total), total, boundary_radius(limits, prec))
+        return exact_membership_sum(limits, x)
+    return membership_sum(limits, x, prec)
 
 
 def boundary_radius(limits, prec: int = DEFAULT_PRECISION, method: str = "auto"):
@@ -82,9 +75,7 @@ def boundary_radius(limits, prec: int = DEFAULT_PRECISION, method: str = "auto")
                 r = 1 / mags[0]
             else:
                 m1, m2 = mags
-                if m2 == 0:
-                    if m1 == 0:
-                        raise AllZeroLimits("every lag limit vanishes")
+                if m2 == 0:  # then m1 > 0: _abs_limits refused all zeros
                     r = 1 / m1
                 else:
                     # root of m2 r^2 + m1 r - 1; this form avoids subtractive cancellation

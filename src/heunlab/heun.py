@@ -13,6 +13,10 @@ Two independent routes to the same object live here: the recurrence that
 generates the coefficients, and a direct residual check that substitutes a
 finite coefficient block into the differential equation cleared of
 denominators.  Tests play them against each other.
+
+The domain is read from the system: RecurrenceSystem.limits, judged by
+convergence.domain_sum.  series_limits keeps the limits' closed form, which
+holds also where an exponent sits on a pole and no system can be built.
 """
 
 from __future__ import annotations
@@ -23,13 +27,13 @@ from functools import lru_cache
 
 from mpmath import mp
 
-from .convergence import exact_membership_sum
+from .convergence import domain_sum
 from .errors import InputError, InvalidParams, OutsideDomain
 from .polynomials import PolynomialInN, RationalFnInN
 from .recurrence import (CoefficientStream, RecurrenceSystem, iter_cleared,
-                         iter_values, stream_coefficients)
+                         iter_values)
 from .scalars import (DEFAULT_PRECISION, as_mp, is_exact, parse_precision,
-                      scalar_abs, to_scalar)
+                      to_scalar)
 
 
 @dataclass(frozen=True)
@@ -117,17 +121,12 @@ _exact_recurrence = lru_cache(maxsize=1)(_build_recurrence)
 
 
 def series_limits(params: HeunParams):
-    """Large-n limits of the two lag coefficients: ((1+a)/a, -1/a)."""
+    """Large-n limits of the two lag coefficients: ((1+a)/a, -1/a), equal in
+    value and type to heun_recurrence(params, root).limits at either root."""
     a = params.a
     if is_exact(a):
         a = Fraction(a)
     return ((1 + a) / a, -1 / a)
-
-
-def heun_series(params: HeunParams, root=0, count: int = 64,
-                precision: int | str = "exact") -> CoefficientStream:
-    """First `count` Frobenius coefficients d_0 .. d_{count-1}."""
-    return stream_coefficients(heun_recurrence(params, root), count, precision)
 
 
 def ode_residual(params: HeunParams, root, stream: CoefficientStream, order: int | None = None):
@@ -207,13 +206,8 @@ class EvalResult:
 
 
 def absolute_profile_sum(params: HeunParams, x, prec: int = DEFAULT_PRECISION):
-    """|(1+a)/a| |x| + |1/a| |x|^2, the membership functional of the guaranteed domain."""
-    A, B = series_limits(params)
-    if is_exact(x) and params.is_exact():
-        return exact_membership_sum((A, B), x)
-    with mp.workprec(prec):
-        ax = mp.fabs(as_mp(x, prec))
-        return scalar_abs(A, prec) * ax + scalar_abs(B, prec) * ax * ax
+    """|(1+a)/a| |x| + |1/a| |x|^2 by convergence.domain_sum."""
+    return domain_sum(series_limits(params), x, prec)
 
 
 def _sum_exact(system, x: Fraction, lam: int, tol: Fraction, n_max: int):
@@ -285,6 +279,9 @@ def heun_eval(params: HeunParams, x, root=0, tol=Fraction(1, 10 ** 30),
     Points outside the guaranteed absolute-convergence region are refused
     unless force=True: outside that region a partial sum can look settled
     while the tail is not summable, so a silent number would be a lie.
+    The region is judged by convergence.domain_sum on the system's limits,
+    the rule `domain` applies: domain_sum is an exact Fraction for rational
+    parameters and point, else the membership sum at the working precision.
     Summation stops once three consecutive terms fall below tol relative to
     max(1, |partial sum|).  That stop is a heuristic, not a bound on the
     tail: `converged` means the terms looked settled, not that the error
@@ -302,6 +299,8 @@ def heun_eval(params: HeunParams, x, root=0, tol=Fraction(1, 10 ** 30),
 
     Raises:
         InvalidParams: when n_max < 1.
+        IndicialPole: when the recurrence at `root` cannot advance past a
+            pole; the system is built before the point is judged.
         OutsideDomain: when force is False and the membership sum is >= 1.
     """
     if n_max < 1:
@@ -310,7 +309,8 @@ def heun_eval(params: HeunParams, x, root=0, tol=Fraction(1, 10 ** 30),
     lam = _check_root(params, root)
     x = to_scalar(x, precision if precision != "exact" else DEFAULT_PRECISION)
     prec = DEFAULT_PRECISION if precision == "exact" else precision
-    dsum = absolute_profile_sum(params, x, prec)
+    system = heun_recurrence(params, lam)
+    dsum = domain_sum(system.limits, x, prec)
     inside = bool(dsum < 1)
     if not inside and not force:
         try:
@@ -321,7 +321,6 @@ def heun_eval(params: HeunParams, x, root=0, tol=Fraction(1, 10 ** 30),
             f"membership sum {shown} >= 1: outside the guaranteed "
             f"absolute-convergence domain (use force to evaluate anyway)"
         )
-    system = heun_recurrence(params, lam)
     if precision != "exact":
         return EvalResult(*_sum_mp(system, x, lam, tol, n_max, prec), dsum, inside)
     if not (is_exact(x) and params.is_exact() and is_exact(tol)):

@@ -34,7 +34,7 @@ from ._version import __version__
 from .errors import InputError
 from .heun import HeunParams, heun_recurrence, indicial_roots
 from .polynomials import PolynomialInN, RationalFnInN
-from .recurrence import RecurrenceSystem, limit_profile
+from .recurrence import RecurrenceSystem
 from .scalars import (DEFAULT_PRECISION, fmt_scalar, is_exact, parse_int,
                       parse_number, parse_precision)
 
@@ -70,9 +70,6 @@ class Instance:
     precision: object  # "exact", a bit count, or None when the file is silent
     echo: dict
     source: str = "<memory>"
-
-    def limits(self):
-        return limit_profile(self.system).limits
 
 
 def _rat(value, where: str) -> Fraction:

@@ -37,7 +37,9 @@ with it.
   streams refuse them.
 
 recurrence_residuals keeps the per-lag RationalFnInN evaluation as the
-reference the steppers are checked against.
+reference the steppers are checked against.  RecurrenceSystem.limits, cached
+per system like cleared, holds the lags' large-n limits that the domain,
+the boundary radius and the audit read.
 
 An exact stream reduces each value over the product of every divisor so far,
 which grows with the index, so long streams cost more than stepping reduced
@@ -118,6 +120,15 @@ class RecurrenceSystem:
                                                     start=PolynomialInN((e * (lcm // c),)))
                      for (num, c), (den, e) in zip(nums, dens))
         return lags, math.prod(distinct, start=PolynomialInN((lcm,)))
+
+    @cached_property
+    def limits(self) -> tuple:
+        """(L_1, .., L_k) with L_i = lim_n alpha_i(n): zero where a lag's
+        numerator has the lower degree.  Raises DegreeMismatch when a lag
+        grows without bound in n."""
+        if any(dn > dd for dn, dd in (fn.degrees for fn in self.lags)):
+            raise DegreeMismatch("lag coefficient grows without bound in n")
+        return tuple(fn.leading_ratio() for fn in self.lags)
 
 
 @dataclass(frozen=True)
@@ -326,31 +337,27 @@ def domination_verdict(bounds) -> tuple:
 
 @dataclass(frozen=True)
 class LimitProfile:
-    """Large-n limits of the lag coefficients, plus sub-leading data.
+    """The lag limits of RecurrenceSystem.limits, plus sub-leading data for
+    the case classification (proofs.classify_case).
 
-    limits[i-1] is lim_n alpha_i(n).  For lags whose numerator and denominator
-    share the same degree, subleading[i-1] = (num_sub, den_sub) holds the
-    monic-normalized n^(t-1) coefficients used by the case classification;
-    it is None when the numerator degree drops (limit zero).
+    For lags whose numerator and denominator share the same degree t >= 1,
+    subleading[i-1] = (num_sub, den_sub) holds the monic-normalized n^(t-1)
+    coefficients; it is None when the numerator degree drops (limit zero) or
+    the lag is constant.
     """
 
     limits: tuple
     subleading: tuple
-    degrees: tuple
 
 
 def limit_profile(system: RecurrenceSystem) -> LimitProfile:
-    limits, subs, degs = [], [], []
+    """system.limits with each lag's sub-leading pair; DegreeMismatch when a lag grows."""
+    limits, subs = system.limits, []
     for fn in system.lags:
         dn, dd = fn.degrees
-        if dn > dd:
-            raise DegreeMismatch("lag coefficient grows without bound in n")
-        limits.append(fn.leading_ratio())
-        degs.append((dn, dd))
         if dn == dd and dd >= 1:
-            num_sub = exact_div(fn.num.coeffs[dn - 1], fn.num.leading)
-            den_sub = exact_div(fn.den.coeffs[dd - 1], fn.den.leading)
-            subs.append((num_sub, den_sub))
+            subs.append((exact_div(fn.num.coeffs[dn - 1], fn.num.leading),
+                         exact_div(fn.den.coeffs[dd - 1], fn.den.leading)))
         else:
             subs.append(None)
-    return LimitProfile(tuple(limits), tuple(subs), tuple(degs))
+    return LimitProfile(limits, tuple(subs))

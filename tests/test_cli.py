@@ -158,6 +158,32 @@ def test_domain_inside_is_exact_for_a_rational_x(a2_file, capsys):
     assert [inside for _, inside in seen] == [True, False]
 
 
+@pytest.mark.parametrize("bits, total", [
+    ("53", "0.9375"),
+    ("64", "0.937500000000000023906657903305"),
+])
+def test_eval_and_domain_share_the_membership_sum(tmp_path, capsys, bits, total):
+    # a = 5/11 at a complex point; eval once summed in its own order and
+    # printed 0.937499999999999888977697537484 at 53 bits
+    path = tmp_path / "a511.json"
+    path.write_text(A2_JSON.replace('"a": "2"', '"a": "5/11"'))
+    argv = [str(path), "--x=0.2-0.15j", "--precision", bits]
+    evaluated = run_doc(capsys, ["eval", *argv])["outputs"]
+    judged = run_doc(capsys, ["domain", *argv])["outputs"]["membership"]
+    assert evaluated["membership_sum"] == judged["sum"] == total
+    assert evaluated["inside"] is judged["inside"] is True
+
+
+@pytest.mark.parametrize("command", ["domain", "classify", "boundary", "proof-audit"])
+def test_growing_lag_exits_3(tmp_path, capsys, command):
+    path = tmp_path / "grow.json"
+    path.write_text('{"recurrence": {"lags": [{"num": ["0", "0", "1"], "den": ["1", "1"]}, '
+                    '{"num": ["1"], "den": ["2"]}]}}')
+    code, out, err = run(capsys, [command, str(path)])
+    assert code == 3 and out == ""
+    assert err == "heunlab: lag coefficient grows without bound in n\n"
+
+
 def test_domain_works_for_recurrence_kind(rec_file, capsys):
     doc = run_doc(capsys, ["domain", str(rec_file)])
     assert doc["outputs"]["limits"] == ["3/2", "-1/2"]

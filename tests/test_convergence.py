@@ -6,7 +6,7 @@ import pytest
 from mpmath import mp
 
 from heunlab import (AllZeroLimits, HeunParams, InvalidC, InvalidParams,
-                     boundary_radius, domain_membership, eta_z, gauss_test,
+                     boundary_radius, domain_sum, eta_z, gauss_test,
                      membership_sum, series_limits)
 from heunlab.convergence import exact_membership_sum, radius_bracketed
 
@@ -25,12 +25,17 @@ def test_membership_sum_two_lags():
 
 
 def test_domain_membership_report():
-    inside = domain_membership(A2_LIMITS, F(1, 2))
-    assert inside.inside and float(inside.total) == pytest.approx(0.875)
-    outside = domain_membership(A2_LIMITS, F(9, 10))
-    assert not outside.inside
-    assert float(outside.total) == pytest.approx(1.755)
-    assert float(outside.radius_bound) == pytest.approx(0.5615528128088303)
+    # rational limits and point: the sum is exact
+    inside = domain_sum(A2_LIMITS, F(1, 2))
+    assert inside == F(7, 8) and inside < 1
+    outside = domain_sum(A2_LIMITS, F(9, 10))
+    assert outside == F(351, 200) and not outside < 1
+    assert float(boundary_radius(A2_LIMITS)) == pytest.approx(0.5615528128088303)
+    # otherwise it is membership_sum at the bit count, in the same order
+    with mp.workprec(128):
+        for x in (mp.mpf("0.5"), mp.mpc("0.2", "-0.15")):
+            assert domain_sum(A2_LIMITS, x, 128) == membership_sum(A2_LIMITS, x, 128)
+        assert domain_sum((mp.mpf(1.5), F(-1, 2)), F(1, 2), 128) == mp.mpf(7) / 8
 
 
 def a2_radius_neighbours(bits):
@@ -45,8 +50,8 @@ def test_domain_membership_is_exact_for_rational_points():
     assert exact_membership_sum(A2_LIMITS, below) < 1 < exact_membership_sum(A2_LIMITS, above)
     # at 53 bits both points round to one float and one sum; inside does not
     assert membership_sum(A2_LIMITS, below, 53) == membership_sum(A2_LIMITS, above, 53)
-    assert domain_membership(A2_LIMITS, below, 53).inside
-    assert not domain_membership(A2_LIMITS, above, 53).inside
+    assert domain_sum(A2_LIMITS, below, 53) < 1
+    assert not domain_sum(A2_LIMITS, above, 53) < 1
 
 
 @pytest.mark.parametrize("limits", [A2_LIMITS, (1, 1, 1), (2, 0), (F(7, 3), F(1, 5))])

@@ -7,7 +7,7 @@ from mpmath import mp
 
 from heunlab import (HeunParams, IndicialPole, InputError, InvalidParams,
                      OutsideDomain, absolute_profile_sum, heun_eval,
-                     heun_recurrence, heun_series, indicial_roots,
+                     heun_recurrence, indicial_roots,
                      ode_residual, series_limits, stream_coefficients)
 
 F = Fraction
@@ -66,11 +66,11 @@ def test_negative_integer_root_hits_a_pole():
 
 
 def test_first_coefficients(a2_params):
-    stream = heun_series(a2_params, count=4)
+    stream = stream_coefficients(heun_recurrence(a2_params), 4)
     assert stream[1] == F(1, 2)
     assert stream[2] == F(5, 16)
     zero_q = HeunParams(2, 0, 1, 1, 1, 1)
-    assert heun_series(zero_q, count=2)[1] == 0
+    assert stream_coefficients(heun_recurrence(zero_q), 2)[1] == 0
 
 
 def test_lag_values_at_one(a2_params):
@@ -93,14 +93,14 @@ def test_limits_match_lag_leading_ratios(instance_pool):
 
 
 def test_ode_residuals_vanish(a2_params):
-    stream = heun_series(a2_params, count=52)
+    stream = stream_coefficients(heun_recurrence(a2_params), 52)
     res = ode_residual(a2_params, 0, stream, order=50)
     assert len(res) == 52  # j = -1 .. 50
     assert all(r == 0 for r in res)
 
 
 def test_ode_residual_detects_corruption(a2_params):
-    stream = heun_series(a2_params, count=12)
+    stream = stream_coefficients(heun_recurrence(a2_params), 12)
     broken = type(stream)(stream.values[:5] + (stream.values[5] + 1,) + stream.values[6:],
                           "exact")
     res = ode_residual(a2_params, 0, broken)
@@ -108,7 +108,7 @@ def test_ode_residual_detects_corruption(a2_params):
 
 
 def test_ode_residual_order_cap(a2_params):
-    stream = heun_series(a2_params, count=10)
+    stream = stream_coefficients(heun_recurrence(a2_params), 10)
     with pytest.raises(InputError):
         ode_residual(a2_params, 0, stream, order=9)
     assert ode_residual(a2_params, 0, stream, order=8)[-1] == 0
@@ -149,6 +149,13 @@ def test_eval_exact_and_floating_agree(a2_params):
     with mp.workprec(256):
         e = mp.mpf(exact.value.numerator) / exact.value.denominator
         assert abs(approx.value - e) < mp.mpf("1e-60")
+
+
+def test_eval_builds_the_system_before_judging_the_point():
+    # the point is judged on the system's limits, so a root on a pole fails first
+    p = HeunParams(2, 1, 1, 1, 3, 1)
+    with pytest.raises(IndicialPole):
+        heun_eval(p, F(9, 10), root=-2)
 
 
 def test_eval_refuses_outside_domain(a2_params):

@@ -37,7 +37,7 @@ def test_parse_heun_instance():
     assert inst.heun.a == 2 and inst.root == 0
     assert inst.precision == "exact"
     assert inst.analysis == {"x": "1/10"}
-    assert inst.limits() == (F(3, 2), F(-1, 2))
+    assert inst.system.limits == (F(3, 2), F(-1, 2))
     assert inst.echo is HEUN_DOC
 
 
@@ -47,7 +47,7 @@ def test_parse_recurrence_instance():
     assert inst.heun is None and inst.root is None
     assert inst.precision is None
     assert inst.system.k == 2
-    assert inst.limits() == (F(3, 2), F(-1, 2))
+    assert inst.system.limits == (F(3, 2), F(-1, 2))
 
 
 def test_lambda_must_be_an_indicial_exponent():

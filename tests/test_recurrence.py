@@ -230,23 +230,24 @@ def test_domination_verdict_takes_the_least_margin():
 
 
 def test_limit_profile_heun(a2_params):
-    profile = limit_profile(heun_recurrence(a2_params))
-    assert profile.limits == (F(3, 2), F(-1, 2))
-    assert profile.degrees == ((2, 2), (2, 2))
+    system = heun_recurrence(a2_params)
+    profile = limit_profile(system)
+    assert profile.limits == system.limits == (F(3, 2), F(-1, 2))
     assert all(sub is not None for sub in profile.subleading)
 
 
 def test_heun_limit_profile_is_series_limits(instance_pool):
-    # instances and the audit read a Heun system's limits from limit_profile
+    # instances, eval and the audit read a Heun system's limits from system.limits
     pool = [*instance_pool, HeunParams(-1, 1, 1, 1, 1, 1),
             HeunParams(-1, F(-3, 4), F(1, 2), 2, F(5, 4), F(-1, 3)), HeunParams(2, 1, 1, 1, 1, 1)]
     exponents = 0
     for params in pool:
         expect = series_limits(params)
         for root in admissible_roots(params):
-            limits = limit_profile(heun_recurrence(params, root)).limits
-            assert limits == expect, (params, root)
-            assert [type(v) for v in limits] == [type(v) for v in expect] == [F, F]
+            system = heun_recurrence(params, root)
+            for limits in (system.limits, limit_profile(system).limits):
+                assert limits == expect, (params, root)
+                assert [type(v) for v in limits] == [type(v) for v in expect] == [F, F]
             exponents += root != 0
     assert exponents > len(pool) // 2
 
@@ -269,8 +270,13 @@ def test_limit_profile_zero_limit():
 
 def test_limit_profile_rejects_growth():
     fn = RationalFnInN(poly_from(F(0), F(0), F(1)), poly_from(F(1), 1))
+    system = RecurrenceSystem((fn,))
     with pytest.raises(DegreeMismatch):
-        limit_profile(RecurrenceSystem((fn,)))
+        limit_profile(system)
+    # the cached property keeps no value for a growing lag: it raises again
+    for _ in range(2):
+        with pytest.raises(DegreeMismatch):
+            system.limits
 
 
 def test_int_only_lags_stay_exact():
