@@ -8,28 +8,30 @@ in it (--jobs workers, one per file at most) and prints a status line each.
 Exit codes: 0 success, 2 evaluation refused on convergence-domain grounds,
 3 bad input.
 
-Only `boundary` and `gauss` run float64 code; they import probes (and with
-it numpy) on their first call, so every other command starts without numpy.
+Each command loads only the modules it runs.  `eval` and `domain` need the
+series and the domain rule alone; `classify` imports proofs and special on
+its first call, `proof-audit` the whole audit stack (audit, proofs, special,
+rearrange), and `boundary` and `gauss` the float64 probes (probes, special and
+numpy).  concurrent.futures loads when --jobs first starts a pool.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
+import concurrent  # the package alone: futures loads with the first pool
 import re
 import sys
+from importlib import import_module
 from pathlib import Path
 
 from mpmath import mp
 
 from ._version import __version__
-from .audit import run_system_audit
 from .convergence import boundary_radius, domain_sum, eta_z, membership_sum
 from .errors import DomainError, HeunLabError, InputError, OutsideDomain
 from .heun import heun_eval
 from .instances import (Instance, build_document, document_bytes,
                         load_instance, render_value, write_trace)
-from .proofs import H_LABELS, classify_case
 from .recurrence import limit_profile
 from .scalars import (DEFAULT_PRECISION, parse_int, parse_number, parse_point,
                       parse_precision, precision_from_env)
@@ -83,18 +85,21 @@ def _int_opt(args, instance: Instance, name: str, default: int) -> int:
     return parse_int(_opt(args, instance, name, default), f"analysis.{name}")
 
 
-def term_scan(*args, **kwargs):
-    """probes.term_scan, imported on the first call."""
-    from .probes import term_scan
+def _on_first_call(module: str, name: str):
+    """A module-level stand-in for module.name that imports the module on its
+    first call, so that a command loads only what it runs."""
+    def call(*args, **kwargs):
+        return getattr(import_module(f".{module}", __package__), name)(*args, **kwargs)
 
-    return term_scan(*args, **kwargs)
+    call.__name__ = call.__qualname__ = name
+    call.__doc__ = f"{module}.{name}, imported on the first call."
+    return call
 
 
-def gauss_test(*args, **kwargs):
-    """probes.gauss_test, imported on the first call."""
-    from .probes import gauss_test
-
-    return gauss_test(*args, **kwargs)
+term_scan = _on_first_call("probes", "term_scan")
+gauss_test = _on_first_call("probes", "gauss_test")
+run_system_audit = _on_first_call("audit", "run_system_audit")
+classify_case = _on_first_call("proofs", "classify_case")
 
 
 def _require_heun(instance: Instance) -> None:
@@ -160,6 +165,8 @@ def _cmd_domain(instance, args, precision):
 
 
 def _cmd_classify(instance, args, precision):
+    from .proofs import H_LABELS
+
     prec = _bits(precision)
     profile = limit_profile(instance.system)
     report = classify_case(profile)
@@ -297,6 +304,7 @@ def _dispatch(args) -> int:
     if jobs == 1:
         results = [_worker(ns, str(f)) for f in files]
     else:
+        import_module("concurrent.futures")
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_worker, [ns] * len(files), map(str, files)))
     worst = EXIT_OK

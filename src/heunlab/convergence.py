@@ -33,6 +33,8 @@ def _abs_limits(limits, prec):
 def membership_sum(limits, x, prec: int = DEFAULT_PRECISION):
     """sum_i |L_i| |x|^i evaluated at working precision."""
     with mp.workprec(prec):
+        if not any(limits):  # the sum is 0; eta_z refuses, as r* is infinite
+            return mp.mpf(0)
         return sum(eta_z(limits, mp.fabs(as_mp(x, prec)), prec), mp.mpf(0))
 
 

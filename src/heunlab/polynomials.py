@@ -64,6 +64,12 @@ class PolynomialInN:
         den = math.lcm(*(f.denominator for f in fracs))
         return tuple(f.numerator * (den // f.denominator) for f in fracs), den
 
+    @cached_property
+    def integer_roots(self) -> frozenset:
+        """nonneg_integer_roots(self), isolated once per polynomial: the lags
+        of a Heun system share one denominator object."""
+        return nonneg_integer_roots(self)
+
     def __call__(self, n):
         cleared = self._cleared if isinstance(n, int) else None
         if cleared is not None:
@@ -203,7 +209,7 @@ class RationalFnInN:
 
     @cached_property
     def pole_set(self) -> frozenset:
-        return nonneg_integer_roots(self.den)
+        return self.den.integer_roots
 
     def __call__(self, n):
         if n in self.pole_set:

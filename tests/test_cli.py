@@ -622,10 +622,12 @@ def run_fresh(code, *args):
 
 # the modules only the float64 probes need
 FLOAT64_MODULES = ("numpy", "heunlab.probes")
+# the modules of the divergence audit; classify needs proofs and special
+AUDIT_MODULES = ("heunlab.audit", "heunlab.proofs", "heunlab.rearrange", "heunlab.special")
 
 STARTUP_PREAMBLE = ("import contextlib, io, sys\n"
                     "def loaded():\n"
-                    f"    return [m for m in {FLOAT64_MODULES!r} if m in sys.modules]\n"
+                    f"    return [m for m in {FLOAT64_MODULES + AUDIT_MODULES!r} if m in sys.modules]\n"
                     "def run(argv):\n"
                     "    with contextlib.redirect_stdout(io.StringIO()):\n"
                     "        assert main(argv) == 0, argv\n"
@@ -640,11 +642,14 @@ def test_exact_commands_start_without_numpy(a2_file, rec_file):
         "heunlab.load_instance(a2), heunlab.load_instance(rec)\n"
         "assert not loaded(), ('load_instance', loaded())\n"
         "for argv in (['eval', a2], ['eval', a2, '--precision', '256'],\n"
-        "             ['domain', a2], ['domain', rec, '--x', '1/3'],\n"
-        "             ['classify', a2], ['classify', rec],\n"
-        "             ['proof-audit', a2, '--n-check', '5000']):\n"
+        "             ['domain', a2], ['domain', rec, '--x', '1/3']):\n"
         "    run(argv)\n"
-        "    assert not loaded(), (argv, loaded())\n")
+        "    assert not loaded(), (argv, loaded())\n"
+        "for argv in (['classify', a2], ['classify', rec]):\n"
+        "    run(argv)\n"
+        "    assert loaded() == ['heunlab.proofs', 'heunlab.special'], (argv, loaded())\n"
+        "run(['proof-audit', a2, '--n-check', '5000'])\n"
+        f"assert loaded() == {list(AUDIT_MODULES)!r}, loaded()\n")
     done = run_fresh(code, a2_file, rec_file)
     assert done.returncode == 0, done.stderr
 
@@ -656,6 +661,16 @@ def test_exact_commands_start_without_numpy(a2_file, rec_file):
 def test_float64_commands_load_numpy_on_first_use(a2_file, rec_file, argv):
     code = STARTUP_PREAMBLE + (
         f"run({argv})\n"
-        f"assert loaded() == {list(FLOAT64_MODULES)!r}, loaded()\n")
+        f"assert loaded() == {[*FLOAT64_MODULES, 'heunlab.special']!r}, loaded()\n")
     done = run_fresh(code, a2_file, rec_file)
+    assert done.returncode == 0, done.stderr
+
+
+def test_lazy_modules_resolve_after_a_bare_import():
+    code = ("import sys, heunlab\n"
+            f"assert not [m for m in {AUDIT_MODULES!r} if m in sys.modules]\n"
+            "assert heunlab.audit.run_system_audit is heunlab.run_system_audit\n"
+            "assert heunlab.proofs.H_LABELS is heunlab.H_LABELS\n"
+            "assert 'classify_case' in dir(heunlab)\n")
+    done = run_fresh(code)
     assert done.returncode == 0, done.stderr

@@ -38,6 +38,17 @@ def test_domain_membership_report():
         assert domain_sum((mp.mpf(1.5), F(-1, 2)), F(1, 2), 128) == mp.mpf(7) / 8
 
 
+def test_all_zero_limits_sum_to_zero_on_both_branches():
+    # exact for a rational point, membership_sum otherwise: both give 0
+    assert domain_sum((0, 0), F(1, 2)) == 0
+    with mp.workprec(128):
+        assert domain_sum((0, 0), mp.mpc(0.2, 0.1), 128) == 0
+        assert membership_sum((F(0), 0), mp.mpf(3), 128) == 0
+    # the radius and its weights still refuse: r* is infinite there
+    with pytest.raises(AllZeroLimits):
+        eta_z((0, 0), F(1, 2))
+
+
 def a2_radius_neighbours(bits):
     """The dyadic rationals k/2^bits and (k+1)/2^bits around r* = (sqrt(17) - 3)/2."""
     with mp.workprec(bits + 64):

@@ -1,5 +1,5 @@
 """Every top-level import of a package module is read somewhere in it, the
-package exports exactly what its __init__ imports plus its lazy probe names,
+package exports exactly what its __init__ imports plus its lazy names,
 raw mpf arithmetic (mpmath.libmp) stays in the modules allowed to use it,
 numpy is imported at top level by probes alone, and pyproject.toml reads the
 package's one version."""

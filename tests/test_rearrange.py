@@ -6,8 +6,8 @@ import pytest
 
 from heunlab import (InvalidParams, TruncationTooLarge, grouped_partial_sum,
                      heun_recurrence, path_table, path_table_enumerate,
-                     row_series_coefficients, series_limits,
-                     stream_coefficients, table_matches_stream)
+                     series_limits, stream_coefficients, table_matches_stream)
+from heunlab.rearrange import row_series_coefficients
 
 F = Fraction
 

@@ -17,8 +17,9 @@ from mpmath import mp
 from heunlab import (HeunParams, IndicialPole, InputError, RationalFnInN,
                      RecurrenceSystem, find_proof_constants,
                      grouped_partial_sum, heun_recurrence, path_table,
-                     path_table_enumerate, poly_from, row_series_coefficients,
-                     run_system_audit, series_limits, table_matches_stream)
+                     path_table_enumerate, poly_from, run_system_audit,
+                     series_limits, table_matches_stream)
+from heunlab.rearrange import row_series_coefficients
 from heunlab.scalars import as_mp, rational_to_mp, scalar_abs
 
 F = Fraction

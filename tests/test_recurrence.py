@@ -8,10 +8,11 @@ from mpmath import mp
 
 from heunlab import (DegreeMismatch, HeunParams, IndicialPole, InvalidParams,
                      RationalFnInN, RecurrenceSystem, heun_recurrence,
-                     limit_profile, poly_from, recurrence_residuals,
-                     series_limits, stream_coefficients)
-from heunlab import recurrence
-from heunlab.recurrence import domination_bounds, domination_verdict
+                     limit_profile, poly_from, series_limits,
+                     stream_coefficients)
+from heunlab import polynomials, recurrence
+from heunlab.recurrence import (domination_bounds, domination_verdict,
+                                recurrence_residuals)
 
 from conftest import admissible_roots
 
@@ -32,6 +33,25 @@ def test_lag1_pole_is_rejected():
     bad = RationalFnInN(one, poly_from(F(-3), 1))  # pole at n = 3
     with pytest.raises(IndicialPole):
         RecurrenceSystem((bad,))
+
+
+def test_each_denominator_is_isolated_once(monkeypatch):
+    calls = []
+    isolate = polynomials._positive_integer_roots
+    monkeypatch.setattr(polynomials, "_positive_integer_roots",
+                        lambda ints: calls.append(ints) or isolate(ints))
+    # both lags of a Heun system share one denominator object
+    params = HeunParams(F(-7, 3), F(2, 11), F(1, 5), F(-3, 13), F(9, 17), F(4, 19))
+    system = heun_recurrence(params, 0)
+    assert system.lags[0].den is system.lags[1].den
+    assert len(calls) == 1
+    # distinct denominators are isolated one by one: lag 2's pole is found
+    calls.clear()
+    one = poly_from(F(1))
+    with pytest.raises(IndicialPole, match="lag 2 .* n = 5"):
+        RecurrenceSystem((RationalFnInN(one, poly_from(F(2), 1)),
+                          RationalFnInN(one, poly_from(F(-5), 1))))
+    assert len(calls) == 2
 
 
 def test_lag2_pole_at_zero_is_allowed():

@@ -7,9 +7,8 @@ import pytest
 from mpmath import mp
 
 from heunlab import (DomainError, Hyp2F1Params, InvalidC, hyp2f1_series,
-                     min_index_for_ratio_bound, pochhammer,
-                     pochhammer_ratio_lower_bound)
-from heunlab.special import _pi_enclosure, ratio_bound_holds
+                     min_index_for_ratio_bound, pochhammer_ratio_lower_bound)
+from heunlab.special import _pi_enclosure, pochhammer, ratio_bound_holds
 
 F = Fraction
 
