@@ -65,7 +65,7 @@ def _resolve_precision(args, instance: Instance):
         return parse_precision(args.precision)
     if instance.precision is not None:
         return instance.precision
-    return parse_precision(precision_from_env(DEFAULT_PRECISION))
+    return precision_from_env()
 
 
 def _bits(precision) -> int:

@@ -38,14 +38,17 @@ def membership_sum(limits, x, prec: int = DEFAULT_PRECISION):
         return sum(eta_z(limits, mp.fabs(as_mp(x, prec)), prec), mp.mpf(0))
 
 
+def _weights(mags, r):
+    """|L_1| r, |L_2| r^2, ... by a running power of r, in the tier of mags and r."""
+    p = 1
+    for m in mags:
+        p = p * r
+        yield m * p
+
+
 def exact_membership_sum(limits, x) -> Fraction:
     """sum_i |L_i| |x|^i in Fractions, for rational limits and x."""
-    ax = abs(Fraction(x))
-    total, p = 0, 1
-    for L in limits:
-        p *= ax
-        total += abs(L) * p
-    return total
+    return sum(_weights(map(abs, limits), abs(Fraction(x))))
 
 
 def domain_sum(limits, x, prec: int = DEFAULT_PRECISION):
@@ -73,40 +76,30 @@ def boundary_radius(limits, prec: int = DEFAULT_PRECISION, method: str = "auto")
         raise InvalidParams(f"unknown method {method!r}")
     with mp.workprec(prec + 16):
         if method in ("auto", "closed") and len(mags) <= 2:
-            if len(mags) == 1:
-                r = 1 / mags[0]
+            m1, m2 = (*mags, 0)[:2]
+            if m2 == 0:  # then m1 > 0: _abs_limits refused all zeros
+                r = 1 / m1
             else:
-                m1, m2 = mags
-                if m2 == 0:  # then m1 > 0: _abs_limits refused all zeros
-                    r = 1 / m1
-                else:
-                    # root of m2 r^2 + m1 r - 1; this form avoids subtractive cancellation
-                    r = 2 / (m1 + mp.sqrt(m1 * m1 + 4 * m2))
-            with mp.workprec(prec):
-                return +r
-        if method == "closed":
+                # root of m2 r^2 + m1 r - 1; this form avoids subtractive cancellation
+                r = 2 / (m1 + mp.sqrt(m1 * m1 + 4 * m2))
+        elif method == "closed":
             raise InvalidParams("closed form is only available for k <= 2 lags")
+        else:
+            def f(r):  # S(r) - 1, with the -1 added first
+                return sum(_weights(mags, r), mp.mpf(-1))
 
-        def f(r):
-            total = mp.mpf(-1)
-            p = mp.mpf(1)
-            for m in mags:
-                p = p * r
-                total = total + m * p
-            return total
-
-        hi = mp.mpf(1)
-        while f(hi) < 0:
-            hi = hi * 2
-        lo = mp.mpf(0)
-        # prec+16 working bits; 8 extra halvings land the midpoint well under an ulp at prec
-        for _ in range(mp.prec + 8):
-            mid = (lo + hi) / 2
-            if f(mid) < 0:
-                lo = mid
-            else:
-                hi = mid
-        r = (lo + hi) / 2
+            hi = mp.mpf(1)
+            while f(hi) < 0:
+                hi = hi * 2
+            lo = mp.mpf(0)
+            # prec+16 working bits; 8 extra halvings land the midpoint well under an ulp at prec
+            for _ in range(mp.prec + 8):
+                mid = (lo + hi) / 2
+                if f(mid) < 0:
+                    lo = mid
+                else:
+                    hi = mid
+            r = (lo + hi) / 2
     with mp.workprec(prec):
         return +r
 
@@ -131,10 +124,4 @@ def eta_z(limits, r, prec: int = DEFAULT_PRECISION):
     """The boundary weights (|L_1| r, |L_2| r^2, ...); they sum to 1 at r = r*."""
     mags = _abs_limits(limits, prec)
     with mp.workprec(prec):
-        rv = as_mp(r, prec)
-        out = []
-        p = mp.mpf(1)
-        for m in mags:
-            p = p * rv
-            out.append(m * p)
-        return tuple(out)
+        return tuple(_weights(mags, as_mp(r, prec)))

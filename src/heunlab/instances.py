@@ -42,29 +42,26 @@ HEUN_KEYS = ("a", "q", "alpha", "beta", "gamma", "delta")
 TRACE_HEADER = ("n", "value_re", "value_im", "log_mag", "term_at_r", "partial_sum")
 
 
-def render_value(x, prec: int = DEFAULT_PRECISION, digits: int = 30):
+def render_value(x, prec: int = DEFAULT_PRECISION):
     """Deterministic document rendering for one scalar.
 
-    Exact values become 'p/q' strings, mpmath values fixed-digit decimal
+    Exact values become 'p/q' strings, mpmath values 30-digit decimal
     strings; ints, floats, bools and None pass through untouched.
     """
-    if isinstance(x, bool) or x is None:
-        return x
-    if isinstance(x, (int, float)):
+    if x is None or isinstance(x, (int, float)):  # bool is an int
         return x
     if is_exact(x):
         return fmt_scalar(x)
     with mp.workprec(prec):
-        return fmt_scalar(x, digits)
+        return fmt_scalar(x, 30)
 
 
 @dataclass(frozen=True, eq=False)
 class Instance:
     """One parsed instance file: the equation plus its analysis defaults."""
 
-    kind: str  # "heun" or "recurrence"
     system: RecurrenceSystem
-    heun: HeunParams | None
+    heun: HeunParams | None  # None for a recurrence instance
     root: object  # indicial exponent for heun instances, None otherwise
     analysis: dict
     precision: object  # "exact", a bit count, or None when the file is silent
@@ -143,9 +140,9 @@ def parse_instance(doc, source: str = "<memory>") -> Instance:
     if blocks[0] == "heun":
         params, root = _parse_heun(doc["heun"])
         system = heun_recurrence(params, root)
-        return Instance("heun", system, params, root, analysis, precision, doc, source)
+        return Instance(system, params, root, analysis, precision, doc, source)
     system = _parse_recurrence(doc["recurrence"])
-    return Instance("recurrence", system, None, None, analysis, precision, doc, source)
+    return Instance(system, None, None, analysis, precision, doc, source)
 
 
 def load_instance(path) -> Instance:
@@ -159,15 +156,14 @@ def load_instance(path) -> Instance:
     return parse_instance(doc, str(p))
 
 
-def build_document(command: str, echo: dict, outputs: dict, precision,
-                   trace_files=()) -> dict:
+def build_document(command: str, echo: dict, outputs: dict, precision) -> dict:
     return {
         "command": command,
         "version": __version__,
         "precision": precision if isinstance(precision, str) else int(precision),
         "instance": echo,
         "outputs": outputs,
-        "trace_files": list(trace_files),
+        "trace_files": [],
     }
 
 

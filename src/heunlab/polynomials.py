@@ -139,6 +139,14 @@ def _sign_changes(coeffs) -> bool:
     return any(s != t for s, t in zip(signs, signs[1:]))
 
 
+def cauchy_bound(coeffs) -> int:
+    """2 + floor(max_{i<d} |c_i| / |c_d|), 1 for a constant: an integer above
+    every root's modulus (Cauchy), exact for int and Fraction coefficients."""
+    if len(coeffs) <= 1:
+        return 1
+    return 2 + max(abs(c) for c in coeffs[:-1]) // abs(coeffs[-1])
+
+
 def _positive_integer_roots(ints) -> set:
     """Positive integer roots of an integer polynomial p with p(0) != 0.
 
@@ -149,8 +157,7 @@ def _positive_integer_roots(ints) -> set:
     integer root is the midpoint of an interval that is kept.
     """
     roots = set()
-    bound = 2 + max(abs(c) for c in ints[:-1]) // abs(ints[-1])
-    stack = [(0, 1 << bound.bit_length(), ints)] if _sign_changes(ints) else []
+    stack = [(0, 1 << cauchy_bound(ints).bit_length(), ints)] if _sign_changes(ints) else []
     while stack:
         lo, width, shifted = stack.pop()  # shifted holds p(lo + n)
         if width == 1 or not _sign_changes(
@@ -164,14 +171,14 @@ def _positive_integer_roots(ints) -> set:
     return roots
 
 
-def nonneg_integer_roots(poly: PolynomialInN, tol: float = 1e-9) -> frozenset:
+def nonneg_integer_roots(poly: PolynomialInN) -> frozenset:
     """Nonnegative integer roots of a polynomial.
 
     Rational coefficients are cleared to integers and the roots isolated
     exactly (see _positive_integer_roots), so no root is missed, however
     large, multiple or clustered.  mpmath coefficients get candidates from a
-    numeric root solve, each verified to within tol of zero; that path can
-    miss clustered or multiple roots far from the origin.
+    numeric root solve, each kept when |p(j)| <= 1e-9 max(1, max |c_i|);
+    that path can miss clustered or multiple roots far from the origin.
     """
     if poly.is_zero:
         raise InvalidParams("zero polynomial has every integer as a root")
@@ -192,7 +199,7 @@ def nonneg_integer_roots(poly: PolynomialInN, tol: float = 1e-9) -> frozenset:
         k = round(root.real)
         if abs(root.imag) > 1e-6 * (1 + abs(root.real)) or k < 0:
             continue
-        roots.update(j for j in (k - 1, k, k + 1) if j >= 0 and abs(poly(j)) <= tol * scale)
+        roots.update(j for j in (k - 1, k, k + 1) if j >= 0 and abs(poly(j)) <= 1e-9 * scale)
     return frozenset(roots)
 
 

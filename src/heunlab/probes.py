@@ -309,7 +309,7 @@ def _scan_chunk(ws: _Workspace, a: np.ndarray, b: np.ndarray, count: int,
     return ws.mant[:count], ws.expo[:count], (u, w, e)
 
 
-def stream_terms(step, state, n_terms: int, mark_limit: int, visit=None) -> tuple:
+def stream_terms(step, state, n_terms: int, mark_limit: int, visit) -> tuple:
     """Stream t_0 = 1 and t_1 .. t_{n_terms-1} chunk by chunk; return the checkpoints.
 
     The driver of every float64 scan.  For each chunk of at most _CHUNK
@@ -324,7 +324,7 @@ def stream_terms(step, state, n_terms: int, mark_limit: int, visit=None) -> tupl
     clipped to +-2^30 into an int32 view of ws.iscratch, so a step may leave
     nothing there.  numpy's ldexp has a vector loop for int32 exponents only,
     and any finite mantissa saturates to inf or 0 far inside that range.
-    Then visit(ws, j0, mant, expo, terms, sums) sees the chunk, if given.
+    Then visit(ws, j0, mant, expo, terms, sums) sees the chunk.
     Returns (checkpoints, term_log_mags).
     """
     try:
@@ -361,8 +361,7 @@ def stream_terms(step, state, n_terms: int, mark_limit: int, visit=None) -> tupl
                             e += int(expo[jm - j0])
                         checkpoints.append((jm + 1, float(sums[jm - j0])))
                         term_logs.append(math.log(abs(u)) + e * _LN2 if u != 0.0 else -math.inf)
-                if visit is not None:
-                    visit(ws, j0, mant, expo, terms, sums)
+                visit(ws, j0, mant, expo, terms, sums)
     finally:
         _IDLE.append(ws)
     return checkpoints, term_logs
@@ -478,18 +477,19 @@ def term_trace(system: RecurrenceSystem, r: float, n_terms: int,
     return list(_probe(system, r, n_terms, which, offset, stride, 1).trace)
 
 
-def empirical_radius(stream: CoefficientStream, min_points: int = 64) -> float:
+def empirical_radius(stream: CoefficientStream) -> float:
     """Estimate the radius of convergence from coefficient magnitudes.
 
     Fits log |d_n| = c + s log n + n log(rho) over the tail half of the
     stream and returns 1/rho.  The power correction term soaks up the
-    polynomial factor that otherwise biases a pure geometric fit.
+    polynomial factor that otherwise biases a pure geometric fit.  It needs
+    64 finite tail points.
     """
     logs = stream.log_mags
     n0 = len(logs) // 2
     pts = [(n, lm) for n, lm in enumerate(logs) if n >= max(n0, 1) and math.isfinite(lm)]
-    if len(pts) < min_points:
-        raise InsufficientData(f"need {min_points} usable tail points, have {len(pts)}")
+    if len(pts) < 64:
+        raise InsufficientData(f"need 64 usable tail points, have {len(pts)}")
     ns = np.array([p[0] for p in pts], dtype=np.float64)
     ys = np.array([p[1] for p in pts], dtype=np.float64)
     X = np.stack([ns, np.log(ns), np.ones_like(ns)], axis=1)

@@ -26,7 +26,7 @@ from mpmath.libmp import (from_int, fzero, mpf_add, mpf_div, mpf_mul, mpf_mul_in
 from .convergence import boundary_radius, eta_z, exact_membership_sum
 from .errors import (DegreeMismatch, DomainError, InputError, InvalidParams,
                      NotFoundWithin)
-from .polynomials import PolynomialInN, exact_div
+from .polynomials import PolynomialInN, cauchy_bound, exact_div
 from .recurrence import (LimitProfile, RecurrenceSystem, limit_profile)
 from .scalars import DEFAULT_PRECISION, as_mp, is_exact, real_part
 from .special import Hyp2F1Params, hyp2f1_series
@@ -101,21 +101,12 @@ def _monic(poly: PolynomialInN) -> PolynomialInN:
     return PolynomialInN(tuple(Fraction(exact_div(c, lead)) for c in poly.coeffs))
 
 
-def _cauchy_bound(poly: PolynomialInN) -> int:
-    """All real roots lie strictly below 1 + max |c_i| / |lead|."""
-    lead = abs(poly.leading)
-    if poly.degree <= 0:
-        return 1
-    worst = max(abs(c) for c in poly.coeffs[:-1])
-    return int(math.floor(1 + worst / lead)) + 1
-
-
 def _bound_certificate(num_m: PolynomialInN, den: PolynomialInN, h: int) -> BoundCertificate:
     n_poly = PolynomialInN((0, 1))
     cleared = n_poly * num_m - PolynomialInN((-h, 1)) * den
     if cleared.is_zero or cleared.leading <= 0:
         raise NotFoundWithin(f"cleared margin polynomial is not eventually positive for h = {h}")
-    bound = max(_cauchy_bound(cleared), _cauchy_bound(num_m), _cauchy_bound(den), h + 1)
+    bound = max(h + 1, *(cauchy_bound(p.coeffs) for p in (cleared, num_m, den)))
     return BoundCertificate(h, cleared.leading, bound)
 
 
@@ -123,7 +114,6 @@ def _bound_certificate(num_m: PolynomialInN, den: PolynomialInN, h: int) -> Boun
 class SweepResult:
     last_violation: int  # 0 when the bound holds on the whole range
     min_margin: float  # the exact minimum margin, rounded once to float
-    argmin: int
     rechecked: int  # indices decided
 
 
@@ -135,7 +125,7 @@ def _decide(num_m: PolynomialInN, den: PolynomialInN, h: int,
     and b cross-multiplied in ints; den has no root at n >= 1, since the
     recurrence system rejects such poles.
     """
-    last_violation, min_margin, argmin = 0, None, n_lo
+    last_violation, min_margin = 0, None
     for n in range(n_lo, n_hi + 1):
         a, b = Fraction(num_m(n)), Fraction(den(n))
         gap = (abs(a.numerator) * b.denominator * n
@@ -144,8 +134,8 @@ def _decide(num_m: PolynomialInN, den: PolynomialInN, h: int,
             last_violation = n
         margin = Fraction(gap, n * abs(b.numerator) * a.denominator)
         if min_margin is None or margin < min_margin:
-            min_margin, argmin = margin, n
-    return SweepResult(last_violation, float(min_margin), argmin, n_hi - n_lo + 1)
+            min_margin = margin
+    return SweepResult(last_violation, float(min_margin), n_hi - n_lo + 1)
 
 
 @dataclass(frozen=True)
@@ -310,8 +300,6 @@ class MinorantReport:
     j_sum: object
     z_tail: object
     z_tail_remainder: object
-    j_max: int
-    k_max: int
 
 
 _CLOSED_ROUTE_TERMS = 10 ** 6  # most terms of each Gauss series in the cross-check
@@ -400,5 +388,4 @@ def minorant_partial(N: int, h2: int, limits, eps=Fraction(1, 100), m: int = 2,
                 value_closed = prefactor * (-g0 + g0 * f1 + w * g1 * f2) * z_tail
         return MinorantReport(value, value_closed, growing, w,
                               "divergent" if divergent else "summable",
-                              regime_strict, prefactor, j_sum, z_tail, z_rem,
-                              j_max, k_max)
+                              regime_strict, prefactor, j_sum, z_tail, z_rem)

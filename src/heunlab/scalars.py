@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from fractions import Fraction
 from typing import Union
 
@@ -27,22 +28,25 @@ from .errors import InputError
 
 DEFAULT_PRECISION = 256  # bits
 ENV_PRECISION = "HEUNLAB_PRECISION"
+# Fraction builds 10^|e| for a decimal exponent e, which past Python's limit
+# on integer digits takes seconds to minutes
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"e[-+]?(\d+(?:_\d+)*)$", re.IGNORECASE)
 _LN2 = math.log(2.0)
 
-ExactNumber = Union[int, Fraction]
 Scalar = Union[Fraction, mpmath.mpf, mpmath.mpc]
 
 
-def precision_from_env(default: int | str = DEFAULT_PRECISION) -> int | str:
+def precision_from_env() -> int | str:
     """Resolve the working precision from the environment.
 
-    Returns ``"exact"`` or a bit count.  Malformed values raise InputError
-    rather than being ignored; a silently dropped precision request is worse
-    than a loud one.
+    Returns ``"exact"`` or a bit count, DEFAULT_PRECISION when the variable
+    is unset.  Malformed values raise InputError rather than being ignored;
+    a silently dropped precision request is worse than a loud one.
     """
     raw = os.environ.get(ENV_PRECISION)
     if raw is None:
-        return default
+        return DEFAULT_PRECISION
     return parse_precision(raw)
 
 
@@ -66,10 +70,23 @@ def is_exact(x) -> bool:
     return isinstance(x, (int, Fraction))
 
 
+def _exponent(text: str) -> int:
+    """|e| for text that ends in a decimal exponent e, else 0.  mpmath reads
+    10^e in time cubic in e's digits: past 300 of them, InputError."""
+    m = _EXPONENT.search(text)
+    if m and len(m.group(1)) > 300:
+        raise InputError(f"exponent of more than 300 digits: {text!r}")
+    return int(m.group(1)) if m else 0
+
+
 def parse_number(text: str) -> Fraction:
-    """Parse a rational literal: 'p/q', integers, decimals, scientific notation."""
+    """Parse a rational literal: 'p/q', integers, decimals, scientific notation,
+    with an exponent of at most MAX_EXPONENT in magnitude."""
+    text = str(text).strip()
+    if _exponent(text) > MAX_EXPONENT:
+        raise InputError(f"exponent past +-{MAX_EXPONENT}: {text!r}")
     try:
-        return Fraction(str(text).strip())
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"not a rational literal: {text!r}") from exc
 
@@ -90,13 +107,18 @@ def parse_int(value, where: str) -> int:
 
 
 def parse_point(text: str, prec: int = DEFAULT_PRECISION):
-    """Parse an evaluation point: rational if possible, else a complex literal."""
+    """Parse an evaluation point: rational if possible, else a complex literal.
+    A real one with an exponent past MAX_EXPONENT is an mpf at prec bits."""
+    text = str(text).strip()
     try:
-        return Fraction(str(text).strip())
+        if _exponent(text) > MAX_EXPONENT:
+            with mp.workprec(prec):
+                return mp.mpf(text)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
         pass
     try:
-        z = complex(str(text).strip().replace(" ", ""))
+        z = complex(text.replace(" ", ""))
     except ValueError as exc:
         raise InputError(f"not a number: {text!r}") from exc
     with mp.workprec(prec):

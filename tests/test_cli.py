@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -84,6 +85,25 @@ def test_eval_huge_point_exits_2(a2_file, capsys, precision):
                                   "--precision", precision])
     assert code == 2 and out == ""
     assert err.startswith("heunlab: membership sum 5.0e+799 >= 1") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("precision", ["exact", "64"])
+def test_eval_point_past_the_exponent_limit_exits_2(a2_file, capsys, precision):
+    # read as an mpf: Fraction would build 10^(10^8) for minutes
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["eval", str(a2_file), "--x", "1e100000000",
+                                  "--precision", precision])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "") and "membership sum" in err
+
+
+def test_instance_number_past_the_exponent_limit_exits_3(tmp_path, capsys):
+    path = tmp_path / "q.json"
+    path.write_text(A2_JSON.replace('"q": "1"', '"q": "1e100000000"'))
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["eval", str(path)])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "") and "heun.q" in err
 
 
 def test_eval_huge_exponent_exits_3(tmp_path, capsys):

@@ -114,6 +114,48 @@ def test_boundary_radius_input_guards():
         boundary_radius(A2_LIMITS, method="newton")
 
 
+# recorded bit for bit before the three S(r) loops became one: per limit set,
+# the bisected r* at 256 bits, eta_z there, membership_sum at 0.2 + 0.3i, and
+# the exact sum at x = -2/3
+S_PINS = [
+    ((F(3, 2), F(-1, 2)),
+     (0, 0x8fc1ecd5fda0deb591e232a61510bac19421009098ab9f9552cc8b5651cc8fe5, -256, 256),
+     ((0, 0x1af45c681f8e29c20b5a697f23f323044bc6301b1ca02debff865a202f565afb, -253, 253),
+      (0, 0x50ba397e071d63df4a59680dc0cdcfbb439cfe4e35fd2140079a5dfd0a9a504f, -257, 255)),
+     (0, 0x9b17d9ec10ba00722309cc66fdee9d01d29f22d500a18c480922ce4846930781, -256, 256),
+     F(11, 9)),
+    ((F(-5, 3), F(2, 7)),
+     (0, 0x2319981f56518fd2049ef8ad4a6b745fdb0da6ff954954408a6f8ff82fc9bd99, -254, 254),
+     ((0, 0x74fffb131fba8a1164bc9241a2bb83ea2f82d753f19f18d722c9353b49f5cd53, -255, 255),
+      (0, 0x58002767022baf74da1b6df2ea23e0ae83e9456073073946e9b65625b0519565, -258, 255)),
+     (0, 0xa3586dd411ef56d8dda042d97c51c2c512a8b0dc6a5a19d622883268aff0927f, -256, 256),
+     F(26, 21)),
+    ((F(1, 2), F(-1, 3), F(1, 5)),
+     (0, 0x3ec7bc924e99050165801e406a577a48e1e427c44a8b6323063733a5d583e765, -254, 254),
+     ((0, 0x3ec7bc924e99050165801e406a577a48e1e427c44a8b6323063733a5d583e765, -255, 254),
+      (0, 0x290e48798bd413ad339ded655f93612ed639fc4990268420d30f0e9125dfedc7, -255, 254),
+      (0, 0xc14fd7a12c973a8b370fa2d1b0a924423f0edf912a70c5e135cdee4824e156a1, -258, 256)),
+     (0, 0x1dd2769b4e848001517ccae359544c0a8574c47f48603ef2f8b0550ad73209d1, -255, 253),
+     F(73, 135)),
+    ((F(2), F(0), F(-3, 4)),
+     (0, 0x767b8f719afd046b3d2a79e606883939b5e5f1d06ef40c58d648dc323f0f7a6b, -256, 255),
+     ((0, 0x767b8f719afd046b3d2a79e606883939b5e5f1d06ef40c58d648dc323f0f7a6b, -255, 255),
+      (0, 0x0, 0, 0),
+      (0, 0x984708e6502fb94c2d58619f977c6c64a1a0e2f910bf3a729b723cdc0f085955, -259, 256)),
+     (0, 0xc19a8adb5a38ee5cc910038c272d720f0fce59f70989f92449ed645753d8df95, -256, 256),
+     F(14, 9)),
+]
+
+
+@pytest.mark.parametrize("limits, r_mpf, weights, sum_mpf, exact", S_PINS)
+def test_membership_loops_are_pinned_bit_for_bit(limits, r_mpf, weights, sum_mpf, exact):
+    r = boundary_radius(limits, 256, "bisect")
+    assert r._mpf_ == r_mpf
+    assert tuple(w._mpf_ for w in eta_z(limits, r, 256)) == weights
+    assert membership_sum(limits, mp.mpc(0.2, 0.3), 256)._mpf_ == sum_mpf
+    assert exact_membership_sum(limits, F(-2, 3)) == exact
+
+
 def test_eta_z_at_the_boundary():
     r = boundary_radius(A2_LIMITS)
     eta, z = eta_z(A2_LIMITS, r)

@@ -1,10 +1,11 @@
 """Every top-level import of a package module is read somewhere in it, the
 package exports exactly what its __init__ imports plus its lazy names,
 raw mpf arithmetic (mpmath.libmp) stays in the modules allowed to use it,
-numpy is imported at top level by probes alone, and pyproject.toml reads the
-package's one version."""
+numpy is imported at top level by probes alone, pyproject.toml reads the
+package's one version, and the benchmark's tracing wraps find their targets."""
 
 import ast
+import importlib.util
 import warnings
 from pathlib import Path
 
@@ -116,3 +117,22 @@ def test_pyproject_reads_the_package_version():
         warnings.simplefilter("ignore")  # [tool.setuptools] is flagged as beta
         config = pyprojecttoml.read_configuration(PACKAGE.parents[1] / "pyproject.toml")
     assert config["project"]["version"] == heunlab.__version__
+
+
+# wraps in bench/tracing.py whose functions are gone; their layer times read 0
+STALE_WRAPS = {
+    "heunlab.cli.run_proof_audit", "heunlab.cli.term_trace",
+    "heunlab.audit.dominating_series_check", "heunlab.audit.modulus_stream",
+    "heunlab.recurrence.modulus_stream", "heunlab.rearrange.modulus_stream",
+}
+
+
+def test_tracing_wraps_find_their_functions():
+    # loaded by path and only read: the tracer is never installed here
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", PACKAGE.parents[1] / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = {f"{module}.{attr}" for module, attr, _, _ in tracing.WRAPS
+               if not callable(getattr(importlib.import_module(module), attr, None))}
+    assert missing == STALE_WRAPS

@@ -33,7 +33,7 @@ REC_DOC = {
 
 def test_parse_heun_instance():
     inst = parse_instance(HEUN_DOC)
-    assert inst.kind == "heun"
+    assert inst.heun is not None
     assert inst.heun.a == 2 and inst.root == 0
     assert inst.precision == "exact"
     assert inst.analysis == {"x": "1/10"}
@@ -43,7 +43,6 @@ def test_parse_heun_instance():
 
 def test_parse_recurrence_instance():
     inst = parse_instance(REC_DOC)
-    assert inst.kind == "recurrence"
     assert inst.heun is None and inst.root is None
     assert inst.precision is None
     assert inst.system.k == 2

@@ -41,14 +41,34 @@ def test_parse_precision_accepts_exact_and_bits():
 
 def test_precision_env_override(monkeypatch):
     monkeypatch.delenv(ENV_PRECISION, raising=False)
-    assert precision_from_env(77) == 77
+    assert precision_from_env() == DEFAULT_PRECISION
     monkeypatch.setenv(ENV_PRECISION, "exact")
-    assert precision_from_env(77) == "exact"
+    assert precision_from_env() == "exact"
     monkeypatch.setenv(ENV_PRECISION, "192")
-    assert precision_from_env(77) == 192
+    assert precision_from_env() == 192
     monkeypatch.setenv(ENV_PRECISION, "junk")
     with pytest.raises(InputError):
-        precision_from_env(77)
+        precision_from_env()
+
+
+def test_parse_number_refuses_exponents_past_the_digit_limit():
+    # Fraction would build 10^|e|, which takes seconds past e = 10^6
+    assert parse_number("1e4300") == 10 ** 4300
+    assert parse_number("2e-04_300") == Fraction(2, 10 ** 4300)
+    for bad in ("1e4301", "-1.5E-4301", "1e100000000", "1e" + "9" * 5000):
+        with pytest.raises(InputError):
+            parse_number(bad)
+
+
+def test_parse_point_reads_a_far_point_at_the_working_precision():
+    x = parse_point("-2.5e100000000", 64)
+    assert isinstance(x, mp.mpf)
+    with mp.workprec(64):
+        assert x == mp.mpf("-2.5e100000000")
+    assert parse_point("1e-4300") == Fraction(1, 10 ** 4300)
+    for bad in ("1e" + "9" * 301, "x1e5000"):
+        with pytest.raises(InputError):
+            parse_point(bad)
 
 
 def test_parse_point_prefers_exact():
