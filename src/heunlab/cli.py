@@ -222,21 +222,24 @@ def _cmd_boundary(instance, args, precision):
     return build_document("boundary", instance.echo, outputs, precision), probe.trace
 
 
+# proof-audit's options, flag or analysis key -> run_system_audit keyword; an
+# option left unset is not passed, so the audit's own default applies
+_AUDIT_OPTIONS = {"eps": "eps", "n-check": "N_check", "depth": "M",
+                  "minorant-m": "m_trunc", "minorant-K": "K", "j-max": "j_max",
+                  "k-max": "k_max", "enum-depth": "enum_depth"}
+_UNSET = object()
+
+
 def _cmd_proof_audit(instance, args, precision):
-    document, rows = run_system_audit(
-        instance.system,
-        root_echo=instance.root,
-        eps=parse_number(str(_opt(args, instance, "eps", "1/100"))),
-        N_check=_int_opt(args, instance, "n-check", 10 ** 5),
-        M=_int_opt(args, instance, "depth", 30),
-        m_trunc=_int_opt(args, instance, "minorant-m", 2),
-        K=parse_number(str(_opt(args, instance, "minorant-K", "1/2"))),
-        j_max=_int_opt(args, instance, "j-max", 64),
-        k_max=_int_opt(args, instance, "k-max", 4096),
-        prec=_bits(precision),
-        enum_depth=_int_opt(args, instance, "enum-depth", 14),
-        instance_echo=instance.echo,
-    )
+    options = {}
+    for name, keyword in _AUDIT_OPTIONS.items():
+        value = _opt(args, instance, name, _UNSET)
+        if value is not _UNSET:
+            options[keyword] = (parse_number(str(value)) if keyword in ("eps", "K")
+                                else parse_int(value, f"analysis.{name}"))
+    document, rows = run_system_audit(instance.system, root_echo=instance.root,
+                                      prec=_bits(precision), instance_echo=instance.echo,
+                                      **options)
     document["command"] = "proof-audit"
     return document, rows
 

@@ -21,6 +21,7 @@ holds also where an exponent sits on a pole and no system can be built.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -112,7 +113,7 @@ def _build_recurrence(params: HeunParams, lam) -> RecurrenceSystem:
     num2 = PolynomialInN((
         -(al - 1 + lam) * (be - 1 + lam) / a,
         -(al + be - 2 + 2 * lam) / a,
-        -1 / (Fraction(a) if is_exact(a) else a),
+        -1 / a,
     ))
     return RecurrenceSystem((RationalFnInN(num1, den), RationalFnInN(num2, den)))
 
@@ -124,8 +125,6 @@ def series_limits(params: HeunParams):
     """Large-n limits of the two lag coefficients: ((1+a)/a, -1/a), equal in
     value and type to heun_recurrence(params, root).limits at either root."""
     a = params.a
-    if is_exact(a):
-        a = Fraction(a)
     return ((1 + a) / a, -1 / a)
 
 
@@ -138,8 +137,10 @@ def ode_residual(params: HeunParams, root, stream: CoefficientStream, order: int
     j = -1 .. order, where j = -1 is the indicial term (zero by the choice of
     root) and each j needs d_{j+1}, so order is capped at len(stream) - 2.
 
-    This route never touches the recurrence; it is the independent witness
-    that the recurrence was transcribed correctly.
+    Each P_m's row, from x^(m+1) down, meets d_n at n = j - 1, j, j + 1
+    through d_n (n + lam) .. (n + lam - m + 1), P2's terms added first.  This
+    route never touches the recurrence; it is the independent witness that
+    the recurrence was transcribed correctly.
     """
     lam = _check_root(params, root)
     a, q = params.a, params.q
@@ -151,48 +152,22 @@ def ode_residual(params: HeunParams, root, stream: CoefficientStream, order: int
         order = top
     if order > top:
         raise InputError(f"order {order} needs d_{order + 1}; stream has {len(d)} values")
-
-    def w0(n):
-        return d[n]
-
-    def w1(n):
-        return d[n] * (n + lam)
-
-    def w2(n):
-        return d[n] * (n + lam) * (n + lam - 1)
-
     # P2 = x^3 - (1+a) x^2 + a x ; P1 = (g+d+e) x^2 - (g(1+a)+d a+e) x + g a ; P0 = A B x - q
-    p1_2, p1_1, p1_0 = ga + de + ep, -(ga * (1 + a) + de * a + ep), ga * a
-    p0_1, p0_0 = al * be, -q
-    wp = mp.workprec(53 if stream.precision == "exact" else stream.precision)
-    with wp:
-        return _residual_loop(order, d, w0, w1, w2, a, p1_2, p1_1, p1_0, p0_1, p0_0)
-
-
-def _residual_loop(order, d, w0, w1, w2, a, p1_2, p1_1, p1_0, p0_1, p0_0):
+    p1 = (ga + de + ep, -(ga * (1 + a) + de * a + ep), ga * a)
+    p0 = (al * be, -q)
     out = []
-    for j in range(-1, order + 1):
-        acc = d[0] * 0
-        # P2 y'': powers x^{lam+n+1}, x^{lam+n}, x^{lam+n-1}
-        if 0 <= j - 1 < len(d):
-            acc += w2(j - 1)
-        if 0 <= j < len(d):
-            acc += -(1 + a) * w2(j)
-        if 0 <= j + 1 < len(d):
-            acc += a * w2(j + 1)
-        # P1 y': powers x^{lam+n+1}, x^{lam+n}, x^{lam+n-1}
-        if 0 <= j - 1 < len(d):
-            acc += p1_2 * w1(j - 1)
-        if 0 <= j < len(d):
-            acc += p1_1 * w1(j)
-        if 0 <= j + 1 < len(d):
-            acc += p1_0 * w1(j + 1)
-        # P0 y: powers x^{lam+n+1}, x^{lam+n}
-        if 0 <= j - 1 < len(d):
-            acc += p0_1 * w0(j - 1)
-        if 0 <= j < len(d):
-            acc += p0_0 * w0(j)
-        out.append(acc)
+    with mp.workprec(53 if stream.precision == "exact" else stream.precision):
+        rows = ((2, (1, -(1 + a), a)), (1, p1), (0, p0))
+        for j in range(-1, order + 1):
+            acc = d[0] * 0
+            for m, row in rows:
+                for n, c in enumerate(row, start=j - 1):
+                    if n >= 0:
+                        w = d[n]
+                        for t in range(m):
+                            w = w * (n + lam - t)
+                        acc += c * w
+            out.append(acc)
     return out
 
 
@@ -314,9 +289,10 @@ def heun_eval(params: HeunParams, x, root=0, tol=Fraction(1, 10 ** 30),
     inside = bool(dsum < 1)
     if not inside and not force:
         try:
-            shown = f"{float(dsum):.6g}"
+            shown = float(dsum)  # inf for a huge mpf, OverflowError for a Fraction
         except OverflowError:
-            shown = mp.nstr(as_mp(dsum, prec), 6)
+            shown = math.inf
+        shown = f"{shown:.6g}" if math.isfinite(shown) else mp.nstr(as_mp(dsum, prec), 6)
         raise OutsideDomain(
             f"membership sum {shown} >= 1: outside the guaranteed "
             f"absolute-convergence domain (use force to evaluate anyway)"

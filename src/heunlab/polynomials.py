@@ -50,17 +50,11 @@ class PolynomialInN:
 
     @cached_property
     def _cleared(self):
-        """(integer numerators, common denominator) for rational coefficients.
-
-        None unless every coefficient is an int or a Fraction and at least one
-        is a Fraction: only then does Horner return a Fraction, which the
-        cleared form reproduces with one gcd instead of one per step.
-        """
-        coeffs = self.coeffs
-        if not (all(isinstance(c, (int, Fraction)) for c in coeffs)
-                and any(isinstance(c, Fraction) for c in coeffs)):
+        """(integer numerators, common denominator) of rational coefficients,
+        the denominator 1 for integers; None for floating coefficients."""
+        if not all(is_exact(c) for c in self.coeffs):
             return None
-        fracs = [Fraction(c) for c in coeffs]
+        fracs = [Fraction(c) for c in self.coeffs]
         den = math.lcm(*(f.denominator for f in fracs))
         return tuple(f.numerator * (den // f.denominator) for f in fracs), den
 
@@ -71,13 +65,7 @@ class PolynomialInN:
         return nonneg_integer_roots(self)
 
     def __call__(self, n):
-        cleared = self._cleared if isinstance(n, int) else None
-        if cleared is not None:
-            nums, den = cleared
-            acc = 0
-            for c in reversed(nums):
-                acc = acc * n + c
-            return Fraction(acc, den)
+        """p(n) by Horner, in the tier of the coefficients and of n."""
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * n + c
@@ -182,15 +170,15 @@ def nonneg_integer_roots(poly: PolynomialInN) -> frozenset:
     """
     if poly.is_zero:
         raise InvalidParams("zero polynomial has every integer as a root")
-    exact = all(is_exact(c) for c in poly.coeffs)
-    coeffs = (poly._cleared or (poly.coeffs, 1))[0] if exact else poly.coeffs
+    cleared = poly._cleared
+    coeffs = poly.coeffs if cleared is None else cleared[0]
     # strip a factor n^v exactly
     v = next(i for i, c in enumerate(coeffs) if c != 0)
     coeffs = coeffs[v:]
     roots = {0} if v else set()
     if len(coeffs) == 1:
         return frozenset(roots)
-    if exact:
+    if cleared is not None:
         return frozenset(roots | _positive_integer_roots(coeffs))
     import numpy as np  # floating coefficients only; the exact path never loads numpy
 

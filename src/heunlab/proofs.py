@@ -27,7 +27,8 @@ from .convergence import boundary_radius, eta_z, exact_membership_sum
 from .errors import (DegreeMismatch, DomainError, InputError, InvalidParams,
                      NotFoundWithin)
 from .polynomials import PolynomialInN, cauchy_bound, exact_div
-from .recurrence import (LimitProfile, RecurrenceSystem, limit_profile)
+from .recurrence import (LimitProfile, RecurrenceSystem, cleared_steps,
+                         limit_profile)
 from .scalars import DEFAULT_PRECISION, as_mp, is_exact, real_part
 from .special import Hyp2F1Params, hyp2f1_series
 
@@ -117,25 +118,26 @@ class SweepResult:
     rechecked: int  # indices decided
 
 
-def _decide(num_m: PolynomialInN, den: PolynomialInN, h: int,
-            n_lo: int, n_hi: int) -> SweepResult:
-    """Decide |num(n)/den(n)| > 1 - h/n for every n in [n_lo, n_hi], exactly.
+def _decide(system: RecurrenceSystem, i: int, h: int, n_lo: int, n_hi: int) -> SweepResult:
+    """Decide |alpha_i(n) / c_i| > 1 - h/n for every n in [n_lo, n_hi], exactly.
 
-    The margin |a/b| - (n - h)/n is (|a| n - (n - h) |b|) / (n |b|), with a
-    and b cross-multiplied in ints; den has no root at n >= 1, since the
-    recurrence system rejects such poles.
+    c_i = p / q, the ratio of lag i's leading coefficients, makes alpha_i / c_i
+    the monic ratio.  With alpha_i(n) = A / g from cleared_steps the margin is
+    (|A| q n - (n - h) g |p|) / (n g |p|), the least kept as an integer pair by
+    cross-multiplying; G(n) != 0 at n >= 1, as no lag of k = 2 has a pole there.
     """
-    last_violation, min_margin = 0, None
-    for n in range(n_lo, n_hi + 1):
-        a, b = Fraction(num_m(n)), Fraction(den(n))
-        gap = (abs(a.numerator) * b.denominator * n
-               - (n - h) * abs(b.numerator) * a.denominator)
+    fn = system.lags[i - 1]
+    c = exact_div(fn.num.leading, fn.den.leading)
+    q, p = c.denominator, abs(c.numerator)
+    last_violation, num, den = 0, None, 1
+    for n, (values, g) in zip(range(n_lo, n_hi + 1), cleared_steps(system, n_lo)):
+        gap = abs(values[i - 1]) * q * n - (n - h) * g * p
         if gap <= 0:
             last_violation = n
-        margin = Fraction(gap, n * abs(b.numerator) * a.denominator)
-        if min_margin is None or margin < min_margin:
-            min_margin = margin
-    return SweepResult(last_violation, float(min_margin), n_hi - n_lo + 1)
+        d = n * g * p
+        if num is None or gap * den < num * d:
+            num, den = gap, d
+    return SweepResult(last_violation, float(Fraction(num, den)), n_hi - n_lo + 1)
 
 
 @dataclass(frozen=True)
@@ -187,13 +189,12 @@ def find_proof_constants(system: RecurrenceSystem, eps=Fraction(1, 100),
         if report.lag1_strictly_less else 1
     h2 = _smallest_h_less(report.lag2_num_sub, report.lag2_den_sub) \
         if report.lag2_strictly_less else 1
-    lags = [(_monic(fn.num), _monic(fn.den), h) for fn, h in zip(system.lags, (h1, h2))]
-
-    cert1, cert2 = (_bound_certificate(*lag) for lag in lags)
+    cert1, cert2 = (_bound_certificate(_monic(fn.num), _monic(fn.den), h)
+                    for fn, h in zip(system.lags, (h1, h2)))
     if max(cert1.valid_from, cert2.valid_from) > N_check:
         raise NotFoundWithin("certificate root bound exceeds the checked range")
-    sweep1, sweep2 = (_decide(*lag, 1, cert.valid_from - 1)
-                      for lag, cert in zip(lags, (cert1, cert2)))
+    sweep1, sweep2 = (_decide(system, i, h, 1, cert.valid_from - 1)
+                      for i, h, cert in ((1, h1, cert1), (2, h2, cert2)))
 
     h_max = max(h1, h2)
     N_eps = math.floor(Fraction(h_max) / eps) + 1
@@ -234,15 +235,16 @@ def verify_proof_constants(system: RecurrenceSystem, pc: ProofConstants,
     if not 1 <= lo <= hi:
         raise InvalidParams("verification window must satisfy 1 <= lo <= hi")
     _require_exact(system, pc.eps)
+    if system.k != 2:
+        raise InvalidParams("proof constants are stated for three-term recurrences")
     sweeps, tail_ok = [], True
-    for fn, h in zip(system.lags, (pc.h_lag1, pc.h_lag2)):
-        lag = (_monic(fn.num), _monic(fn.den), h)
+    for i, (fn, h) in enumerate(zip(system.lags, (pc.h_lag1, pc.h_lag2)), start=1):
         try:
-            valid_from = _bound_certificate(*lag).valid_from
+            valid_from = _bound_certificate(_monic(fn.num), _monic(fn.den), h).valid_from
         except NotFoundWithin:
             valid_from = math.inf
         tail_ok = tail_ok and valid_from <= hi
-        sweeps.append(_decide(*lag, lo, max(lo, min(hi, valid_from - 1))))
+        sweeps.append(_decide(system, i, h, lo, max(lo, min(hi, valid_from - 1))))
     s1, s2 = sweeps
     violations = sum(s.last_violation >= lo for s in sweeps)
     eps_floor_ok = bool(Fraction(max(pc.h_lag1, pc.h_lag2)) / pc.eps < pc.N)

@@ -15,7 +15,8 @@ majorant lemma), so the bound holds for every solution.
 An exact system's lags have one evaluator, cleared_steps: over the integer
 polynomials of RecurrenceSystem.cleared, alpha_i(n) = A_i(n) / G(n) with one
 shared denominator G, it yields each step's integers (A_i(n), |G(n)|) by
-inline Horner, through |A_i| when `modulus` is set.  One stepper per tier
+inline Horner, through |A_i| when `modulus` is set, and the proof constants'
+margin sweeps (proofs._decide) read them directly.  One stepper per tier
 runs every sequence s_{j+1} = sum_i alpha_i(offset + j) s_{j+1-i} from
 (s_{-1}, s_0) = (0, 1): offset 0 gives the solution d_n, modulus at N the
 majorant c_j, and offset N alone the signed sequence the lemma compares
@@ -112,8 +113,8 @@ class RecurrenceSystem:
         """
         if not self.is_exact():
             return None
-        nums = [fn.num._cleared or (fn.num.coeffs, 1) for fn in self.lags]
-        dens = [fn.den._cleared or (fn.den.coeffs, 1) for fn in self.lags]
+        nums = [fn.num._cleared for fn in self.lags]
+        dens = [fn.den._cleared for fn in self.lags]
         lcm = math.lcm(*(c for _, c in nums))
         distinct = [PolynomialInN(d) for d in dict.fromkeys(d for d, _ in dens)]
         lags = tuple(PolynomialInN(num) * math.prod([p for p in distinct if p.coeffs != den],

@@ -87,6 +87,14 @@ def test_eval_huge_point_exits_2(a2_file, capsys, precision):
     assert err.startswith("heunlab: membership sum 5.0e+799 >= 1") and err.count("\n") == 1
 
 
+def test_eval_far_mpf_point_shows_a_finite_sum(a2_file, capsys):
+    # float() of the 64-bit membership sum is inf; the message falls back to mpmath
+    code, out, err = run(capsys, ["eval", str(a2_file), "--x", "1e100000000",
+                                  "--precision", "64"])
+    assert (code, out) == (2, "") and err.count("\n") == 1
+    assert err.startswith("heunlab: membership sum 5.0e+199999999 >= 1") and "inf" not in err
+
+
 @pytest.mark.parametrize("precision", ["exact", "64"])
 def test_eval_point_past_the_exponent_limit_exits_2(a2_file, capsys, precision):
     # read as an mpf: Fraction would build 10^(10^8) for minutes
@@ -388,6 +396,21 @@ def test_proof_audit_depth_cap_exits_3(a2_file, capsys, monkeypatch):
     code, out, err = run(capsys, ["proof-audit", str(a2_file), "--depth", "100000"])
     assert code == 3 and out == ""
     assert "cap is 256" in err and err.count("\n") == 1
+
+
+def test_proof_audit_forwards_only_the_options_set(tmp_path, capsys, monkeypatch):
+    seen = []
+
+    def audit(system, **options):
+        seen.append(sorted(options))
+        return {}, None
+
+    monkeypatch.setattr(heunlab.cli, "run_system_audit", audit)
+    doc = json.loads(A2_JSON)
+    doc["analysis"]["minorant-K"] = "1/3"
+    path = write_json(tmp_path / "k.json", doc)
+    assert run(capsys, ["proof-audit", str(path), "--depth", "5"])[0] == 0
+    assert seen == [["K", "M", "instance_echo", "prec", "root_echo"]]
 
 
 @pytest.mark.parametrize("depth", ["-1", "0"])

@@ -1,8 +1,10 @@
 """Heun parameter handling, the coefficient recurrence, and evaluation."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
+from conftest import admissible_roots, sample_pool
 from mpmath import mp
 
 from heunlab import (HeunParams, IndicialPole, InputError, InvalidParams,
@@ -119,6 +121,25 @@ def test_ode_residuals_vanish_at_second_exponent():
     root = F(1, 2)
     stream = stream_coefficients(heun_recurrence(p, root), 30)
     assert all(r == 0 for r in ode_residual(p, root, stream))
+
+
+# sha256 over the residuals' _mpf_ tuples for sample_pool(12, seed=2501) at
+# each admissible root, 30 terms; recorded from the term-by-term loop (one
+# closure per derivative order) that the one loop over P2, P1, P0 replaced
+RESIDUAL_PINS = {
+    53: "0aa4bae101fccc5a4d40233e83b1ec83f64627fc0b1845a579e93aa59636b9f6",
+    128: "8944021f6fdfc98f2c38f1141e970b591114b9fc415bb283ec384e2d38fa8b87",
+}
+
+
+@pytest.mark.parametrize("prec", sorted(RESIDUAL_PINS))
+def test_ode_residual_bits_are_pinned(prec):
+    digest = hashlib.sha256()
+    for params in sample_pool(12, seed=2501):
+        for root in admissible_roots(params):
+            stream = stream_coefficients(heun_recurrence(params, root), 30, prec)
+            digest.update(repr([r._mpf_ for r in ode_residual(params, root, stream)]).encode())
+    assert digest.hexdigest() == RESIDUAL_PINS[prec]
 
 
 def test_absolute_profile_sum(a2_params):

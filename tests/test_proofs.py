@@ -20,6 +20,7 @@ from heunlab import (CASE1, CASE2, CASE3, CASE4, DegreeMismatch, DomainError,
                      poly_from, series_limits, verify_proof_constants,
                      z_power_tail)
 from heunlab.instances import render_value
+from heunlab.polynomials import PolynomialInN
 from heunlab.proofs import _monic
 from heunlab.scalars import DEFAULT_PRECISION, as_mp
 
@@ -230,6 +231,66 @@ def test_exact_constants_match_float_sweep(parity_systems):
         assert pc.N == N
         assert (pc.last_violation_lag1, pc.last_violation_lag2) == lasts
         assert verify_proof_constants(system, pc).ok
+
+
+def test_constants_sweep_on_the_integer_lag_evaluator(a2_params, monkeypatch):
+    # the sweeps read cleared_steps' integers: no lag polynomial is called
+    system = heun_recurrence(a2_params)
+    calls = []
+    horner = PolynomialInN.__call__
+
+    def counted(self, n):
+        calls.append(n)
+        return horner(self, n)
+
+    monkeypatch.setattr(PolynomialInN, "__call__", counted)
+    pc = find_proof_constants(system)
+    assert verify_proof_constants(system, pc).ok
+    assert calls == []
+
+
+# lag 1 has Fraction coefficients and a leading ratio 1/2; lag 2 has its own
+# denominator, with a pole at n = 0, so G is a product, and a numerator of
+# lower degree, so its limit is 0 while its leading ratio is 6
+_TWO_DENOMINATORS = RecurrenceSystem((
+    RationalFnInN(poly_from(F(3, 2), -7, 1), poly_from(F(1, 3), 1, 2)),
+    RationalFnInN(poly_from(-1, 6), poly_from(0, 4, 1)),
+))
+
+
+@pytest.mark.parametrize("h", [1, 3, 8])
+@pytest.mark.parametrize("i", [1, 2])
+def test_decide_matches_the_fraction_reference(i, h):
+    fn, n_hi = _TWO_DENOMINATORS.lags[i - 1], 150
+    num_m, den = _monic(fn.num), _monic(fn.den)
+    sweep = proofs._decide(_TWO_DENOMINATORS, i, h, 1, n_hi)
+    assert sweep.last_violation == _reference_sweep(num_m, den, h, n_hi)
+    assert sweep.min_margin == float(min(_reference_margin(num_m, den, h, n)
+                                         for n in range(1, n_hi + 1)))
+    assert sweep.rechecked == n_hi
+    window = proofs._decide(_TWO_DENOMINATORS, i, h, 40, 90)
+    assert window.min_margin == float(min(_reference_margin(num_m, den, h, n)
+                                          for n in range(40, 91)))
+
+
+def test_verify_window_on_a_lag_with_a_lower_degree_numerator(a2_params):
+    # lag 2 has no certificate (its monic ratio tends to 0), so the whole
+    # window is decided, on the leading ratio 6 and not on the limit 0
+    assert _TWO_DENOMINATORS.limits[1] == 0
+    pc = find_proof_constants(heun_recurrence(a2_params))
+    ver = verify_proof_constants(_TWO_DENOMINATORS, pc, n_lo=5, n_hi=70)
+    num_m, den = _monic(_TWO_DENOMINATORS.lags[1].num), _monic(_TWO_DENOMINATORS.lags[1].den)
+    margins = [_reference_margin(num_m, den, pc.h_lag2, n) for n in range(5, 71)]
+    assert ver.min_margin_lag2 == float(min(margins))
+    assert not ver.tail_certified and ver.violations >= 1 and not ver.ok
+
+
+def test_verify_constants_refuses_other_lag_counts(a2_params):
+    pc = find_proof_constants(heun_recurrence(a2_params))
+    lag = _lag(1, 2)
+    for lags in ((lag,), (lag, lag, lag)):
+        with pytest.raises(InvalidParams):
+            verify_proof_constants(RecurrenceSystem(lags), pc)
 
 
 def test_exact_decision_sees_violations_below_the_certificate():
