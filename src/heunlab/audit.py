@@ -19,7 +19,7 @@ from ._version import __version__
 from .convergence import boundary_radius, eta_z, radius_bracketed
 from .errors import DomainError, InputError, InvalidParams, TruncationTooLarge
 from .instances import render_value as _num
-from .proofs import (find_proof_constants, minorant_partial,
+from .proofs import (H_LABELS, find_proof_constants, minorant_partial,
                      verify_proof_constants)
 from .rearrange import (grouped_partial_sum, path_table, path_table_enumerate,
                         table_matches_stream)
@@ -113,7 +113,7 @@ def run_system_audit(system, *, root_echo=None, eps=Fraction(1, 100),
             "j_sum": _num(mino.j_sum, prec),
             "z_tail": _num(mino.z_tail, prec),
             "z_tail_remainder": _num(mino.z_tail_remainder, prec),
-            "h2_slot": {"label": constants.h_labels[1], "value": h_slot},
+            "h2_slot": {"label": H_LABELS[constants.case][1], "value": h_slot},
             "m": m_trunc, "K": _num(K, prec), "eps": _num(eps, prec),
         }
         minorant_divergent = mino.regime == "divergent"
@@ -188,15 +188,15 @@ def run_system_audit(system, *, root_echo=None, eps=Fraction(1, 100),
         },
         "classification": {
             "case": constants.case,
-            "h_labels": list(constants.h_labels),
+            "h_labels": list(H_LABELS[constants.case]),
         },
         "constants": {
             "h_lag1": constants.h_lag1,
             "h_lag2": constants.h_lag2,
             "N": constants.N,
             "N_eps": constants.N_eps,
-            "last_violation_lag1": constants.last_violation_lag1,
-            "last_violation_lag2": constants.last_violation_lag2,
+            "last_violation_lag1": constants.sweep_lag1.last_violation,
+            "last_violation_lag2": constants.sweep_lag2.last_violation,
             "cert_valid_from_lag1": constants.cert_lag1.valid_from,
             "cert_valid_from_lag2": constants.cert_lag2.valid_from,
             "verified": constants.verified,

@@ -174,25 +174,19 @@ def _cmd_classify(instance, args, precision):
         "case": report.case,
         "h_labels": list(H_LABELS[report.case]),
         "limits": [render_value(v, prec) for v in profile.limits],
-        "lag1": {
-            "num_sub": render_value(report.lag1_num_sub, prec),
-            "den_sub": render_value(report.lag1_den_sub, prec),
-            "strictly_less": report.lag1_strictly_less,
-        },
-        "lag2": {
-            "num_sub": render_value(report.lag2_num_sub, prec),
-            "den_sub": render_value(report.lag2_den_sub, prec),
-            "strictly_less": report.lag2_strictly_less,
-        },
     }
+    for i, ((num_sub, den_sub), less) in enumerate(zip(report.subleading, report.strictly_less), 1):
+        outputs[f"lag{i}"] = {
+            "num_sub": render_value(num_sub, prec),
+            "den_sub": render_value(den_sub, prec),
+            "strictly_less": less,
+        }
     return build_document("classify", instance.echo, outputs, precision), None
 
 
 def _cmd_boundary(instance, args, precision):
     prec = _bits(precision)
     which = _opt(args, instance, "which", "modulus")
-    if which not in ("signed", "modulus"):
-        raise InputError("which must be 'signed' or 'modulus'")
     offset = _int_opt(args, instance, "offset", 1)
     n_terms = _int_opt(args, instance, "n-max", 1 << 20)
     stride = _int_opt(args, instance, "stride", max(1, n_terms // 4096))
@@ -228,6 +222,10 @@ _AUDIT_OPTIONS = {"eps": "eps", "n-check": "N_check", "depth": "M",
                   "minorant-m": "m_trunc", "minorant-K": "K", "j-max": "j_max",
                   "k-max": "k_max", "enum-depth": "enum_depth"}
 _UNSET = object()
+# every analysis key some command reads: one instance file serves several
+# commands, so only a key that none of them reads is refused
+_ANALYSIS_KEYS = {"x", "tol", "n-max", "force", "which", "offset", "stride",
+                  "radius", "radius-scale", *_AUDIT_OPTIONS}
 
 
 def _cmd_proof_audit(instance, args, precision):
@@ -256,6 +254,9 @@ _HANDLERS = {
 def _process_file(path: Path, args) -> bytes:
     """Run one command on one instance file and write any requested outputs."""
     instance = load_instance(path)
+    unread = sorted(set(instance.analysis) - _ANALYSIS_KEYS)
+    if unread:
+        raise InputError(f"{instance.source}: no command reads the analysis keys {unread}")
     precision = _resolve_precision(args, instance)
     document, rows = _HANDLERS[args.command](instance, args, precision)
     trace_files = []

@@ -46,12 +46,12 @@ H_LABELS = {
 @dataclass(frozen=True)
 class CaseReport:
     case: str
-    lag1_num_sub: object  # sub-leading coefficient of the monic numerator
-    lag1_den_sub: object
-    lag2_num_sub: object
-    lag2_den_sub: object
-    lag1_strictly_less: bool
-    lag2_strictly_less: bool
+    subleading: tuple  # the profile's (num_sub, den_sub) of each monic lag ratio
+    strictly_less: tuple  # per lag: Re num_sub < Re den_sub
+
+
+# the case of each (lag 1, lag 2) strictly-less pattern
+_CASES = {(True, True): CASE1, (False, False): CASE2, (False, True): CASE3, (True, False): CASE4}
 
 
 def classify_case(profile: LimitProfile) -> CaseReport:
@@ -67,18 +67,8 @@ def classify_case(profile: LimitProfile) -> CaseReport:
         raise DegreeMismatch("both lag coefficients need matching numerator/denominator degree")
     if any(L == 0 for L in profile.limits):
         raise InvalidParams("case classification needs nonzero lag limits")
-    (o1, w1), (o2, w2) = profile.subleading
-    lt1 = bool(real_part(o1) < real_part(w1))
-    lt2 = bool(real_part(o2) < real_part(w2))
-    if lt1 and lt2:
-        case = CASE1
-    elif not lt1 and not lt2:
-        case = CASE2
-    elif not lt1 and lt2:
-        case = CASE3
-    else:
-        case = CASE4
-    return CaseReport(case, o1, w1, o2, w2, lt1, lt2)
+    less = tuple(bool(real_part(o) < real_part(w)) for o, w in profile.subleading)
+    return CaseReport(_CASES[less], profile.subleading, less)
 
 
 @dataclass(frozen=True)
@@ -91,7 +81,6 @@ class BoundCertificate:
     the absolute values drop.  valid_from is the max of the three bounds.
     """
 
-    h: int
     leading: object
     valid_from: int
 
@@ -108,7 +97,7 @@ def _bound_certificate(num_m: PolynomialInN, den: PolynomialInN, h: int) -> Boun
     if cleared.is_zero or cleared.leading <= 0:
         raise NotFoundWithin(f"cleared margin polynomial is not eventually positive for h = {h}")
     bound = max(h + 1, *(cauchy_bound(p.coeffs) for p in (cleared, num_m, den)))
-    return BoundCertificate(h, cleared.leading, bound)
+    return BoundCertificate(cleared.leading, bound)
 
 
 @dataclass(frozen=True)
@@ -145,13 +134,10 @@ class ProofConstants:
     case: str
     h_lag1: int
     h_lag2: int
-    h_labels: tuple
     N: int
     eps: object
     N_check: int
     N_eps: int  # part of N forced by h/n < eps
-    last_violation_lag1: int
-    last_violation_lag2: int
     cert_lag1: BoundCertificate
     cert_lag2: BoundCertificate
     sweep_lag1: SweepResult
@@ -185,10 +171,8 @@ def find_proof_constants(system: RecurrenceSystem, eps=Fraction(1, 100),
     if not (0 < eps < 1):
         raise InvalidParams("eps must lie in (0, 1)")
     report = classify_case(limit_profile(system))
-    h1 = _smallest_h_less(report.lag1_num_sub, report.lag1_den_sub) \
-        if report.lag1_strictly_less else 1
-    h2 = _smallest_h_less(report.lag2_num_sub, report.lag2_den_sub) \
-        if report.lag2_strictly_less else 1
+    h1, h2 = (_smallest_h_less(*sub) if less else 1
+              for sub, less in zip(report.subleading, report.strictly_less))
     cert1, cert2 = (_bound_certificate(_monic(fn.num), _monic(fn.den), h)
                     for fn, h in zip(system.lags, (h1, h2)))
     if max(cert1.valid_from, cert2.valid_from) > N_check:
@@ -203,8 +187,7 @@ def find_proof_constants(system: RecurrenceSystem, eps=Fraction(1, 100),
         raise NotFoundWithin(f"no admissible N at or below N_check = {N_check}")
     verified = (sweep1.last_violation < N and sweep2.last_violation < N
                 and N - h2 > 0 and N > Fraction(h_max) / eps)
-    return ProofConstants(report.case, h1, h2, H_LABELS[report.case], N, eps, N_check,
-                          N_eps, sweep1.last_violation, sweep2.last_violation,
+    return ProofConstants(report.case, h1, h2, N, eps, N_check, N_eps,
                           cert1, cert2, sweep1, sweep2, bool(verified))
 
 

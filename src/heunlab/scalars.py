@@ -245,7 +245,11 @@ def fmt_scalar(x, digits: int = 17) -> str:
     """Deterministic human-readable rendering, exact tier as 'p/q'."""
     if isinstance(x, (int, Fraction)):
         f = Fraction(x)
-        return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+        try:
+            return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+        except ValueError:  # Python's limit on integer digits
+            raise InputError(f"an exact value of more than {MAX_EXPONENT} digits cannot be "
+                             f"rendered; use a bit precision or a shorter value") from None
     if isinstance(x, mpmath.mpc):
         return mpmath.nstr(x, digits)
     return mpmath.nstr(mpmath.mpf(x), digits)

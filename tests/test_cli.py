@@ -323,6 +323,18 @@ def test_boundary_rejects_probe_arguments_before_streaming(a2_file, capsys,
     assert err.startswith("heunlab: ") and err.count("\n") == 1
 
 
+def test_boundary_refuses_an_unknown_channel_before_writing(tmp_path, capsys):
+    doc = json.loads(A2_JSON)
+    doc["analysis"]["which"] = "both"
+    out_dir = tmp_path / "out"
+    path = write_json(tmp_path / "both.json", doc)
+    code, out, err = run(capsys, ["boundary", str(path), "--n-max", "4096",
+                                  "--out", str(out_dir)])
+    assert (code, out) == (3, "")
+    assert "'both'" in err and err.count("\n") == 1
+    assert not out_dir.exists()  # neither the CSV nor the document
+
+
 def test_gauss_convergent(capsys, tmp_path):
     out_dir = tmp_path / "g"
     doc = run_doc(capsys, ["gauss", "1/2", "1/2", "2",
@@ -533,6 +545,34 @@ def test_force_must_be_a_json_boolean(tmp_path, capsys, force, code):
         assert json.loads(out)["outputs"]["forced"]
     if code == 3:
         assert "analysis.force: expected true or false" in err and err.count("\n") == 1
+
+
+def test_analysis_keys_no_command_reads_are_refused(tmp_path, capsys):
+    doc = json.loads(A2_JSON)
+    doc["analysis"]["n-chek"] = "5"
+    path = write_json(tmp_path / "typo.json", doc)
+    for argv in (["proof-audit", str(path), "--n-check", "5000"], ["eval", str(path)],
+                 ["classify", str(path)]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (3, "")
+        assert "'n-chek'" in err and err.count("\n") == 1
+
+
+def test_analysis_keys_of_other_commands_are_accepted(tmp_path, capsys):
+    # one instance file serves every command: eval passes over the audit's
+    # and the probe's keys
+    doc = json.loads(A2_JSON)
+    doc["analysis"].update({"eps": "1/3", "which": "signed", "radius-scale": "1/2"})
+    path = write_json(tmp_path / "shared.json", doc)
+    assert run_doc(capsys, ["eval", str(path)])["outputs"]["converged"]
+
+
+def test_exact_value_past_the_digit_limit_exits_3(a2_file, capsys):
+    code, out, err = run(capsys, ["eval", str(a2_file), "--x", "1/10",
+                                  "--tol", "1e-4300", "--precision", "64"])
+    assert (code, out) == (3, "")
+    assert "4300 digits" in err and "set_int_max_str_digits" not in err
+    assert err.count("\n") == 1
 
 
 def test_directory_fan_out_reports_a_bad_integer_field(tmp_path, capsys):

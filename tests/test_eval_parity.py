@@ -209,6 +209,19 @@ GOLDEN_INSTANCES = {
                       "gamma": "-1", "delta": "5/6", "lambda": "2"}},
 }
 
+
+def _monic_lags(*subs):
+    """A recurrence block of lags (n^2 + o n + 1) / (n^2 + w n + 1), one per (o, w)."""
+    return {"recurrence": {"lags": [{"num": ["1", str(o), "1"], "den": ["1", str(w), "1"]}
+                                    for o, w in subs]}}
+
+
+# the sub-leading pairs of test_proofs.test_classify_synthetic_cases: CASE2,
+# CASE3 and CASE4 tell lag 1 from lag 2 in the classify document
+GOLDEN_INSTANCES.update(case2=_monic_lags((5, 2), (4, 3)),
+                        case3=_monic_lags((5, 2), (1, 3)),
+                        case4=_monic_lags((1, 2), (4, 3)))
+
 GOLDEN_DOCUMENTS = (
     ("a2", ["eval", "--x=1/10", "--precision", "exact"],
      "b1bbb5900369184cf917aba8485feccc81f0e096584bf0f2eee9d0e26ee19ac0"),
@@ -240,6 +253,12 @@ GOLDEN_DOCUMENTS = (
      "4316b2e9d571f154cc4016168c3d1dc0a07175481e10b486a0d10ea3aae3a3b9"),
     ("neg", ["classify", "--precision", "64"],
      "f4a0a6a5677620f57fecd5105da33e7b73857108b9611b5edca8614e291b34ff"),
+    ("case2", ["classify"],
+     "4cc2d5b8158f8b70f95217743b241a56b889f77696510ab48fc383295cc3663a"),
+    ("case3", ["classify", "--precision", "exact"],
+     "1d5ef11b163b169b0dcd8f830f3ecd253a0ecf2944b618ffda93ed2152cd15ae"),
+    ("case4", ["classify", "--precision", "64"],
+     "d774eda2b5b6a26f08b64639f42af02b98cd5138efe2abbaeaf63a68b4c41530"),
 )
 
 

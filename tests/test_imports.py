@@ -2,16 +2,21 @@
 package exports exactly what its __init__ imports plus its lazy names,
 raw mpf arithmetic (mpmath.libmp) stays in the modules allowed to use it,
 numpy is imported at top level by probes alone, pyproject.toml reads the
-package's one version, and the benchmark's tracing wraps find their targets."""
+package's one version, the benchmark's tracing wraps find their targets and
+its counter hooks read real results, and the CLI accepts every analysis key
+it reads."""
 
 import ast
 import importlib.util
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import heunlab
+from heunlab import (cli, find_proof_constants, heun_eval, heun_recurrence,
+                     stream_coefficients)
 
 PACKAGE = Path(heunlab.__file__).parent
 
@@ -136,3 +141,87 @@ def test_tracing_wraps_find_their_functions():
     missing = {f"{module}.{attr}" for module, attr, _, _ in tracing.WRAPS
                if not callable(getattr(importlib.import_module(module), attr, None))}
     assert missing == STALE_WRAPS
+
+
+def analysis_reads(source: str) -> dict:
+    """{top-level function: the keys it reads from the analysis block}, a key
+    being the string passed to _opt, _int_opt or analysis.get, or None when
+    it is not a constant."""
+    reads = {}
+    for fn in ast.parse(source).body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name) and func.id in ("_opt", "_int_opt"):
+                key = node.args[2]
+            elif (isinstance(func, ast.Attribute) and func.attr == "get"
+                  and isinstance(func.value, ast.Attribute) and func.value.attr == "analysis"):
+                key = node.args[0]
+            else:
+                continue
+            reads.setdefault(fn.name, set()).add(
+                key.value if isinstance(key, ast.Constant) else None)
+    return reads
+
+
+def test_analysis_reads_are_found():
+    source = ("def f(a, i):\n    _opt(a, i, 'x')\n    _int_opt(a, i, 'n', 1)\n"
+              "def g(i, k):\n    i.analysis.get('force')\n    i.analysis.get(k)\n"
+              "    i.other.get('y')\n")
+    assert analysis_reads(source) == {"f": {"x", "n"}, "g": {"force", None}}
+
+
+def test_cli_accepts_every_analysis_key_it_reads():
+    reads = analysis_reads((PACKAGE / "cli.py").read_text())
+    # _opt and _int_opt read the name they are given, and proof-audit the
+    # names of _AUDIT_OPTIONS
+    assert ({fn for fn, keys in reads.items() if None in keys}
+            == {"_opt", "_int_opt", "_cmd_proof_audit"})
+    constant = set().union(*reads.values()) - {None}
+    assert {"x", "force", "which"} <= constant
+    assert constant | set(cli._AUDIT_OPTIONS) == cli._ANALYSIS_KEYS
+
+
+class _Counts:
+    """The two counter calls of the bench tracer, recorded in a dict."""
+
+    def __init__(self):
+        self.counts = {}
+
+    def count(self, name, amount):
+        self.counts[name] = self.counts.get(name, 0) + amount
+
+    def maximum(self, name, value):
+        self.counts[name] = max(self.counts.get(name, 0), value)
+
+
+def test_tracing_counter_hooks_read_real_results(a2_params):
+    # a renamed result attribute would break only traced bench runs
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", PACKAGE.parents[1] / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    hooks = {(module, attr): hook for module, attr, _, hook in tracing.WRAPS}
+    assert hooks[("heunlab.audit", "find_proof_constants")] is tracing._count_rechecked
+    assert hooks[("heunlab.audit", "stream_coefficients")] is tracing._count_values
+    assert hooks[("heunlab.cli", "heun_eval")] is tracing._count_eval
+
+    system = heun_recurrence(a2_params)
+    pc = find_proof_constants(system)
+    stream = stream_coefficients(system, 40, 64)
+    result = heun_eval(a2_params, Fraction(1, 10), precision="exact")
+    tracer = _Counts()
+    tracing._count_rechecked(tracer, pc, (), {})
+    tracing._count_values(tracer, stream, (), {})
+    tracing._count_eval(tracer, result, (), {})
+    value = result.value
+    assert tracer.counts == {
+        "proofs.sweep_rechecked": (pc.cert_lag1.valid_from - 1) + (pc.cert_lag2.valid_from - 1),
+        "recurrence.terms_streamed": 40,
+        "heun.eval_terms": result.n_used,
+        "heun.exact_bits_max": value.numerator.bit_length() + value.denominator.bit_length(),
+    }
+    assert result.n_used > 0 and type(value) is Fraction

@@ -40,9 +40,8 @@ def _system(l1_subs, l2_subs):
 def test_classify_heun_anchor(a2_params):
     rep = classify_case(limit_profile(heun_recurrence(a2_params)))
     assert rep.case == CASE1
-    assert rep.lag1_strictly_less and rep.lag2_strictly_less
-    assert rep.lag1_num_sub == 1 and rep.lag1_den_sub == 2
-    assert rep.lag2_num_sub == 0 and rep.lag2_den_sub == 2
+    assert rep.strictly_less == (True, True)
+    assert rep.subleading == ((1, 2), (0, 2))
 
 
 @pytest.mark.parametrize("l1,l2,case", [
@@ -57,9 +56,16 @@ def test_classify_synthetic_cases(l1, l2, case):
     assert H_LABELS[case] == H_LABELS[rep.case]
 
 
+def test_case_report_keeps_the_profile_subleading():
+    profile = limit_profile(_system((5, 2), (1, 3)))
+    rep = classify_case(profile)
+    assert rep.subleading is profile.subleading
+    assert rep.subleading == ((5, 2), (1, 3)) and rep.strictly_less == (False, True)
+
+
 def test_classify_equal_subleading_counts_as_not_less():
     rep = classify_case(limit_profile(_system((2, 2), (4, 3))))
-    assert not rep.lag1_strictly_less
+    assert not rep.strictly_less[0]
     assert rep.case == CASE2
 
 
@@ -83,9 +89,9 @@ def test_find_constants_heun_anchor(a2_params):
     pc = find_proof_constants(heun_recurrence(a2_params))
     assert pc.case == CASE1
     assert (pc.h_lag1, pc.h_lag2) == (2, 3)
-    assert pc.h_labels == ("h1", "h2")
+    assert H_LABELS[pc.case] == ("h1", "h2")
     assert pc.N == 301 and pc.N_eps == 301
-    assert pc.last_violation_lag1 == 0 and pc.last_violation_lag2 == 0
+    assert pc.sweep_lag1.last_violation == 0 and pc.sweep_lag2.last_violation == 0
     assert pc.verified
     assert pc.cert_lag1.leading > 0 and pc.cert_lag2.leading > 0
     assert pc.cert_lag1.valid_from <= pc.N_check
@@ -207,10 +213,8 @@ def _reference_sweep(num_m, den, h, n_hi):
 
 def _reference_constants(system, eps=F(1, 100), n_check=10 ** 5):
     report = classify_case(limit_profile(system))
-    subs = ((report.lag1_num_sub, report.lag1_den_sub, report.lag1_strictly_less),
-            (report.lag2_num_sub, report.lag2_den_sub, report.lag2_strictly_less))
     hs = tuple(max(math.floor(den_sub - num_sub) + 1, 1) if less else 1
-               for num_sub, den_sub, less in subs)
+               for (num_sub, den_sub), less in zip(report.subleading, report.strictly_less))
     lasts = tuple(_reference_sweep(_reference_monic(fn.num), _reference_monic(fn.den), h, n_check)
                   for fn, h in zip(system.lags, hs))
     N = max(lasts[0] + 1, lasts[1] + 1, math.floor(F(max(hs)) / eps) + 1, 2)
@@ -229,7 +233,7 @@ def test_exact_constants_match_float_sweep(parity_systems):
         hs, N, lasts = _reference_constants(system)
         assert (pc.h_lag1, pc.h_lag2) == hs
         assert pc.N == N
-        assert (pc.last_violation_lag1, pc.last_violation_lag2) == lasts
+        assert (pc.sweep_lag1.last_violation, pc.sweep_lag2.last_violation) == lasts
         assert verify_proof_constants(system, pc).ok
 
 
@@ -304,9 +308,9 @@ def test_exact_decision_sees_violations_below_the_certificate():
     pc = find_proof_constants(system)
     hs, N, lasts = _reference_constants(system)
     assert (pc.h_lag1, pc.h_lag2) == hs
-    assert (pc.last_violation_lag1, pc.last_violation_lag2) == lasts
-    assert pc.last_violation_lag1 >= 10 and pc.N == N
-    assert pc.last_violation_lag1 < pc.cert_lag1.valid_from
+    assert (pc.sweep_lag1.last_violation, pc.sweep_lag2.last_violation) == lasts
+    assert pc.sweep_lag1.last_violation >= 10 and pc.N == N
+    assert pc.sweep_lag1.last_violation < pc.cert_lag1.valid_from
 
 
 def test_z_power_tail_anchor(a2_params):
