@@ -23,10 +23,13 @@ stream order, and the driver records them at the dyadic checkpoints.  Every
 per-chunk buffer (indices, coefficients, prefix products, mantissas and
 exponents, terms, sums) lives in one workspace that is allocated once and
 reused through out=, so a stream's memory does not grow with the number of
-terms and no chunk-sized array is allocated afresh for each chunk.  A buffer
-that no later stage of the chunk reads serves as scratch: the broadcast
-(step 3 below) forms the terms in the terms and integer scratch buffers,
-and ldexp reads its exponents from an int32 view of the latter.
+terms and no chunk-sized array is allocated afresh for each chunk.  Two
+buffers share memory wherever no stage of a chunk reads both at once (the
+stage by stage table is in _Workspace), which keeps the workspace under 96
+bytes per term: the indices and the lags' shared denominator go in the terms
+and mantissa buffers before either holds a term, the broadcast (step 3
+below) forms the terms in the terms and integer scratch buffers, and ldexp
+reads its exponents from an int32 view of the latter.
 
 The probes' step rule is the three-term recurrence.  Step j maps
 v_{j-1} = (t_{j-1}, t_{j-2}) to v_j = M_j v_{j-1} with
@@ -95,13 +98,22 @@ _LN2 = math.log(2.0)
 
 
 def _lag_coefficients(system: RecurrenceSystem) -> tuple:
-    """(numerator, denominator) float64 coefficient tuples of the two lags."""
+    """(numerator, denominator) float64 coefficient tuples of the two lags.
+
+    A coefficient past float64 range, or a nonzero one that rounds to 0.0
+    (a denominator's constant term would then put a pole at n = 0), raises
+    MagnitudeOverflow.
+    """
     if system.k != 2:
         raise InvalidParams("probes are stated for three-term recurrences")
+    polys = [p for fn in system.lags for p in (fn.num, fn.den)]
     try:
-        return tuple((fn.num.as_float().coeffs, fn.den.as_float().coeffs) for fn in system.lags)
+        floats = [tuple(map(float, p.coeffs)) for p in polys]
     except OverflowError as exc:
         raise MagnitudeOverflow("a lag coefficient does not fit in float64") from exc
+    if any(f == 0.0 and c != 0 for p, fs in zip(polys, floats) for c, f in zip(p.coeffs, fs)):
+        raise MagnitudeOverflow("a lag coefficient does not fit in float64")
+    return tuple(zip(floats[::2], floats[1::2]))
 
 
 def _horner(coeffs: tuple, n: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -173,22 +185,46 @@ class _Workspace:
     through out=, so no chunk-sized array is allocated per chunk.  A visit
     may overwrite any of them except the terms, sums, mant and expo it is
     handed.
+
+    Per term it owns 93.8 bytes: base, tbase, a, b, z (2 floats), zexp
+    (int32), terms, mant, sums, expo and iscratch (int64) and keep (bool),
+    plus per-block rows.  What each holds, stage by stage:
+
+    * 2x2 rule (_lag_step): terms holds the step indices n and mant the
+      lags' shared denominator while _lag_values fills a and b; then
+      _segment_steps reads |a| and |b| through mant and terms; the scan
+      fills z and zexp; the broadcast forms block-order mantissas in terms
+      (a holds the second product) and exponents in iscratch, and copies
+      them to mant and expo in stream order; the k-shift forms j k in
+      iscratch.
+    * k = 1 rule (_ratio_step): terms holds the indices n; c1, a complex
+      view of z, the numerator (n + a)(n + b); c2, a complex view spanning
+      mant and sums, the denominator (c + n)(n + 1); a the ratio, b scratch.
+      np.cumprod then writes the terms over the indices.
+    * the driver: an int32 view of iscratch holds the clipped exponents,
+      terms the terms (ldexp of mant and expo, or the step's own terms),
+      sums the partial sums.
+    * visits: the probe's visit reads only what it is handed; gauss_test's fit
+      puts ln n in mant, which the k = 1 rule never fills, ln t_n in a,
+      x^2 in b and x y in z.
     """
 
     def __init__(self, size: int):
         nb = size // _BLOCK
         self.size = size
         self.base = np.arange(size, dtype=np.float64)  # 0, 1, .. as floats
-        self.ibase = np.arange(size, dtype=np.int64)
         # the same indices block-transposed: row i holds step i of every block
         self.tbase = np.ascontiguousarray(self.base.reshape(nb, _BLOCK).T)
-        self.idx = np.empty(size)  # a step's indices
-        self.a, self.b, self.spare = np.empty((3, size))  # a step's coefficients, scratch
+        self.a, self.b = np.empty((2, size))  # a step's coefficients
         self.z = np.empty(2 * (size + nb))  # per-block prefix products of the scan
-        self.zexp = np.empty(size + nb, dtype=np.int64)
-        self.mant, self.terms, self.sums = np.empty((3, size))
+        self.zexp = np.empty(size + nb, dtype=np.int32)  # their exponents, per block
+        # mant and sums side by side, so that one complex row spans both
+        rows = np.empty((3, size))
+        self.terms, self.mant, self.sums = rows
         self.expo, self.iscratch = np.empty((2, size), dtype=np.int64)
-        self.c1, self.c2 = np.empty((2, size), dtype=np.complex128)
+        # the Gauss ratio's complex numerator and denominator
+        self.c1 = self.z[:2 * size].view(np.complex128)
+        self.c2 = rows[1:].reshape(-1).view(np.complex128)
         self.keep = np.empty(size, dtype=bool)
         # per block: the scan's previous values, a product and four magnitudes
         self.prev, self.prod = np.empty((2, 2 * nb))
@@ -217,11 +253,11 @@ def _segment_steps(ws: _Workspace, a: np.ndarray, b: np.ndarray, count: int) -> 
     A zero b or a non-finite step gives 1, a rescale per step.  Padding
     steps past `count` and the first step of each block are left out of c:
     padding is never read, and a block's first step keeps the start value 1
-    of its first solution in the pair.  ws.spare and ws.mant, which
+    of its first solution in the pair.  ws.mant and ws.terms, which
     _scan_chunk fills only after the loop, serve as scratch.
     """
     nb = a.shape[1]
-    mag_a, mag_b = _view(ws.mant, _BLOCK, nb), _view(ws.spare, _BLOCK, nb)
+    mag_a, mag_b = _view(ws.mant, _BLOCK, nb), _view(ws.terms, _BLOCK, nb)
     np.abs(a, out=mag_a)
     np.add(mag_a, np.abs(b, out=mag_b), out=mag_b)
     grow = float(np.maximum.reduce(mag_b, axis=None))
@@ -375,9 +411,9 @@ def _lag_step(coeffs: tuple, signed: bool, offset: int, m: float, k: int):
         count = j1 - j0
         nb = -(-count // _BLOCK)
         # the lags are evaluated block-transposed, as the scan reads them
-        n = np.add(ws.tbase[:, :nb], offset + j0 - 1, out=_view(ws.idx, _BLOCK, nb))
+        n = np.add(ws.tbase[:, :nb], offset + j0 - 1, out=_view(ws.terms, _BLOCK, nb))
         a, b = _lag_values(coeffs, n, signed, tuple(_view(buf, _BLOCK, nb)
-                                                    for buf in (ws.a, ws.b, ws.spare)))
+                                                    for buf in (ws.a, ws.b, ws.mant)))
         np.multiply(a, m, out=a)
         np.multiply(b, mm, out=b)
         if j0 == 1:
@@ -387,7 +423,9 @@ def _lag_step(coeffs: tuple, signed: bool, offset: int, m: float, k: int):
         b[count - (nb - 1) * _BLOCK:, -1] = 0.0
         mant, expo, state = _scan_chunk(ws, a, b, count, state)
         if k:
-            shift = np.add(ws.ibase[:count], j0, out=ws.iscratch[:count])
+            shift = ws.iscratch[:count]
+            shift[...] = ws.base[:count]  # exact: the indices stay below 2^53
+            shift += j0
             expo += np.multiply(shift, k, out=shift)
         return mant, expo, state
 
@@ -426,7 +464,9 @@ def _probe(system: RecurrenceSystem, r, n_terms: int, which: str, offset: int,
 
     def visit(ws, j0, mant, expo, terms, sums):
         nonlocal max_abs
-        max_abs = float(np.fmax.reduce(np.abs(sums, out=ws.spare[:sums.size]), initial=max_abs))
+        # max |S_n| from both ends, with no scratch; fmax and fmin skip nan
+        max_abs = max(float(np.fmax.reduce(sums, initial=max_abs)),
+                      -float(np.fmin.reduce(sums, initial=-max_abs)))
         if stride is None:
             return
         j1 = j0 + sums.size
@@ -566,7 +606,7 @@ def _ratio_step(ac: complex, bc: complex, cc: complex, terminated: bool):
 
     def step(ws, j0, j1, carry):
         count = j1 - j0
-        n = np.add(ws.base[:count], j0 - 1, out=ws.idx[:count])
+        n = np.add(ws.base[:count], j0 - 1, out=ws.terms[:count])
         num, den = ws.c1[:count], ws.c2[:count]
         ratio, scratch = ws.a[:count], ws.b[:count]
         np.abs(np.multiply(np.add(n, ac, out=num), np.add(n, bc, out=den), out=num), out=ratio)
@@ -594,7 +634,8 @@ def gauss_test(a, b, c, n_max: int = 1 << 20) -> GaussReport:
     by least squares of ln |t_n| on ln n over [n_max/4, n_max], accumulated
     chunk by chunk as running sums.  The sums are centred at ln n_max and
     ln t_{n_max/4}, so the normal equations do not cancel even when the
-    exponent is near 0.
+    exponent is near 0.  A parameter that float64 moves onto what the exact
+    one is not, a nonzero one onto 0 or c onto a pole, raises InputError.
     """
     Hyp2F1Params(a, b, c)  # validates c
     if n_max < 1 << 12:
@@ -608,6 +649,10 @@ def gauss_test(a, b, c, n_max: int = 1 << 20) -> GaussReport:
             raise InputError("gauss parameter does not fit in float64") from exc
 
     ac, bc, cc = _c(a), _c(b), _c(c)
+    if any(z == 0 and v != 0 for z, v in ((ac, a), (bc, b), (cc, c))):
+        raise InputError("gauss parameter does not fit in float64: it rounds to 0")
+    if cc.imag == 0 and cc.real <= 0 and cc.real.is_integer():
+        raise InputError(f"gauss lower parameter c rounds to the pole c = {cc.real:g} in float64")
     s_val = (cc - ac - bc).real
     if is_exact(a) and is_exact(b) and is_exact(c):
         s_exact = Fraction(c) - Fraction(a) - Fraction(b)
@@ -633,7 +678,7 @@ def gauss_test(a, b, c, n_max: int = 1 << 20) -> GaussReport:
         vals = terms[skip:]
         if level is None:
             level = math.log(vals[0]) if vals[0] > 0 else 0.0
-        x, y, keep = ws.idx[:size], ws.a[:size], ws.keep[:size]
+        x, y, keep = ws.mant[:size], ws.a[:size], ws.keep[:size]
         np.greater(vals, 0.0, out=keep)
         np.log(np.add(ws.base[:size], j0 + skip, out=x), out=x)
         x -= top
@@ -643,7 +688,7 @@ def gauss_test(a, b, c, n_max: int = 1 << 20) -> GaussReport:
         y -= level
         # products by ufunc, not BLAS: a threaded BLAS's spinning workers
         # would bill their wait to this op and the next
-        xx, xy = np.multiply(x, x, out=ws.b[:size]), np.multiply(x, y, out=ws.spare[:size])
+        xx, xy = np.multiply(x, x, out=ws.b[:size]), np.multiply(x, y, out=ws.z[:size])
         for i, v in enumerate((np.count_nonzero(keep), x.sum(), y.sum(), xx.sum(), xy.sum())):
             fit[i] += v
 
@@ -652,7 +697,8 @@ def gauss_test(a, b, c, n_max: int = 1 << 20) -> GaussReport:
     gaps = tuple(round(b2 - b1, 12) for (_, b1), (_, b2) in zip(checkpoints, checkpoints[1:]))
     ratios_g = []
     for g0, g1 in zip(gaps, gaps[1:]):
-        ratios_g.append(float("inf") if g0 == 0 else g1 / g0)
+        # 0/0, a terminated series, is no trend
+        ratios_g.append((math.nan if g1 == 0 else math.inf) if g0 == 0 else g1 / g0)
     tail = ratios_g[-3:]
     if tail and all(q < 0.98 for q in tail):
         trend = "shrinking"

@@ -366,6 +366,29 @@ def test_gauss_parameter_past_float64_exits_3(args, capsys):
     assert "gauss parameter does not fit in float64" in err and "Traceback" not in err
 
 
+def test_gauss_parameter_rounding_onto_a_pole_exits_3(capsys):
+    # c = 10^-400 rounds to 0.0, the pole that an exact c = 0 is refused for
+    code, out, err = run(capsys, ["gauss", "1", "1", "1e-400", "--n-max", "4096"])
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_gauss_terminating_trend_is_flat(capsys):
+    out = run_doc(capsys, ["gauss", "0", "1", "1", "--n-max", "8192"])["outputs"]
+    assert set(out["gaps"]) == {0.0}
+    assert out["gap_ratios"] == ["nan", "nan"] and out["trend"] == "flat"
+
+
+def test_boundary_coefficient_rounding_to_zero_exits_3(tmp_path, capsys):
+    # gamma = 10^-400: the lags' shared denominator would read 0.0 at n = 0
+    path = tmp_path / "tiny.json"
+    path.write_text(A2_JSON.replace('"gamma": "1"', '"gamma": "1e-400"'))
+    code, out, err = run(capsys, ["boundary", str(path), "--which", "signed",
+                                  "--n-max", "4096"])
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1 and "float64" in err
+
+
 def _reject_constant(token):
     raise ValueError(f"{token} is not a JSON value")
 

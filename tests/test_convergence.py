@@ -1,13 +1,14 @@
 """Domain membership, boundary radius, and the Gauss-series tester."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from mpmath import mp
 
-from heunlab import (AllZeroLimits, HeunParams, InvalidC, InvalidParams,
-                     boundary_radius, domain_sum, eta_z, gauss_test,
-                     membership_sum, series_limits)
+from heunlab import (AllZeroLimits, HeunParams, InputError, InvalidC,
+                     InvalidParams, boundary_radius, domain_sum, eta_z,
+                     gauss_test, membership_sum, series_limits)
 from heunlab.convergence import exact_membership_sum, radius_bracketed
 
 from conftest import A_POOL
@@ -208,6 +209,24 @@ def test_gauss_terminating():
     # all checkpoints agree once the polynomial has been summed
     finals = {v for _, v in rep.checkpoints}
     assert len(finals) == 1
+
+
+def test_gauss_terminating_gaps_have_no_trend():
+    # every gap is exactly 0: 0/0 is no ratio, not an infinite one
+    rep = gauss_test(-3, F(1, 2), 2, n_max=1 << 14)
+    assert set(rep.gaps) == {0.0}
+    assert rep.trend == "flat"
+    assert not any(q == math.inf for q in rep.gap_ratios)
+    assert all(math.isnan(q) for q in rep.gap_ratios)
+
+
+@pytest.mark.parametrize("abc", [(1, 1, F(1, 10 ** 400)), (F(1, 10 ** 400), 1, 2),
+                                 (1, 1, F(-10 ** 30 + 1, 10 ** 30))],
+                         ids=["c-rounds-to-0", "a-rounds-to-0", "c-rounds-to--1"])
+def test_gauss_refuses_parameters_float64_moves(abc):
+    # a nonzero parameter that rounds to 0, or a c that rounds onto a pole
+    with pytest.raises(InputError):
+        gauss_test(*abc, n_max=1 << 12)
 
 
 def test_gauss_input_guards():

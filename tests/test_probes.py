@@ -3,13 +3,15 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from heunlab import (InsufficientData, InvalidParams, RationalFnInN,
-                     RecurrenceSystem, boundary_radius, discrepancy_report,
-                     empirical_radius, eta_z, heun_recurrence, poly_from,
-                     series_limits, stream_coefficients, term_scan,
-                     term_trace)
+import heunlab.probes as probes
+from heunlab import (HeunParams, InsufficientData, InvalidParams,
+                     MagnitudeOverflow, RationalFnInN, RecurrenceSystem,
+                     boundary_radius, discrepancy_report, empirical_radius,
+                     eta_z, heun_recurrence, poly_from, series_limits,
+                     stream_coefficients, term_scan, term_trace)
 
 F = Fraction
 R_STAR_A2 = 0.5615528128088303
@@ -112,6 +114,31 @@ def test_scan_input_guards(a2_params):
     one_lag = RecurrenceSystem((RationalFnInN(poly_from(F(1, 2)), poly_from(F(1))),))
     with pytest.raises(InvalidParams):
         term_scan(one_lag, 0.5, 1 << 12)
+
+
+def test_coefficient_rounding_to_zero_is_refused(a2_params):
+    # gamma = 10^-400 puts 0.0 in the shared denominator's constant term:
+    # step 0 would divide by zero and every checkpoint read nan
+    system = heun_recurrence(HeunParams(2, 1, 1, 1, F(1, 10 ** 400), 1))
+    for which in ("modulus", "signed"):
+        with pytest.raises(MagnitudeOverflow, match="does not fit in float64"):
+            term_scan(system, 0.5, 1 << 12, which)
+    # exact zeros, such as the two low coefficients of lag 2's numerator, stay
+    (_, _), (num2, _) = probes._lag_coefficients(heun_recurrence(a2_params))
+    assert num2 == (0.0, 0.0, -0.5)
+
+
+def test_workspace_footprint():
+    # buffers that no stage of a chunk reads at the same time share memory;
+    # a new buffer has to fit in what is left under 96 bytes per term
+    ws = probes._Workspace(probes._CHUNK)
+    owners = {}
+    for buf in vars(ws).values():
+        if isinstance(buf, np.ndarray):
+            while buf.base is not None:
+                buf = buf.base
+            owners[id(buf)] = buf
+    assert sum(buf.nbytes for buf in owners.values()) <= 96 * probes._CHUNK
 
 
 def test_trace_matches_exact_majorant(a2_params):
