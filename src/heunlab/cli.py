@@ -28,7 +28,7 @@ from mpmath import mp
 
 from ._version import __version__
 from .convergence import boundary_radius, domain_sum, eta_z, membership_sum
-from .errors import DomainError, HeunLabError, InputError, OutsideDomain
+from .errors import DomainError, HeunLabError, InputError, InvalidParams, OutsideDomain
 from .heun import heun_eval
 from .instances import (Instance, build_document, document_bytes,
                         load_instance, render_value, write_trace)
@@ -199,7 +199,10 @@ def _cmd_boundary(instance, args, precision):
             r = float(r_star) * float(parse_number(str(_opt(args, instance, "radius-scale", 1))))
     except OverflowError as exc:
         raise InputError("probe radius does not fit in float64") from exc
-    probe = term_scan(instance.system, r, n_terms, which, offset, stride)
+    if stride < 1:
+        raise InvalidParams("trace stride must be at least 1")
+    # the trace rows are built only for a CSV that will be written
+    probe = term_scan(instance.system, r, n_terms, which, offset, stride if args.out else None)
     outputs = {
         "which": which,
         "offset": probe.offset,

@@ -135,7 +135,31 @@ def cauchy_bound(coeffs) -> int:
     return 2 + max(abs(c) for c in coeffs[:-1]) // abs(coeffs[-1])
 
 
+def _closed_form_roots(ints) -> set:
+    """Positive integer roots of an integer polynomial p of degree 1 or 2
+    with p(0) != 0: -c0 / c1, or (-c1 +- s) / (2 c2) when the discriminant
+    c1^2 - 4 c2 c0 is a perfect square s^2 (otherwise the roots are
+    irrational or complex), each kept when the division is exact."""
+    if len(ints) == 2:
+        candidates = [(-ints[0], ints[1])]
+    else:
+        c0, c1, c2 = ints
+        disc = c1 * c1 - 4 * c2 * c0
+        s = math.isqrt(disc) if disc >= 0 else -1
+        if s * s != disc:
+            return set()
+        candidates = [(-c1 + s, 2 * c2), (-c1 - s, 2 * c2)]
+    return {num // den for num, den in candidates if num % den == 0 and num // den > 0}
+
+
 def _positive_integer_roots(ints) -> set:
+    """Positive integer roots of an integer polynomial p with p(0) != 0:
+    in closed form up to degree 2 (every Heun denominator's), by bisection
+    above it."""
+    return _closed_form_roots(ints) if len(ints) in (2, 3) else _bisect_roots(ints)
+
+
+def _bisect_roots(ints) -> set:
     """Positive integer roots of an integer polynomial p with p(0) != 0.
 
     Bisects (0, 2^k), 2^k past the Cauchy root bound, into dyadic intervals
@@ -162,7 +186,7 @@ def _positive_integer_roots(ints) -> set:
 def nonneg_integer_roots(poly: PolynomialInN) -> frozenset:
     """Nonnegative integer roots of a polynomial.
 
-    Rational coefficients are cleared to integers and the roots isolated
+    Rational coefficients are cleared to integers and the roots found
     exactly (see _positive_integer_roots), so no root is missed, however
     large, multiple or clustered.  mpmath coefficients get candidates from a
     numeric root solve, each kept when |p(j)| <= 1e-9 max(1, max |c_i|);

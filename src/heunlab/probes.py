@@ -25,11 +25,12 @@ exponents, terms, sums) lives in one workspace that is allocated once and
 reused through out=, so a stream's memory does not grow with the number of
 terms and no chunk-sized array is allocated afresh for each chunk.  Two
 buffers share memory wherever no stage of a chunk reads both at once (the
-stage by stage table is in _Workspace), which keeps the workspace under 96
-bytes per term: the indices and the lags' shared denominator go in the terms
-and mantissa buffers before either holds a term, the broadcast (step 3
-below) forms the terms in the terms and integer scratch buffers, and ldexp
-reads its exponents from an int32 view of the latter.
+stage by stage table is in _Workspace), which keeps the workspace under 64
+bytes per term.  No index table is stored: _indices forms a chunk's indices
+from a _BLOCK-long column or the row of block starts, in whichever buffer
+is free.  The mantissas and exponents stay in block order, over the steps'
+own buffers, and the driver forms the terms from them with one transposed
+copy.
 
 The probes' step rule is the three-term recurrence.  Step j maps
 v_{j-1} = (t_{j-1}, t_{j-2}) to v_j = M_j v_{j-1} with
@@ -50,7 +51,8 @@ scan (Blelloch, "Prefix sums and their applications", 1990):
 2. a sequential carry over the block totals gives each block its start state;
 3. one broadcast turns start states and prefix products into every term's
    mantissa and exponent.  It runs in block order, over contiguous rows, and
-   one transpose each then copies both into stream order.
+   leaves both there; the driver clips the exponents, runs ldexp in block
+   order and copies the terms into stream order once, transposed.
 
 The radius enters as r = m 2^k: the scan runs on a m and b m^2, and each
 term's exponent gains j k (a step skipped for radii in [1/2, 1), whose k is
@@ -186,46 +188,47 @@ class _Workspace:
     may overwrite any of them except the terms, sums, mant and expo it is
     handed.
 
-    Per term it owns 93.8 bytes: base, tbase, a, b, z (2 floats), zexp
-    (int32), terms, mant, sums, expo and iscratch (int64) and keep (bool),
-    plus per-block rows.  What each holds, stage by stage:
+    Per term it owns 52.9 bytes: a, b, z (2 floats), zexp (int32), terms
+    and sums, plus per-block rows (the block starts among them) and the
+    column col.  What each holds, stage by stage:
 
-    * 2x2 rule (_lag_step): terms holds the step indices n and mant the
-      lags' shared denominator while _lag_values fills a and b; then
-      _segment_steps reads |a| and |b| through mant and terms; the scan
-      fills z and zexp; the broadcast forms block-order mantissas in terms
-      (a holds the second product) and exponents in iscratch, and copies
-      them to mant and expo in stream order; the k-shift forms j k in
-      iscratch.
+    * 2x2 rule (_lag_step): terms holds the step indices n, in block order,
+      and sums the lags' shared denominator while _lag_values fills a and b;
+      then _segment_steps reads |a| and |b| through sums and terms; the scan
+      fills z and zexp; the broadcast forms the mantissas over a and the
+      second product over b, then the int64 exponents over b; the k-shift
+      forms j k in an int64 view of sums.  Mantissas and exponents stay in
+      block order.
     * k = 1 rule (_ratio_step): terms holds the indices n; c1, a complex
       view of z, the numerator (n + a)(n + b); c2, a complex view spanning
-      mant and sums, the denominator (c + n)(n + 1); a the ratio, b scratch.
-      np.cumprod then writes the terms over the indices.
-    * the driver: an int32 view of iscratch holds the clipped exponents,
-      terms the terms (ldexp of mant and expo, or the step's own terms),
-      sums the partial sums.
-    * visits: the probe's visit reads only what it is handed; gauss_test's fit
-      puts ln n in mant, which the k = 1 rule never fills, ln t_n in a,
-      x^2 in b and x y in z.
+      a and b, the denominator (c + n)(n + 1); sums the ratio, and z, once
+      the numerator is read, scratch.  np.cumprod then writes the terms
+      over the indices.
+    * the driver: for block-order steps, an int32 view of zexp holds the
+      clipped exponents, z the terms in block order (ldexp of mant and
+      expo) and terms, after one transposed copy, the terms in stream
+      order; sums the partial sums.
+    * visits: the probe's visit reads only what it is handed; gauss_test's
+      fit puts ln n in a, ln t_n in b and its two products in z, and keep,
+      a bool view of zexp, marks the positive terms.
     """
 
     def __init__(self, size: int):
         nb = size // _BLOCK
         self.size = size
-        self.base = np.arange(size, dtype=np.float64)  # 0, 1, .. as floats
-        # the same indices block-transposed: row i holds step i of every block
-        self.tbase = np.ascontiguousarray(self.base.reshape(nb, _BLOCK).T)
-        self.a, self.b = np.empty((2, size))  # a step's coefficients
+        # a block's positions and the blocks' first positions: see _indices
+        self.col = np.arange(_BLOCK, dtype=np.int64)
+        self.starts = np.arange(0, size, _BLOCK, dtype=np.int64)
+        # a step's coefficients, side by side so that one complex row spans both
+        ab = np.empty((2, size))
+        self.a, self.b = ab
         self.z = np.empty(2 * (size + nb))  # per-block prefix products of the scan
         self.zexp = np.empty(size + nb, dtype=np.int32)  # their exponents, per block
-        # mant and sums side by side, so that one complex row spans both
-        rows = np.empty((3, size))
-        self.terms, self.mant, self.sums = rows
-        self.expo, self.iscratch = np.empty((2, size), dtype=np.int64)
+        self.terms, self.sums = np.empty((2, size))
         # the Gauss ratio's complex numerator and denominator
         self.c1 = self.z[:2 * size].view(np.complex128)
-        self.c2 = rows[1:].reshape(-1).view(np.complex128)
-        self.keep = np.empty(size, dtype=bool)
+        self.c2 = ab.reshape(-1).view(np.complex128)
+        self.keep = self.zexp.view(bool)[:size]
         # per block: the scan's previous values, a product and four magnitudes
         self.prev, self.prod = np.empty((2, 2 * nb))
         self.mags = np.empty(4 * nb)
@@ -238,6 +241,31 @@ class _Workspace:
 # allocated afresh for every stream would be mapped and faulted in again by
 # each op (about 1000-3500 minor faults per 2^20-term probe).
 _IDLE: list = []
+
+
+def _indices(ws: _Workspace, first: int, count: int, buf: np.ndarray,
+             blocked: bool) -> np.ndarray:
+    """first + p for the positions p < count of a chunk, formed in buf.
+
+    Blocked, the result is buf's (_BLOCK, blocks) view, position p at
+    [p % _BLOCK, p // _BLOCK] as the scan reads it, padding included;
+    otherwise buf's first count elements in stream order.  The first row
+    is the block starts (blocked) or the column 0 .. _BLOCK-1 plus first,
+    and each doubling adds a constant to the rows so far: contiguous adds,
+    several times faster in numpy than one broadcast of a column against a
+    row.  buf may be float64 or int64; the values are exact below 2^53 in
+    either.
+    """
+    nb = -(-count // _BLOCK)
+    out, row, step = ((_view(buf, _BLOCK, nb), ws.starts[:nb], 1) if blocked
+                      else (_view(buf, nb, _BLOCK), ws.col, _BLOCK))
+    np.add(row, first, out=out[0])
+    w = 1
+    while w < len(out):
+        rows = out[w:2 * w]
+        np.add(out[:len(rows)], w * step, out=rows)
+        w *= 2
+    return out if blocked else out.reshape(-1)[:count]
 
 
 def _segment_steps(ws: _Workspace, a: np.ndarray, b: np.ndarray, count: int) -> int:
@@ -253,11 +281,11 @@ def _segment_steps(ws: _Workspace, a: np.ndarray, b: np.ndarray, count: int) -> 
     A zero b or a non-finite step gives 1, a rescale per step.  Padding
     steps past `count` and the first step of each block are left out of c:
     padding is never read, and a block's first step keeps the start value 1
-    of its first solution in the pair.  ws.mant and ws.terms, which
-    _scan_chunk fills only after the loop, serve as scratch.
+    of its first solution in the pair.  ws.sums and ws.terms, which
+    nothing reads during the scan, serve as scratch.
     """
     nb = a.shape[1]
-    mag_a, mag_b = _view(ws.mant, _BLOCK, nb), _view(ws.terms, _BLOCK, nb)
+    mag_a, mag_b = _view(ws.sums, _BLOCK, nb), _view(ws.terms, _BLOCK, nb)
     np.abs(a, out=mag_a)
     np.add(mag_a, np.abs(b, out=mag_b), out=mag_b)
     grow = float(np.maximum.reduce(mag_b, axis=None))
@@ -280,10 +308,10 @@ def _scan_chunk(ws: _Workspace, a: np.ndarray, b: np.ndarray, count: int,
     stream's last chunk, must be zero; its returned state is then
     meaningless and never read.  state = (u, w, e) holds the two values
     before the chunk as u 2^e and w 2^e.  Returns (mantissas, exponents) of
-    every u_j of the chunk in step order, views of ws.mant and ws.expo, and
-    the state after it; ws.terms, ws.iscratch and the steps a serve as
-    scratch.  Values past float64 range saturate to inf or nan; the caller
-    silences numpy's warnings about that.
+    every u_j of the chunk in block order, the layout of a and b, over
+    which they are formed (the exponents as int64), and the state after it;
+    ws.sums and ws.terms serve as scratch.  Values past float64 range
+    saturate to inf or nan; the caller silences numpy's warnings about that.
     """
     nb = a.shape[1]
     seg = _segment_steps(ws, a, b, count)
@@ -333,16 +361,12 @@ def _scan_chunk(ws: _Workspace, a: np.ndarray, b: np.ndarray, count: int,
         d = frexp(max(abs(u), abs(w)))[1]
         u, w, e = ldexp(u, -d), ldexp(w, -d), e + g + d
 
-    # formed in block order, in contiguous scratch (the steps a are read by
-    # now and hold the second product); one transpose each puts the chunk in
-    # step order
-    mant = _view(ws.terms, _BLOCK, nb)
-    np.multiply(z[:, 0], np.array(starts_u), out=mant)
-    np.add(mant, np.multiply(z[:, 1], np.array(starts_w), out=a), out=mant)
-    expo = np.add(zexp, np.array(starts_e, dtype=np.int64), out=_view(ws.iscratch, _BLOCK, nb))
-    _view(ws.mant, nb, _BLOCK)[...] = mant.T
-    _view(ws.expo, nb, _BLOCK)[...] = expo.T
-    return ws.mant[:count], ws.expo[:count], (u, w, e)
+    # formed in block order over the steps, which are read by now: a takes
+    # the mantissas, b the second product and then the exponents
+    mant = np.multiply(z[:, 0], np.array(starts_u), out=a)
+    np.add(mant, np.multiply(z[:, 1], np.array(starts_w), out=b), out=mant)
+    expo = np.add(zexp, np.array(starts_e, dtype=np.int64), out=b.view(np.int64))
+    return mant, expo, (u, w, e)
 
 
 def stream_terms(step, state, n_terms: int, mark_limit: int, visit) -> tuple:
@@ -350,18 +374,22 @@ def stream_terms(step, state, n_terms: int, mark_limit: int, visit) -> tuple:
 
     The driver of every float64 scan.  For each chunk of at most _CHUNK
     indices j0 <= j < j1, step(ws, j0, j1, state) returns (mant, expo,
-    state), views into the workspace ws with t_j = mant[j - j0] 2^expo[j - j0];
-    expo is None when mant holds the terms themselves.  The driver forms the
-    partial sums, seeded with the carried total so that they add the terms
-    in stream order, and records at each dyadic mark n = 2^p <= mark_limit,
-    p >= 10, the checkpoint (n, S_{n-1}) and ln |t_{n-1}| (-inf when zero),
-    the latter from frexp of the mantissa so that it does not depend on how
-    the step split the term.  The terms are ldexp(mant, expo) with expo
-    clipped to +-2^30 into an int32 view of ws.iscratch, so a step may leave
-    nothing there.  numpy's ldexp has a vector loop for int32 exponents only,
-    and any finite mantissa saturates to inf or 0 far inside that range.
-    Then visit(ws, j0, mant, expo, terms, sums) sees the chunk.
-    Returns (checkpoints, term_log_mags).
+    state), views into the workspace ws.  Either expo is None and mant
+    holds the terms, t_j = mant[j - j0], or mant and expo are
+    (_BLOCK, blocks) arrays in block order: t_j = mant[q] 2^expo[q] at
+    q = (p % _BLOCK, p // _BLOCK), p = j - j0.  For the latter the driver
+    clips expo to +-2^30 into an int32 view of ws.zexp, runs ldexp into
+    ws.z, both in block order, and copies the terms into ws.terms in stream
+    order, transposed; so such a step may leave nothing in zexp, z or terms.
+    numpy's ldexp has a vector loop for int32 exponents only, and any finite
+    mantissa saturates to inf or 0 far inside that range.  The driver forms
+    the partial sums, seeded with the carried total so that they add the
+    terms in stream order, and records at each dyadic mark
+    n = 2^p <= mark_limit, p >= 10, the checkpoint (n, S_{n-1}) and
+    ln |t_{n-1}| (-inf when zero), the latter from frexp of the mantissa so
+    that it does not depend on how the step split the term.  Then
+    visit(ws, j0, mant, expo, terms, sums) sees the chunk, terms and sums
+    in stream order.  Returns (checkpoints, term_log_mags).
     """
     try:
         ws = _IDLE.pop()
@@ -381,9 +409,10 @@ def stream_terms(step, state, n_terms: int, mark_limit: int, visit) -> tuple:
                 if expo is None:
                     terms = mant
                 else:
-                    e32 = np.clip(expo, -_EXP_CLIP, _EXP_CLIP,
-                                  out=ws.iscratch.view(np.int32)[:j1 - j0])
-                    terms = np.ldexp(mant, e32, out=ws.terms[:j1 - j0])
+                    e32 = np.clip(expo, -_EXP_CLIP, _EXP_CLIP, out=_view(ws.zexp, *expo.shape))
+                    blocked = np.ldexp(mant, e32, out=_view(ws.z, *mant.shape))
+                    _view(ws.terms, mant.shape[1], _BLOCK)[...] = blocked.T
+                    terms = ws.terms[:j1 - j0]
                 sums = ws.sums[:j1 - j0]
                 first = terms[0]
                 terms[0] += total
@@ -392,9 +421,11 @@ def stream_terms(step, state, n_terms: int, mark_limit: int, visit) -> tuple:
                 total = float(sums[-1])
                 for jm in marks:
                     if j0 <= jm < j1:
-                        u, e = math.frexp(float(mant[jm - j0]))
+                        p = jm - j0
+                        at = p if expo is None else (p % _BLOCK, p // _BLOCK)
+                        u, e = math.frexp(float(mant[at]))
                         if expo is not None:
-                            e += int(expo[jm - j0])
+                            e += int(expo[at])
                         checkpoints.append((jm + 1, float(sums[jm - j0])))
                         term_logs.append(math.log(abs(u)) + e * _LN2 if u != 0.0 else -math.inf)
                 visit(ws, j0, mant, expo, terms, sums)
@@ -411,9 +442,9 @@ def _lag_step(coeffs: tuple, signed: bool, offset: int, m: float, k: int):
         count = j1 - j0
         nb = -(-count // _BLOCK)
         # the lags are evaluated block-transposed, as the scan reads them
-        n = np.add(ws.tbase[:, :nb], offset + j0 - 1, out=_view(ws.terms, _BLOCK, nb))
+        n = _indices(ws, offset + j0 - 1, count, ws.terms, True)
         a, b = _lag_values(coeffs, n, signed, tuple(_view(buf, _BLOCK, nb)
-                                                    for buf in (ws.a, ws.b, ws.mant)))
+                                                    for buf in (ws.a, ws.b, ws.sums)))
         np.multiply(a, m, out=a)
         np.multiply(b, mm, out=b)
         if j0 == 1:
@@ -423,10 +454,8 @@ def _lag_step(coeffs: tuple, signed: bool, offset: int, m: float, k: int):
         b[count - (nb - 1) * _BLOCK:, -1] = 0.0
         mant, expo, state = _scan_chunk(ws, a, b, count, state)
         if k:
-            shift = ws.iscratch[:count]
-            shift[...] = ws.base[:count]  # exact: the indices stay below 2^53
-            shift += j0
-            expo += np.multiply(shift, k, out=shift)
+            j = _indices(ws, j0, count, ws.sums.view(np.int64), True)
+            expo += np.multiply(j, k, out=j)
         return mant, expo, state
 
     return step
@@ -474,9 +503,10 @@ def _probe(system: RecurrenceSystem, r, n_terms: int, which: str, offset: int,
         if j0 <= n_terms - 1 < j1 and (n_terms - 1) % stride:
             sel = np.append(sel, n_terms - 1)
         at = sel - j0
-        u, e = np.frexp(mant[at])  # the canonical split, as at the checkpoints
+        q = (at % _BLOCK, at // _BLOCK)  # mant and expo are in block order
+        u, e = np.frexp(mant[q])  # the canonical split, as at the checkpoints
         zero = u == 0.0  # written as 0.0, never -0.0
-        log_coef = np.log(np.abs(u)) + (expo[at] + e) * _LN2 - sel * lnr
+        log_coef = np.log(np.abs(u)) + (expo[q] + e) * _LN2 - sel * lnr
         value = np.where(zero, 0.0, np.copysign(np.exp(log_coef), u))
         rows.extend(zip(sel.tolist(), value.tolist(), [0.0] * sel.size,
                         log_coef.tolist(), np.where(zero, 0.0, terms[at]).tolist(),
@@ -606,9 +636,9 @@ def _ratio_step(ac: complex, bc: complex, cc: complex, terminated: bool):
 
     def step(ws, j0, j1, carry):
         count = j1 - j0
-        n = np.add(ws.base[:count], j0 - 1, out=ws.terms[:count])
+        n = _indices(ws, j0 - 1, count, ws.terms, False)
         num, den = ws.c1[:count], ws.c2[:count]
-        ratio, scratch = ws.a[:count], ws.b[:count]
+        ratio, scratch = ws.sums[:count], ws.z[:count]  # z once the numerator is read
         np.abs(np.multiply(np.add(n, ac, out=num), np.add(n, bc, out=den), out=num), out=ratio)
         np.multiply(np.add(n, cc, out=den), np.add(n, 1.0, out=scratch), out=den)
         np.divide(ratio, np.abs(den, out=scratch), out=ratio)
@@ -678,9 +708,9 @@ def gauss_test(a, b, c, n_max: int = 1 << 20) -> GaussReport:
         vals = terms[skip:]
         if level is None:
             level = math.log(vals[0]) if vals[0] > 0 else 0.0
-        x, y, keep = ws.mant[:size], ws.a[:size], ws.keep[:size]
+        x, y, keep = ws.a[:size], ws.b[:size], ws.keep[:size]
         np.greater(vals, 0.0, out=keep)
-        np.log(np.add(ws.base[:size], j0 + skip, out=x), out=x)
+        np.log(_indices(ws, j0 + skip, size, ws.a, False), out=x)
         x -= top
         x *= keep
         y.fill(level)
@@ -688,7 +718,7 @@ def gauss_test(a, b, c, n_max: int = 1 << 20) -> GaussReport:
         y -= level
         # products by ufunc, not BLAS: a threaded BLAS's spinning workers
         # would bill their wait to this op and the next
-        xx, xy = np.multiply(x, x, out=ws.b[:size]), np.multiply(x, y, out=ws.z[:size])
+        xx, xy = np.multiply(x, x, out=ws.z[:size]), np.multiply(x, y, out=ws.z[size:2 * size])
         for i, v in enumerate((np.count_nonzero(keep), x.sum(), y.sum(), xx.sum(), xy.sum())):
             fit[i] += v
 
@@ -697,8 +727,10 @@ def gauss_test(a, b, c, n_max: int = 1 << 20) -> GaussReport:
     gaps = tuple(round(b2 - b1, 12) for (_, b1), (_, b2) in zip(checkpoints, checkpoints[1:]))
     ratios_g = []
     for g0, g1 in zip(gaps, gaps[1:]):
-        # 0/0, a terminated series, is no trend
-        ratios_g.append((math.nan if g1 == 0 else math.inf) if g0 == 0 else g1 / g0)
+        # 0/0, a terminated series, is no trend; a gap past float64 range,
+        # once the partial sums overflow, is growth
+        ratios_g.append((math.nan if g1 == 0 else math.inf)
+                        if g0 == 0 or not math.isfinite(g1) else g1 / g0)
     tail = ratios_g[-3:]
     if tail and all(q < 0.98 for q in tail):
         trend = "shrinking"

@@ -1,5 +1,6 @@
 """Command-line behavior: documents, exit codes, traces, fan-out."""
 
+import hashlib
 import json
 import math
 import os
@@ -13,6 +14,7 @@ from types import SimpleNamespace
 import pytest
 
 import heunlab
+import heunlab.cli as cli
 import heunlab.probes as probes
 from heunlab.cli import main
 
@@ -377,6 +379,45 @@ def test_gauss_terminating_trend_is_flat(capsys):
     out = run_doc(capsys, ["gauss", "0", "1", "1", "--n-max", "8192"])["outputs"]
     assert set(out["gaps"]) == {0.0}
     assert out["gap_ratios"] == ["nan", "nan"] and out["trend"] == "flat"
+
+
+def test_gauss_overflowing_partial_sums_read_growing(capsys):
+    # the partial sums leave float64 range after the first checkpoint: the
+    # gaps read inf, then inf - inf = nan, and that is growth, not a flat trend
+    out = run_doc(capsys, ["gauss", "201/2", "201/2", "1/2"])["outputs"]
+    assert out["gaps"] == ["inf"] + ["nan"] * 9
+    assert out["gap_ratios"] == ["inf"] * 9 and out["trend"] == "growing"
+    assert out["verdict"] == "DIVERGENT"
+    # a zero gap after a zero gap is still no trend
+    out = run_doc(capsys, ["gauss", "-3", "1/2", "2"])["outputs"]
+    assert out["terminated"] and set(out["gap_ratios"]) == {"nan"}
+    assert out["trend"] == "flat"
+
+
+# sha256 (first 16 hex digits) of stdout, recorded while every boundary op
+# still built its trace rows
+BOUNDARY_STDOUT = {(): "d95a93502f749918",
+                   ("--which", "signed", "--stride", "100"): "20c9fce65541af23"}
+
+
+@pytest.mark.parametrize("extra", sorted(BOUNDARY_STDOUT))
+def test_boundary_builds_trace_rows_only_for_a_csv(a2_file, tmp_path, capsys, monkeypatch,
+                                                   extra):
+    strides = []
+    scan = cli.term_scan
+
+    def spy(*args):
+        strides.append(args[5])
+        return scan(*args)
+
+    monkeypatch.setattr(cli, "term_scan", spy)
+    code, out, _ = run(capsys, ["boundary", str(a2_file), "--n-max", "16384", *extra])
+    assert code == 0 and strides == [None]
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == BOUNDARY_STDOUT[extra]
+    assert json.loads(out)["outputs"]["stride"] == (100 if extra else 4)
+    run(capsys, ["boundary", str(a2_file), "--n-max", "16384", *extra,
+                 "--out", str(tmp_path / "out")])
+    assert strides == [None, 100 if extra else 4]
 
 
 def test_boundary_coefficient_rounding_to_zero_exits_3(tmp_path, capsys):

@@ -49,7 +49,7 @@ def reference_gauss(a, b, c, n_max):
         j += 1
     with np.errstate(invalid="ignore"):
         gaps = tuple(round(b2 - b1, 12) for (_, b1), (_, b2) in zip(checkpoints, checkpoints[1:]))
-        ratios_g = [(math.nan if g1 == 0 else math.inf) if g0 == 0 else g1 / g0 for g0, g1 in zip(gaps, gaps[1:])]
+        ratios_g = [(math.nan if g1 == 0 else math.inf) if g0 == 0 or not math.isfinite(g1) else g1 / g0 for g0, g1 in zip(gaps, gaps[1:])]
     tail = ratios_g[-3:]
     if tail and all(q < 0.98 for q in tail):
         trend = "shrinking"

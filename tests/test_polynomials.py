@@ -8,6 +8,7 @@ from mpmath import mp
 
 from heunlab import (InvalidParams, PoleAtIndex, PolynomialInN, RationalFnInN,
                      nonneg_integer_roots, poly_from)
+from heunlab.polynomials import _bisect_roots, _closed_form_roots
 
 
 def test_quadratic_evaluation():
@@ -88,6 +89,46 @@ def test_exact_roots_of_low_degree_denominators():
     assert nonneg_integer_roots(poly_from(3, 1)) == frozenset()
     # n^3 (n - 5)(n + 5) reduces to a quadratic after the n^3 factor
     assert nonneg_integer_roots(poly_from(0, 0, 0, -25, 0, 1)) == frozenset({0, 5})
+
+
+def _random_quadratic(rng):
+    """Integer coefficients (c0, c1, c2), c0 != 0: planted roots (integer,
+    rational, double or none), any sign, and some scaled by 10^400."""
+    kind = rng.randrange(4)
+    if kind == 0:  # two planted roots p/q, integers among them
+        (p1, q1), (p2, q2) = ((rng.randrange(-60, 61) or 1, rng.choice((1, 1, 2, 3)))
+                              for _ in range(2))
+        coeffs = [p1 * p2, -(p1 * q2 + p2 * q1), q1 * q2]
+    elif kind == 1:  # a double root, near or far out
+        r = rng.choice((rng.randrange(1, 60), 10 ** 9 + rng.randrange(9), -rng.randrange(1, 60)))
+        coeffs = [r * r, -2 * r, 1]
+    elif kind == 2:  # random, almost never a perfect-square discriminant
+        coeffs = [rng.randrange(-99, 100) or 1, rng.randrange(-99, 100), rng.randrange(-9, 10) or 1]
+    else:  # roots of about 10^40 and 10^-40 in one polynomial
+        big = 10 ** 40 + rng.randrange(-5, 6)
+        coeffs = [-big, big * big - 1, -big] if rng.random() < 0.5 else [big, -(big * big + 1), big]
+    sign = rng.choice((1, -1))  # a negative leading coefficient half of the time
+    scale = rng.choice((1, 1, 10 ** 400))
+    return [sign * scale * c for c in coeffs]
+
+
+def test_closed_form_roots_match_the_isolation(rng):
+    # degrees 1 and 2 are solved in closed form; the bisection, which still
+    # serves degree 3 and up, is the oracle
+    for _ in range(400):
+        ints = _random_quadratic(rng)
+        assert _closed_form_roots(ints) == _bisect_roots(ints), ints
+        linear = ints[:2] if ints[1] else [ints[0], rng.choice((1, -1))]
+        assert _closed_form_roots(linear) == _bisect_roots(linear), linear
+
+
+def test_closed_form_roots_of_scaled_quadratics():
+    # (n - 3)(n - 10^9) scaled by 10^400, 10^-400 and a negative fraction
+    p = poly_from(-3, 1) * poly_from(-10 ** 9, 1)
+    for scale in (Fraction(10) ** 400, Fraction(1, 10 ** 400), Fraction(-7, 3)):
+        assert nonneg_integer_roots(p.scale(scale)) == frozenset({3, 10 ** 9})
+    # (n - 10^400)(n - 1): a root of 401 digits
+    assert nonneg_integer_roots(poly_from(10 ** 400, -10 ** 400 - 1, 1)) == frozenset({1, 10 ** 400})
 
 
 def _linear_product(*roots):

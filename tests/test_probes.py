@@ -130,7 +130,7 @@ def test_coefficient_rounding_to_zero_is_refused(a2_params):
 
 def test_workspace_footprint():
     # buffers that no stage of a chunk reads at the same time share memory;
-    # a new buffer has to fit in what is left under 96 bytes per term
+    # a new buffer has to fit in what is left under 64 bytes per term
     ws = probes._Workspace(probes._CHUNK)
     owners = {}
     for buf in vars(ws).values():
@@ -138,7 +138,7 @@ def test_workspace_footprint():
             while buf.base is not None:
                 buf = buf.base
             owners[id(buf)] = buf
-    assert sum(buf.nbytes for buf in owners.values()) <= 96 * probes._CHUNK
+    assert sum(buf.nbytes for buf in owners.values()) <= 64 * probes._CHUNK
 
 
 def test_trace_matches_exact_majorant(a2_params):
