@@ -17,7 +17,7 @@ from mpmath.libmp import fone, fzero, mpf_add, mpf_mul, round_nearest, to_float
 
 from ._version import __version__
 from .convergence import boundary_radius, eta_z, radius_bracketed
-from .errors import DomainError, InputError, InvalidParams, TruncationTooLarge
+from .errors import DomainError, InvalidParams, TruncationTooLarge
 from .instances import render_value as _num
 from .proofs import (H_LABELS, find_proof_constants, minorant_partial,
                      verify_proof_constants)
@@ -25,7 +25,7 @@ from .rearrange import (grouped_partial_sum, path_table, path_table_enumerate,
                         table_matches_stream)
 from .recurrence import (domination_bounds, domination_verdict, iter_cleared,
                          stream_coefficients)
-from .scalars import fmt_scalar, is_exact, log_abs, rational_to_mp, scalar_abs
+from .scalars import fmt_scalar, is_exact, log_abs, rational_to_mp
 from .special import min_index_for_ratio_bound, pochhammer_ratio_lower_bound
 
 # the trace's terms d_0 .. d_{N+M} come from the exact pass when N + M is at
@@ -71,8 +71,6 @@ def run_system_audit(system, *, root_echo=None, eps=Fraction(1, 100),
         raise TruncationTooLarge(
             f"audit depth {M} would build a {M + 1} x {M + 1} exact path table; "
             f"cap is {AUDIT_DEPTH_CAP}")
-    if not system.is_exact():
-        raise InputError("the audit needs rational coefficients; its certificates are exact")
     constants = find_proof_constants(system, eps, N_check)
     reverify = verify_proof_constants(system, constants)
 
@@ -135,9 +133,7 @@ def run_system_audit(system, *, root_echo=None, eps=Fraction(1, 100),
     corner = tuple(row[:enum_d + 1] for row in tbl.num[:enum_d + 1])
     enum_ok = enum_tbl.num == corner and enum_tbl.den == tbl.den[:enum_d + 1]
     with mp.workprec(prec):
-        a_mag = scalar_abs(A, prec)
-        b_mag = scalar_abs(B, prec)
-        grouped = grouped_partial_sum(tbl, a_mag, b_mag, r_closed)
+        grouped = grouped_partial_sum(tbl, abs(A), abs(B), r_closed)
         direct = mp.mpf(0)
         p = mp.mpf(1)
         # the checked column sums are the majorant c_n = P_n / Q_n

@@ -37,9 +37,20 @@ from .scalars import (DEFAULT_PRECISION, as_mp, is_exact, parse_precision,
                       to_scalar)
 
 
+def _rational(value, name: str) -> Fraction:
+    """value through to_scalar; InputError unless it is rational."""
+    value = to_scalar(value)
+    if not is_exact(value):
+        raise InputError(f"{name} must be rational, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class HeunParams:
-    """Parameters (a, q, alpha, beta, gamma, delta) with the accessory e derived."""
+    """Rational parameters (a, q, alpha, beta, gamma, delta) with the
+    accessory e derived.  Each is read by to_scalar, so ints, Fractions,
+    rational strings and finite Python floats are exact; an mpmath or
+    complex value raises InputError."""
 
     a: object
     q: object
@@ -50,7 +61,7 @@ class HeunParams:
 
     def __post_init__(self):
         for name in ("a", "q", "alpha", "beta", "gamma", "delta"):
-            object.__setattr__(self, name, to_scalar(getattr(self, name)))
+            object.__setattr__(self, name, _rational(getattr(self, name), name))
         if self.a == 0 or self.a == 1:
             raise InvalidParams("the third singular point a must avoid 0 and 1")
 
@@ -58,19 +69,14 @@ class HeunParams:
     def epsilon(self):
         return self.alpha + self.beta - self.gamma - self.delta + 1
 
-    def is_exact(self) -> bool:
-        return all(is_exact(getattr(self, n))
-                   for n in ("a", "q", "alpha", "beta", "gamma", "delta"))
-
 
 def indicial_roots(params: HeunParams):
     """The two exponents at the origin: 0 and 1 - gamma."""
-    return (Fraction(0) if is_exact(params.gamma) else params.gamma * 0,
-            1 - params.gamma)
+    return Fraction(0), 1 - params.gamma
 
 
-def _check_root(params: HeunParams, root):
-    root = to_scalar(root)
+def _check_root(params: HeunParams, root) -> Fraction:
+    root = _rational(root, "the root")
     r0, r1 = indicial_roots(params)
     if root != r0 and root != r1:
         raise InvalidParams(f"{root} is not an indicial root; expected {r0} or {r1}")
@@ -85,25 +91,19 @@ def heun_recurrence(params: HeunParams, root=0) -> RecurrenceSystem:
     lag-2 numerator is -1/a times a monic quadratic; the numerators are built
     un-divided so that a = -1 (vanishing lag-1 limit) stays representable.
 
-    The last rational system built is kept and returned again for the same
+    The last system built is kept and returned again for the same
     (params, root), so parsing an instance and then evaluating or auditing
     it builds the system and finds its poles once.  Keeping only one bounds
-    what a long-lived process retains.  Floating coefficients depend on the
-    working precision of the call and are built afresh.
+    what a long-lived process retains.  The root must be rational, like
+    every parameter, so the coefficients are too.
     """
-    lam = _check_root(params, root)
-    if params.is_exact() and is_exact(lam):
-        return _exact_recurrence(params, lam)
-    return _build_recurrence(params, lam)
+    return _build_recurrence(params, _check_root(params, root))
 
 
-def _build_recurrence(params: HeunParams, lam) -> RecurrenceSystem:
-    values = (params.a, params.q, params.alpha, params.beta, params.gamma,
-              params.delta, lam)
-    if not all(is_exact(v) for v in values):
-        # mpmath does not divide a Fraction, so a mixed instance is built in mpmath
-        values = [as_mp(v, mp.prec) if is_exact(v) else v for v in values]
-    a, q, al, be, ga, de, lam = values
+@lru_cache(maxsize=1)
+def _build_recurrence(params: HeunParams, lam: Fraction) -> RecurrenceSystem:
+    a, q, al, be, ga, de = (params.a, params.q, params.alpha, params.beta,
+                            params.gamma, params.delta)
     den = PolynomialInN(((1 + lam) * (ga + lam), 1 + ga + 2 * lam, 1))
     num1 = PolynomialInN((
         (lam * (al + be - de + lam + a * (ga + de - 1 + lam)) + q) / a,
@@ -116,9 +116,6 @@ def _build_recurrence(params: HeunParams, lam) -> RecurrenceSystem:
         -1 / a,
     ))
     return RecurrenceSystem((RationalFnInN(num1, den), RationalFnInN(num2, den)))
-
-
-_exact_recurrence = lru_cache(maxsize=1)(_build_recurrence)
 
 
 def series_limits(params: HeunParams):
@@ -299,9 +296,9 @@ def heun_eval(params: HeunParams, x, root=0, tol=Fraction(1, 10 ** 30),
         )
     if precision != "exact":
         return EvalResult(*_sum_mp(system, x, lam, tol, n_max, prec), dsum, inside)
-    if not (is_exact(x) and params.is_exact() and is_exact(tol)):
+    if not (is_exact(x) and is_exact(tol)):
         raise InputError("exact evaluation needs rational parameters, point, and tolerance")
-    if not (is_exact(lam) and Fraction(lam).denominator == 1 and lam >= 0):
+    if not (lam.denominator == 1 and lam >= 0):
         raise InputError("exact evaluation needs a nonnegative integer exponent; use a bit precision")
     x = Fraction(x)
     # about 19,700 digits: past what a document renders, and a huge lam never finishes

@@ -1,7 +1,8 @@
 """Polynomials and rational functions in the index variable n.
 
-Coefficients are stored lowest power first.  The scalar tier (exact Fraction
-or mpmath float) is whatever the caller put in; arithmetic never converts.
+Coefficients are stored lowest power first.  The scalar tier is whatever
+the caller put in, and arithmetic never converts; a RationalFnInN, the
+recurrences' lag coefficient, takes rational coefficients only.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import InvalidParams, PoleAtIndex
+from .errors import InputError, InvalidParams, PoleAtIndex
 from .scalars import is_exact
 
 
@@ -51,9 +52,9 @@ class PolynomialInN:
     @cached_property
     def _cleared(self):
         """(integer numerators, common denominator) of rational coefficients,
-        the denominator 1 for integers; None for floating coefficients."""
+        the denominator 1 for integers; InputError for any other coefficient."""
         if not all(is_exact(c) for c in self.coeffs):
-            return None
+            raise InputError(f"coefficients {self.coeffs} are not all rational")
         fracs = [Fraction(c) for c in self.coeffs]
         den = math.lcm(*(f.denominator for f in fracs))
         return tuple(f.numerator * (den // f.denominator) for f in fracs), den
@@ -184,40 +185,28 @@ def _bisect_roots(ints) -> set:
 
 
 def nonneg_integer_roots(poly: PolynomialInN) -> frozenset:
-    """Nonnegative integer roots of a polynomial.
+    """Nonnegative integer roots of a polynomial with rational coefficients.
 
-    Rational coefficients are cleared to integers and the roots found
-    exactly (see _positive_integer_roots), so no root is missed, however
-    large, multiple or clustered.  mpmath coefficients get candidates from a
-    numeric root solve, each kept when |p(j)| <= 1e-9 max(1, max |c_i|);
-    that path can miss clustered or multiple roots far from the origin.
+    The coefficients are cleared to integers and the roots found exactly
+    (see _positive_integer_roots), so no root is missed, however large,
+    multiple or clustered.  Any other coefficient raises InputError.
     """
     if poly.is_zero:
         raise InvalidParams("zero polynomial has every integer as a root")
-    cleared = poly._cleared
-    coeffs = poly.coeffs if cleared is None else cleared[0]
+    coeffs = poly._cleared[0]
     # strip a factor n^v exactly
     v = next(i for i, c in enumerate(coeffs) if c != 0)
     coeffs = coeffs[v:]
     roots = {0} if v else set()
-    if len(coeffs) == 1:
-        return frozenset(roots)
-    if cleared is not None:
-        return frozenset(roots | _positive_integer_roots(coeffs))
-    import numpy as np  # floating coefficients only; the exact path never loads numpy
-
-    scale = max(1.0, float(max(abs(c) for c in poly.coeffs)))
-    for root in np.roots([complex(c) for c in reversed(coeffs)]):
-        k = round(root.real)
-        if abs(root.imag) > 1e-6 * (1 + abs(root.real)) or k < 0:
-            continue
-        roots.update(j for j in (k - 1, k, k + 1) if j >= 0 and abs(poly(j)) <= 1e-9 * scale)
+    if len(coeffs) > 1:
+        roots |= _positive_integer_roots(coeffs)
     return frozenset(roots)
 
 
 @dataclass(frozen=True)
 class RationalFnInN:
-    """Ratio of two polynomials in n with its nonnegative integer poles precomputed."""
+    """Ratio of two polynomials in n with rational coefficients, its
+    nonnegative integer poles precomputed."""
 
     num: PolynomialInN
     den: PolynomialInN
@@ -225,6 +214,8 @@ class RationalFnInN:
     def __post_init__(self):
         if self.den.is_zero:
             raise InvalidParams("rational function needs a nonzero denominator")
+        if not all(is_exact(c) for c in (*self.num.coeffs, *self.den.coeffs)):
+            raise InputError("a lag coefficient needs rational polynomial coefficients")
 
     @cached_property
     def pole_set(self) -> frozenset:
@@ -245,6 +236,5 @@ class RationalFnInN:
         if dn > dd:
             raise InvalidParams("rational coefficient function diverges with n")
         if dn < dd:
-            nl = self.num.leading if not self.num.is_zero else 0
-            return 0 * nl if not is_exact(nl) else Fraction(0)
+            return Fraction(0)
         return exact_div(self.num.leading, self.den.leading)

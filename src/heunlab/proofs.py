@@ -29,7 +29,7 @@ from .errors import (DegreeMismatch, DomainError, InputError, InvalidParams,
 from .polynomials import PolynomialInN, cauchy_bound, exact_div
 from .recurrence import (LimitProfile, RecurrenceSystem, cleared_steps,
                          limit_profile)
-from .scalars import DEFAULT_PRECISION, as_mp, is_exact, real_part
+from .scalars import DEFAULT_PRECISION, as_mp, is_exact
 from .special import Hyp2F1Params, hyp2f1_series
 
 CASE1, CASE2, CASE3, CASE4 = "CASE1", "CASE2", "CASE3", "CASE4"
@@ -47,7 +47,7 @@ H_LABELS = {
 class CaseReport:
     case: str
     subleading: tuple  # the profile's (num_sub, den_sub) of each monic lag ratio
-    strictly_less: tuple  # per lag: Re num_sub < Re den_sub
+    strictly_less: tuple  # per lag: num_sub < den_sub
 
 
 # the case of each (lag 1, lag 2) strictly-less pattern
@@ -57,9 +57,9 @@ _CASES = {(True, True): CASE1, (False, False): CASE2, (False, True): CASE3, (Tru
 def classify_case(profile: LimitProfile) -> CaseReport:
     """Sort a three-term system into one of the four sub-leading sign cases.
 
-    Comparisons use real parts and are exact whenever the sub-leading data is
-    rational.  Systems where a lag limit vanishes or the degrees differ fall
-    outside the hypothesis and are rejected.
+    The sub-leading data is rational, so each comparison is exact.  Systems
+    where a lag limit vanishes or the degrees differ fall outside the
+    hypothesis and are rejected.
     """
     if len(profile.limits) != 2:
         raise InvalidParams("case classification is stated for three-term recurrences")
@@ -67,7 +67,7 @@ def classify_case(profile: LimitProfile) -> CaseReport:
         raise DegreeMismatch("both lag coefficients need matching numerator/denominator degree")
     if any(L == 0 for L in profile.limits):
         raise InvalidParams("case classification needs nonzero lag limits")
-    less = tuple(bool(real_part(o) < real_part(w)) for o, w in profile.subleading)
+    less = tuple(o < w for o, w in profile.subleading)
     return CaseReport(_CASES[less], profile.subleading, less)
 
 
@@ -150,9 +150,9 @@ def _smallest_h_less(num_sub, den_sub) -> int:
     return max(math.floor(den_sub - num_sub) + 1, 1)
 
 
-def _require_exact(system: RecurrenceSystem, eps) -> None:
-    if not (system.is_exact() and is_exact(eps)):
-        raise InputError("proof constants are decided exactly: the system and eps must be rational")
+def _require_exact(eps) -> None:
+    if not is_exact(eps):
+        raise InputError("proof constants are decided exactly: eps must be rational")
 
 
 def find_proof_constants(system: RecurrenceSystem, eps=Fraction(1, 100),
@@ -164,10 +164,10 @@ def find_proof_constants(system: RecurrenceSystem, eps=Fraction(1, 100),
     Each lag's positivity certificate covers every n from its valid_from on,
     which must not exceed N_check, and every smaller n is decided in
     integers.  N is the smallest index past every violation and past the eps
-    floor (n > h/eps), and must not exceed N_check either.  The system and
-    eps must be rational: nothing here is decided by a float comparison.
+    floor (n > h/eps), and must not exceed N_check either.  eps must be
+    rational, like the system: nothing here is decided by a float comparison.
     """
-    _require_exact(system, eps)
+    _require_exact(eps)
     if not (0 < eps < 1):
         raise InvalidParams("eps must lie in (0, 1)")
     report = classify_case(limit_profile(system))
@@ -217,7 +217,7 @@ def verify_proof_constants(system: RecurrenceSystem, pc: ProofConstants,
     hi = pc.N_check if n_hi is None else n_hi
     if not 1 <= lo <= hi:
         raise InvalidParams("verification window must satisfy 1 <= lo <= hi")
-    _require_exact(system, pc.eps)
+    _require_exact(pc.eps)
     if system.k != 2:
         raise InvalidParams("proof constants are stated for three-term recurrences")
     sweeps, tail_ok = [], True

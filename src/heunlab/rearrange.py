@@ -23,8 +23,7 @@ dynamic program (linear in the table size) and a brute-force path enumeration
 audit compares them at its enumeration depth, on purpose: at the default
 depth 14 the walk costs 1.0-1.5 ms on the a=2 sample at its audit offset
 N = 301, against 18 ms for the Fraction walk it replaced (minimum of 7 runs,
-2-core x86).  Floating systems have no exact table and are refused.
-"""
+2-core x86)."""
 
 from __future__ import annotations
 
@@ -81,8 +80,7 @@ def _step_factors(system: RecurrenceSystem, offset: int, M: int):
         raise InvalidParams("path rearrangement is stated for three-term recurrences")
     a1, a2, g = [0], [0], [1]
     # the step into n reads the lags at n - 1 + offset, as iter_cleared does;
-    # zip advances the steps first, so floating systems and negative offsets
-    # are refused at M = 0 too
+    # zip advances the steps first, so negative offsets are refused at M = 0 too
     steps = cleared_steps(system, offset, modulus=True)
     for (values, gn), n in zip(steps, range(1, M + 1)):
         a1.append(values[0])

@@ -30,12 +30,12 @@ with it.
   domination_bounds zips four of its streams, and the audit's path tables
   (rearrange) hold unreduced integers over the same divisors, read from
   cleared_steps.
-- iter_values steps the same sequences at a bit count.  Exact systems round
-  each of cleared_steps' lag values once, correctly, from its integer pair
-  (scalars.rational_to_mp, the rule as_mp applies to a Fraction); systems
-  with floating coefficients evaluate each lag with PolynomialInN at the
-  working precision.  Floating systems have no exact tier, and exact
-  streams refuse them.
+- iter_values steps the same sequences at a bit count, rounding each of
+  cleared_steps' lag values once, correctly, from its integer pair
+  (scalars.rational_to_mp, the rule as_mp applies to a Fraction).
+
+Every lag has rational coefficients (RationalFnInN refuses any other), so
+every system has both tiers.
 
 recurrence_residuals keeps the per-lag RationalFnInN evaluation as the
 reference the steppers are checked against.  RecurrenceSystem.limits, cached
@@ -64,10 +64,9 @@ from functools import cached_property
 
 from mpmath import mp
 
-from .errors import DegreeMismatch, IndicialPole, InputError, InvalidParams
+from .errors import DegreeMismatch, IndicialPole, InvalidParams
 from .polynomials import PolynomialInN, RationalFnInN, exact_div
-from .scalars import (as_mp, is_exact, log_abs, parse_precision, rational_to_mp,
-                      scalar_abs)
+from .scalars import log_abs, parse_precision, rational_to_mp
 
 
 @dataclass(frozen=True)
@@ -98,21 +97,14 @@ class RecurrenceSystem:
         """alpha_i(n) for 1-based lag i."""
         return self.lags[i - 1](n)
 
-    def is_exact(self) -> bool:
-        """Whether every lag polynomial has rational coefficients."""
-        return all(is_exact(c) for fn in self.lags
-                   for c in (*fn.num.coeffs, *fn.den.coeffs))
-
     @cached_property
     def cleared(self):
         """((A_1, .., A_k), G): integer polynomials with alpha_i(n) = A_i(n) / G(n).
 
         G is the lcm of the numerators' denominators times the product of the
         lags' distinct denominators cleared to integers, so lags that share
-        one (every Heun system) share it once.  None for floating coefficients.
+        one (every Heun system) share it once.
         """
-        if not self.is_exact():
-            return None
         nums = [fn.num._cleared for fn in self.lags]
         dens = [fn.den._cleared for fn in self.lags]
         lcm = math.lcm(*(c for _, c in nums))
@@ -159,13 +151,11 @@ def cleared_steps(system: RecurrenceSystem, offset: int = 0, *, modulus: bool = 
     A_i(n) at n = offset + j, or |A_i(n)| with modulus, and g = |G(n)| > 0,
     with G's sign moved into A.  Where G vanishes, at the pole of a lag that
     has not fired yet, A holds only the min(k, j + 1) lags that fire at step
-    j, cleared over their own common denominator g.  Systems with floating
-    coefficients raise InputError, and a negative offset InvalidParams.
+    j, cleared over their own common denominator g.  A negative offset
+    raises InvalidParams.
     """
     if offset < 0:
         raise InvalidParams(f"offset {offset} must be nonnegative")
-    if system.cleared is None:
-        raise InputError("exact streams need rational coefficients")
     # Horner inline on the coefficients, from the leading one (a zero
     # polynomial reads (0,)): a PolynomialInN call per polynomial per step
     # took 1.8x the time of a 60-term step loop
@@ -196,23 +186,13 @@ def iter_values(system: RecurrenceSystem, precision: int, offset: int = 0, *,
 
     The sequence is iter_cleared's for the same offset and modulus: the
     step into s_{j+1} reads the lags at n = offset + j, through their
-    absolute values with modulus.  An exact system's lags come from
-    cleared_steps, each rounded once from its integer pair; a floating
-    system's are evaluated at the working precision.  Values are computed
-    at the working precision in force when the generator is advanced, so
-    callers advance it inside workprec(precision).  A negative offset raises
-    InvalidParams, in both tiers.
+    absolute values with modulus.  The lags come from cleared_steps, each
+    rounded once from its integer pair.  Values are computed at the working
+    precision in force when the generator is advanced, so callers advance it
+    inside workprec(precision).  A negative offset raises InvalidParams.
     """
-    if system.cleared is None:
-        if offset < 0:  # cleared_steps checks the exact tier's
-            raise InvalidParams(f"offset {offset} must be nonnegative")
-        mag = scalar_abs if modulus else (lambda v: v)
-        steps = ([as_mp(mag(system.coefficient(i, n)), precision)
-                  for i in range(1, min(system.k, j + 1) + 1)]
-                 for j, n in enumerate(itertools.count(offset)))
-    else:
-        steps = ([rational_to_mp(a, g, mp.prec) for a in values]
-                 for values, g in cleared_steps(system, offset, modulus=modulus))
+    steps = ([rational_to_mp(a, g, mp.prec) for a in values]
+             for values, g in cleared_steps(system, offset, modulus=modulus))
     history = deque([mp.mpf(1)], maxlen=system.k)
     yield history[0]
     for factors in steps:
@@ -233,11 +213,10 @@ def iter_cleared(system: RecurrenceSystem, offset: int = 0, *, modulus: bool = F
     holding the running Q_j has every value without a gcd.  Over the lags
     A_i / g of cleared_steps, P_{j+1} = sum_i A_i P_{j+1-i} g_{j+2-i} .. g_j:
     each lag's numerator is lifted by the divisors of the steps since it was
-    made.  Systems with floating coefficients raise InputError.
+    made.
     """
     history = deque(maxlen=system.k)  # (P, g) of the last k values, oldest first
     step = (1, 1)  # s_0 = 1 over g_0 = 1
-    # lags are read one step ahead, so a floating system fails at the first advance
     for values, g in cleared_steps(system, offset, modulus=modulus):
         history.append(step)
         yield step
@@ -261,7 +240,7 @@ def stream_coefficients(system: RecurrenceSystem, count: int,
 
     With precision="exact" the values are Fractions and satisfy the recurrence
     identically; with a bit count they are iter_values' mpmath numbers at that
-    working precision.  The exact tier needs rational coefficients.
+    working precision.
     """
     precision = parse_precision(precision)
     if count < 1:

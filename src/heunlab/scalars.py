@@ -108,7 +108,9 @@ def parse_int(value, where: str) -> int:
 
 def parse_point(text: str, prec: int = DEFAULT_PRECISION):
     """Parse an evaluation point: rational if possible, else a complex literal.
-    A real one with an exponent past MAX_EXPONENT is an mpf at prec bits."""
+    A real one with an exponent past MAX_EXPONENT is an mpf at prec bits; a
+    complex literal whose real or imaginary part is not finite in float64
+    (nan, inf, or past its range, like 1e400j) raises InputError."""
     text = str(text).strip()
     try:
         if _exponent(text) > MAX_EXPONENT:
@@ -121,6 +123,8 @@ def parse_point(text: str, prec: int = DEFAULT_PRECISION):
         z = complex(text.replace(" ", ""))
     except ValueError as exc:
         raise InputError(f"not a number: {text!r}") from exc
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise InputError(f"not a finite number: {text!r}")
     with mp.workprec(prec):
         if z.imag == 0.0:
             return mp.mpf(z.real)
@@ -136,7 +140,9 @@ def to_scalar(value, prec: int = DEFAULT_PRECISION) -> Scalar:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
-        return Fraction(value)  # floats are exact binary rationals
+        if not math.isfinite(value):
+            raise InputError(f"not a finite number: {value!r}")
+        return Fraction(value)  # finite floats are exact binary rationals
     if isinstance(value, (mpmath.mpf, mpmath.mpc)):
         return value
     if isinstance(value, complex):
@@ -210,14 +216,6 @@ def scalar_abs(x, prec: int = DEFAULT_PRECISION):
         return abs(Fraction(x))
     with mp.workprec(prec):
         return mp.fabs(x)
-
-
-def real_part(x):
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    if isinstance(x, mpmath.mpc):
-        return x.real
-    return x
 
 
 def log_abs(x) -> float:

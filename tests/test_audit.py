@@ -159,10 +159,8 @@ def test_int_root_renders_like_a_fraction(a2_audit):
 
 
 def test_audit_needs_rational_input():
-    with mp.workprec(64):
-        loose = HeunParams(mp.mpf(2), 1, 1, 1, 1, 1)
     with pytest.raises(InputError):
-        run_system_audit(heun_recurrence(loose))
+        run_system_audit(heun_recurrence(HeunParams(mp.mpf(2), 1, 1, 1, 1, 1)))
     params = HeunParams(2, 1, 1, 1, 1, 1)
     with pytest.raises(InputError):
         run_system_audit(heun_recurrence(params, mp.mpf(0)))

@@ -141,6 +141,16 @@ def test_eval_without_terms_exits_3(a2_file, capsys, precision, n_max):
     assert doc["outputs"]["n_used"] == 1 and doc["outputs"]["value"] in ("1", "1.0")
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--x=nan", "--force"], ["eval", "--x=inf"], ["eval", "--x=1e400j", "--force"],
+    ["domain", "--x=nan"], ["domain", "--x=inf"], ["domain", "--x=nanj"],
+], ids=lambda argv: " ".join(argv))
+def test_non_finite_points_exit_3(a2_file, capsys, argv):
+    code, out, err = run(capsys, [argv[0], str(a2_file), *argv[1:], "--precision", "64"])
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1 and "not a finite number" in err
+
+
 def test_eval_force(a2_file, capsys):
     doc = run_doc(capsys, ["eval", str(a2_file), "--x", "9/10", "--force",
                            "--precision", "128"])

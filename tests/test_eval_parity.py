@@ -36,7 +36,7 @@ def _reference_eval(params, x, root=0, tol=F(1, 10 ** 30), n_max=10 ** 5,
         raise OutsideDomain("outside")
     lag1, lag2 = heun_recurrence(params, lam).lags
     exact_mode = precision == "exact"
-    if exact_mode and not (is_exact(x) and params.is_exact() and is_exact(tol)):
+    if exact_mode and not (is_exact(x) and is_exact(tol)):
         raise InputError("exact evaluation needs rational inputs")
     if exact_mode and not (is_exact(lam) and Fraction(lam).denominator == 1 and lam >= 0):
         raise InputError("exact evaluation needs a nonnegative integer exponent")

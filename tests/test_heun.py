@@ -8,9 +8,10 @@ from conftest import admissible_roots, sample_pool
 from mpmath import mp
 
 from heunlab import (HeunParams, IndicialPole, InputError, InvalidParams,
-                     OutsideDomain, absolute_profile_sum, heun_eval,
-                     heun_recurrence, indicial_roots,
-                     ode_residual, series_limits, stream_coefficients)
+                     OutsideDomain, RationalFnInN, absolute_profile_sum,
+                     heun_eval, heun_recurrence, indicial_roots,
+                     nonneg_integer_roots, ode_residual, poly_from,
+                     series_limits, stream_coefficients)
 
 F = Fraction
 
@@ -18,7 +19,7 @@ F = Fraction
 def test_params_coerce_to_exact():
     p = HeunParams("2", 1, 0.5, F(1, 3), 1, 1)
     assert p.a == F(2) and p.alpha == F(1, 2)
-    assert p.is_exact()
+    assert all(type(getattr(p, n)) is F for n in ("a", "q", "alpha", "beta", "gamma", "delta"))
 
 
 def test_params_reject_removed_singularities():
@@ -44,19 +45,29 @@ def test_recurrence_rejects_bad_root(a2_params):
         heun_recurrence(a2_params, root=5)
 
 
-def test_mixed_rational_and_mpmath_params_build_in_mpmath(a2_params):
-    # mpmath does not divide a Fraction; the rational parameters are lifted
-    with mp.workprec(80):
-        loose = HeunParams(mp.mpf(2), 1, 1, 1, 1, 1)
-        system = heun_recurrence(loose)
-        assert not system.is_exact()
-        exact = heun_recurrence(a2_params)
-        for i in (1, 2):
-            for n in range(1, 6):
-                value = system.coefficient(i, n)
-                assert abs(value - exact.coefficient(i, n)) <= mp.mpf(2) ** -78 * abs(value)
-    got = heun_eval(loose, F(1, 4), precision=80).value
-    assert abs(got - heun_eval(a2_params, F(1, 4), precision=80).value) < mp.mpf(2) ** -70
+def test_mixed_rational_and_mpmath_params_are_refused():
+    # one mpmath value among rationals is refused, whichever field it is
+    fields = ("a", "q", "alpha", "beta", "gamma", "delta")
+    for i, name in enumerate(fields):
+        values = [2, 1, 1, 1, 1, 1]
+        values[i] = mp.mpf(3)
+        with pytest.raises(InputError, match=f"^{name} must be rational"):
+            HeunParams(*values)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: HeunParams(mp.mpf(2), 1, 1, 1, 1, 1),
+    lambda: HeunParams(2, mp.mpc(1, 1), 1, 1, 1, 1),
+    lambda: HeunParams(2, 1, 1, 1 + 0.5j, 1, 1),
+    lambda: heun_recurrence(HeunParams(2, 1, 1, 1, 1, 1), root=mp.mpf(0)),
+    lambda: RationalFnInN(poly_from(1, mp.mpf(1)), poly_from(1, 1)),
+    lambda: RationalFnInN(poly_from(1, 1), poly_from(1.0, 1)),
+    lambda: nonneg_integer_roots(poly_from(mp.mpf(-2), mp.mpf(1))),
+], ids=["mpf-param", "mpc-param", "complex-param", "mpf-root", "mpf-numerator",
+        "float-denominator", "mpf-roots"])
+def test_recurrence_coefficients_must_be_rational(build):
+    with pytest.raises(InputError):
+        build()
 
 
 def test_negative_integer_root_hits_a_pole():

@@ -1,7 +1,7 @@
 """Every top-level import of a package module is read somewhere in it, the
 package exports exactly what its __init__ imports plus its lazy names,
 raw mpf arithmetic (mpmath.libmp) stays in the modules allowed to use it,
-numpy is imported at top level by probes alone, pyproject.toml reads the
+numpy is imported by probes alone, pyproject.toml reads the
 package's one version, the benchmark's tracing wraps find their targets and
 its counter hooks read real results, and the CLI accepts every analysis key
 it reads."""
@@ -100,10 +100,10 @@ def test_all_is_exactly_what_the_package_imports():
         assert name in listed, name
 
 
-def top_level_imports(source: str) -> set:
-    """Top-level package names the module imports outside any function."""
+def imported_packages(source: str) -> set:
+    """Top-level package names the module imports anywhere, inside functions too."""
     names = set()
-    for node in ast.parse(source).body:
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             names.update(alias.name.split(".")[0] for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
@@ -111,8 +111,13 @@ def top_level_imports(source: str) -> set:
     return names
 
 
-def test_only_probes_imports_numpy_at_top_level():
-    users = {p.name for p in PACKAGE.glob("*.py") if "numpy" in top_level_imports(p.read_text())}
+def test_imported_packages_are_found():
+    source = "import os.path\ndef f():\n    import numpy as np\n    from mpmath import mp\nfrom . import x\n"
+    assert imported_packages(source) == {"os", "numpy", "mpmath"}
+
+
+def test_only_probes_imports_numpy():
+    users = {p.name for p in PACKAGE.glob("*.py") if "numpy" in imported_packages(p.read_text())}
     assert users == {"probes.py"}
 
 

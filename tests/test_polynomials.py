@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from heunlab import (InvalidParams, PoleAtIndex, PolynomialInN, RationalFnInN,
-                     nonneg_integer_roots, poly_from)
+from heunlab import (InputError, InvalidParams, PoleAtIndex, PolynomialInN,
+                     RationalFnInN, nonneg_integer_roots, poly_from)
 from heunlab.polynomials import _bisect_roots, _closed_form_roots
 
 
@@ -165,11 +165,13 @@ def test_exact_roots_match_exact_evaluation(rng):
         assert nonneg_integer_roots(p) == frozenset(k for k in range(100) if p(k) == 0)
 
 
-def test_floating_coefficients_use_the_numeric_solve():
+def test_floating_coefficients_are_refused():
+    # roots are decided exactly, so there is no numeric solve to fall back on
     p = poly_from(mp.mpf(6), mp.mpf(-5), mp.mpf(1))  # (n - 2)(n - 3)
-    assert nonneg_integer_roots(p) == frozenset({2, 3})
-    assert nonneg_integer_roots(p * poly_from(0, 1)) == frozenset({0, 2, 3})
-    assert nonneg_integer_roots(poly_from(mp.mpc(6, 0), mp.mpf(-5), mp.mpf(1))) == frozenset({2, 3})
+    assert p(2) == 0 and p(3) == 0
+    for q in (p, p * poly_from(0, 1), poly_from(mp.mpc(6, 0), mp.mpf(-5), mp.mpf(1))):
+        with pytest.raises(InputError):
+            nonneg_integer_roots(q)
 
 
 def test_near_integer_root_is_rejected_exactly():

@@ -258,7 +258,7 @@ def _coefficient_system(a_num, a_den, b_num, b_den):
 def test_huge_lag_coefficient_rescales_every_step(small_chunks, segments, which):
     # a_n = 1e200 (n + 1) / (n + 2): at r = 1e-200 the terms decay like 1/n,
     # but the scaled steps grow by about 2^664 each, so 16 would overflow
-    system = _coefficient_system((1e200, 1e200), (2, 1), (1,), (1,))
+    system = _coefficient_system((Fraction(1e200), Fraction(1e200)), (2, 1), (1,), (1,))
     r, n_terms = 1e-200, (1 << 12) + 5 * B + 3
     scan = term_scan(system, r, n_terms, which, stride=61)
     assert set(segments) == {1}

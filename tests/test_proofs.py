@@ -148,12 +148,9 @@ def test_constants_need_exact_input(a2_params):
     pc = find_proof_constants(system)
     with pytest.raises(InputError):
         verify_proof_constants(system, dataclasses.replace(pc, eps=0.01))
-    floating = RecurrenceSystem((RationalFnInN(poly_from(1, mp.mpf(1), 1), poly_from(1, 2, 1)),
-                                 _lag(0, 2)))
     with pytest.raises(InputError):
-        find_proof_constants(floating)
-    with pytest.raises(InputError):
-        verify_proof_constants(floating, pc)
+        RecurrenceSystem((RationalFnInN(poly_from(1, mp.mpf(1), 1), poly_from(1, 2, 1)),
+                          _lag(0, 2)))
 
 
 def test_constants_decide_at_most_the_certificate_range(a2_params):

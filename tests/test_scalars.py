@@ -71,6 +71,13 @@ def test_parse_point_reads_a_far_point_at_the_working_precision():
             parse_point(bad)
 
 
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "infinity", "nanj", "1+infj",
+                                  "1e400j", "1e400+1j", "-1e5000j"])
+def test_parse_point_refuses_non_finite_literals(text):
+    with pytest.raises(InputError, match="not a finite number"):
+        parse_point(text, 64)
+
+
 def test_parse_point_prefers_exact():
     assert parse_point("2/7") == Fraction(2, 7)
     assert parse_point("0.25") == Fraction(1, 4)
@@ -88,6 +95,9 @@ def test_to_scalar_keeps_exactness():
         to_scalar(True)
     with pytest.raises(InputError):
         to_scalar(object())
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InputError, match="not a finite number"):
+            to_scalar(value)
 
 
 def test_as_mp_rounds_to_working_precision():

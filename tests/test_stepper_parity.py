@@ -18,9 +18,8 @@ import pytest
 from mpmath import mp
 
 import heunlab
-from heunlab import (HeunParams, InputError, PolynomialInN, RationalFnInN,
-                     RecurrenceSystem, heun_recurrence, path_table, poly_from,
-                     stream_coefficients)
+from heunlab import (InputError, PolynomialInN, RationalFnInN, RecurrenceSystem,
+                     heun_recurrence, path_table, poly_from, stream_coefficients)
 from heunlab.recurrence import (cleared_steps, domination_bounds, iter_cleared,
                                 iter_values)
 from heunlab.scalars import as_mp, is_exact, scalar_abs
@@ -240,29 +239,12 @@ def test_majorant_resumes_from_its_memo(a2_params):
     assert_same(full.values, reference_modulus(system, 3, 50, "exact"))
 
 
-def test_floating_system_steps_at_working_precision():
+def test_exact_streams_refuse_floating_systems():
+    # no system with a floating lag coefficient is built, so none is streamed
     with mp.workprec(80):
         third = mp.mpf(1) / 3
-    system = RecurrenceSystem((
-        lag((third, F(1)), (F(2), F(1))),
-        lag((F(-1, 4),), (F(1), F(1))),
-    ))
-    assert not system.is_exact() and system.cleared is None
-    stream = stream_coefficients(system, 30, 64)
-    assert_same(stream.values, reference_rounded_once(system, 30, 64))
-    majorant = stream_coefficients(system, 30, 64, 2, modulus=True)
-    assert_same(majorant.values, reference_modulus(system, 2, 30, 64))
-
-
-def test_exact_streams_refuse_floating_systems():
-    with mp.workprec(80):
-        system = heun_recurrence(HeunParams(mp.mpf(2), 1, 1, 1, 1, 1))
-    assert system.cleared is None
     with pytest.raises(InputError):
-        stream_coefficients(system, 4, "exact")
-    with pytest.raises(InputError):
-        stream_coefficients(system, 4, "exact", 3, modulus=True)
-    assert len(stream_coefficients(system, 4, 64)) == 4
+        RecurrenceSystem((lag((third, F(1)), (F(2), F(1))), lag((F(-1, 4),), (F(1), F(1)))))
 
 
 def test_cleared_lags_reproduce_every_lag(instance_pool):
