@@ -75,7 +75,7 @@ def run_system_audit(system, *, root_echo=None, eps=Fraction(1, 100),
     reverify = verify_proof_constants(system, constants)
 
     A, B = system.limits
-    r_closed = boundary_radius((A, B), prec, "closed")
+    r_closed = boundary_radius((A, B), prec)
     with mp.workprec(prec):
         weights = eta_z((A, B), r_closed, prec)
         eta_v, z_v = weights

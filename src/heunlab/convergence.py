@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .errors import AllZeroLimits, InvalidParams
+from .errors import AllZeroLimits
 from .scalars import DEFAULT_PRECISION, as_mp, is_exact
 
 
@@ -63,43 +63,46 @@ def domain_sum(limits, x, prec: int = DEFAULT_PRECISION):
     return membership_sum(limits, x, prec)
 
 
-def boundary_radius(limits, prec: int = DEFAULT_PRECISION, method: str = "auto"):
+def boundary_radius(limits, prec: int = DEFAULT_PRECISION):
     """Unique positive r with sum_i |L_i| r^i = 1.
 
-    method "closed" uses the two-lag quadratic formula (in the cancellation-free
-    arrangement), "bisect" brackets and halves, "auto" picks closed when it
-    applies.  Both land within an ulp or two of each other at the working
-    precision; tests compare them across random limit pairs.
+    Up to two lags take the quadratic formula (in the cancellation-free
+    arrangement), more lags _bisect_radius.  Both land within an ulp or two
+    of each other at the working precision; tests compare them across
+    random limit pairs.
     """
-    mags = _abs_limits(limits, prec)
-    if method not in ("auto", "closed", "bisect"):
-        raise InvalidParams(f"unknown method {method!r}")
+    if len(limits) > 2:
+        return _bisect_radius(limits, prec)
+    m1, m2 = (*_abs_limits(limits, prec), 0)[:2]
     with mp.workprec(prec + 16):
-        if method in ("auto", "closed") and len(mags) <= 2:
-            m1, m2 = (*mags, 0)[:2]
-            if m2 == 0:  # then m1 > 0: _abs_limits refused all zeros
-                r = 1 / m1
-            else:
-                # root of m2 r^2 + m1 r - 1; this form avoids subtractive cancellation
-                r = 2 / (m1 + mp.sqrt(m1 * m1 + 4 * m2))
-        elif method == "closed":
-            raise InvalidParams("closed form is only available for k <= 2 lags")
+        if m2 == 0:  # then m1 > 0: _abs_limits refused all zeros
+            r = 1 / m1
         else:
-            def f(r):  # S(r) - 1, with the -1 added first
-                return sum(_weights(mags, r), mp.mpf(-1))
+            # root of m2 r^2 + m1 r - 1; this form avoids subtractive cancellation
+            r = 2 / (m1 + mp.sqrt(m1 * m1 + 4 * m2))
+    with mp.workprec(prec):
+        return +r
 
-            hi = mp.mpf(1)
-            while f(hi) < 0:
-                hi = hi * 2
-            lo = mp.mpf(0)
-            # prec+16 working bits; 8 extra halvings land the midpoint well under an ulp at prec
-            for _ in range(mp.prec + 8):
-                mid = (lo + hi) / 2
-                if f(mid) < 0:
-                    lo = mid
-                else:
-                    hi = mid
-            r = (lo + hi) / 2
+
+def _bisect_radius(limits, prec: int):
+    """boundary_radius for any number of lags, by bracketing and halving."""
+    mags = _abs_limits(limits, prec)
+    with mp.workprec(prec + 16):
+        def f(r):  # S(r) - 1, with the -1 added first
+            return sum(_weights(mags, r), mp.mpf(-1))
+
+        hi = mp.mpf(1)
+        while f(hi) < 0:
+            hi = hi * 2
+        lo = mp.mpf(0)
+        # prec+16 working bits; 8 extra halvings land the midpoint well under an ulp at prec
+        for _ in range(mp.prec + 8):
+            mid = (lo + hi) / 2
+            if f(mid) < 0:
+                lo = mid
+            else:
+                hi = mid
+        r = (lo + hi) / 2
     with mp.workprec(prec):
         return +r
 

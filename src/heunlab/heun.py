@@ -34,15 +34,7 @@ from .polynomials import PolynomialInN, RationalFnInN
 from .recurrence import (CoefficientStream, RecurrenceSystem, iter_cleared,
                          iter_values)
 from .scalars import (DEFAULT_PRECISION, as_mp, is_exact, parse_precision,
-                      to_scalar)
-
-
-def _rational(value, name: str) -> Fraction:
-    """value through to_scalar; InputError unless it is rational."""
-    value = to_scalar(value)
-    if not is_exact(value):
-        raise InputError(f"{name} must be rational, got {value}")
-    return value
+                      to_rational, to_scalar)
 
 
 @dataclass(frozen=True)
@@ -61,7 +53,7 @@ class HeunParams:
 
     def __post_init__(self):
         for name in ("a", "q", "alpha", "beta", "gamma", "delta"):
-            object.__setattr__(self, name, _rational(getattr(self, name), name))
+            object.__setattr__(self, name, to_rational(getattr(self, name), name))
         if self.a == 0 or self.a == 1:
             raise InvalidParams("the third singular point a must avoid 0 and 1")
 
@@ -76,7 +68,7 @@ def indicial_roots(params: HeunParams):
 
 
 def _check_root(params: HeunParams, root) -> Fraction:
-    root = _rational(root, "the root")
+    root = to_rational(root, "the root")
     r0, r1 = indicial_roots(params)
     if root != r0 and root != r1:
         raise InvalidParams(f"{root} is not an indicial root; expected {r0} or {r1}")
@@ -227,7 +219,7 @@ def _sum_mp(system, x, lam, tol, n_max: int, prec: int):
         fabs = mp.fabs
         small_run = n_used = 0
         converged = False
-        for n, d in zip(range(n_max), iter_values(system, prec)):
+        for n, d in zip(range(n_max), iter_values(system)):
             term = d * power
             total = total + term
             n_used = n + 1

@@ -96,10 +96,6 @@ class PolynomialInN:
     def scale(self, factor):
         return PolynomialInN(tuple(factor * c for c in self.coeffs))
 
-    def as_float(self) -> "PolynomialInN":
-        """The polynomial with float64 coefficients, to evaluate on numpy arrays."""
-        return PolynomialInN(tuple(float(c) for c in self.coeffs))
-
 
 def poly_from(*coeffs) -> PolynomialInN:
     return PolynomialInN(coeffs)

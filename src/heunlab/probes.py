@@ -59,7 +59,7 @@ term's exponent gains j k (a step skipped for radii in [1/2, 1), whose k is
 0), so no radius that float64 holds can overflow the transfer matrices.
 The Gauss series' rule is the scalar (k = 1) case: a cumulative product of
 the term ratio seeded with the carried term.  gauss_test is the classical
-boundary case, the 2F1 series at x = 1: an exact verdict from Re(c - a - b)
+boundary case, the 2F1 series at x = 1: an exact verdict from c - a - b
 next to an empirical one, whose decay exponent is fitted from running
 least-squares sums, so no array grows with the number of terms.
 
@@ -72,13 +72,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import InputError, InsufficientData, InvalidParams, MagnitudeOverflow
 from .recurrence import CoefficientStream, RecurrenceSystem, stream_coefficients
-from .scalars import is_exact
 from .special import Hyp2F1Params, _is_nonpositive_integer
 
 VERDICT_CONVERGES = "converges-empirically"
@@ -199,11 +197,11 @@ class _Workspace:
       second product over b, then the int64 exponents over b; the k-shift
       forms j k in an int64 view of sums.  Mantissas and exponents stay in
       block order.
-    * k = 1 rule (_ratio_step): terms holds the indices n; c1, a complex
-      view of z, the numerator (n + a)(n + b); c2, a complex view spanning
-      a and b, the denominator (c + n)(n + 1); sums the ratio, and z, once
-      the numerator is read, scratch.  np.cumprod then writes the terms
-      over the indices.
+    * k = 1 rule (_ratio_step): terms holds the indices n; a holds n + a
+      and then the numerator (n + a)(n + b), with n + b in b; sums its
+      modulus, the ratio once divided; b holds n + c and then the
+      denominator (n + c)(n + 1), with n + 1 in z, and then its modulus.
+      np.cumprod then writes the terms over the indices.
     * the driver: for block-order steps, an int32 view of zexp holds the
       clipped exponents, z the terms in block order (ldexp of mant and
       expo) and terms, after one transposed copy, the terms in stream
@@ -219,15 +217,10 @@ class _Workspace:
         # a block's positions and the blocks' first positions: see _indices
         self.col = np.arange(_BLOCK, dtype=np.int64)
         self.starts = np.arange(0, size, _BLOCK, dtype=np.int64)
-        # a step's coefficients, side by side so that one complex row spans both
-        ab = np.empty((2, size))
-        self.a, self.b = ab
+        self.a, self.b = np.empty((2, size))  # a step's coefficients
         self.z = np.empty(2 * (size + nb))  # per-block prefix products of the scan
         self.zexp = np.empty(size + nb, dtype=np.int32)  # their exponents, per block
         self.terms, self.sums = np.empty((2, size))
-        # the Gauss ratio's complex numerator and denominator
-        self.c1 = self.z[:2 * size].view(np.complex128)
-        self.c2 = ab.reshape(-1).view(np.complex128)
         self.keep = self.zexp.view(bool)[:size]
         # per block: the scan's previous values, a product and four magnitudes
         self.prev, self.prod = np.empty((2, 2 * nb))
@@ -615,7 +608,7 @@ class GaussReport:
     """Verdict and empirical diagnostics for sum |(a)_n (b)_n / ((c)_n n!)|."""
 
     verdict: str  # ABS_CONVERGENT | DIVERGENT | TERMINATING
-    s: float  # Re(c - a - b)
+    s: float  # c - a - b, in float64
     predicted_exponent: float  # |t_n| ~ n^predicted
     fitted_exponent: float
     checkpoints: tuple  # (n, partial sum) at powers of two
@@ -626,22 +619,24 @@ class GaussReport:
     n_terms: int
 
 
-def _ratio_step(ac: complex, bc: complex, cc: complex, terminated: bool):
-    """The scalar step rule: t_j = t_{j-1} |(a+n)(b+n)| / |(c+n)(n+1)|, n = j - 1.
+def _ratio_step(af: float, bf: float, cf: float, terminated: bool):
+    """The scalar step rule: t_j = t_{j-1} |(n+a)(n+b)| / |(n+c)(n+1)|, n = j - 1.
 
     The k = 1 case of the probes' scan, with no rescaling: the carried state
     is t_{j0-1}, and a cumulative product seeded with it gives the chunk's
-    terms in stream order.
+    terms in stream order.  The indices are in terms, the numerator in a
+    (n + b in b), its modulus and then the ratio in sums, and the
+    denominator in b (n + 1 in z); no other buffer is touched.
     """
 
     def step(ws, j0, j1, carry):
         count = j1 - j0
         n = _indices(ws, j0 - 1, count, ws.terms, False)
-        num, den = ws.c1[:count], ws.c2[:count]
-        ratio, scratch = ws.sums[:count], ws.z[:count]  # z once the numerator is read
-        np.abs(np.multiply(np.add(n, ac, out=num), np.add(n, bc, out=den), out=num), out=ratio)
-        np.multiply(np.add(n, cc, out=den), np.add(n, 1.0, out=scratch), out=den)
-        np.divide(ratio, np.abs(den, out=scratch), out=ratio)
+        num, den = ws.a[:count], ws.b[:count]
+        ratio, scratch = ws.sums[:count], ws.z[:count]
+        np.abs(np.multiply(np.add(n, af, out=num), np.add(n, bf, out=den), out=num), out=ratio)
+        np.multiply(np.add(n, cf, out=den), np.add(n, 1.0, out=scratch), out=den)
+        np.divide(ratio, np.abs(den, out=den), out=ratio)
         ratio[0] *= carry
         terms = np.cumprod(ratio, out=ws.terms[:count])
         if terminated:
@@ -654,45 +649,37 @@ def _ratio_step(ac: complex, bc: complex, cc: complex, terminated: bool):
 def gauss_test(a, b, c, n_max: int = 1 << 20) -> GaussReport:
     """Classify absolute convergence of the Gauss series at x = 1 and measure it.
 
-    The exact verdict uses the classical criterion: absolutely convergent iff
-    Re(c - a - b) > 0 (with termination when a or b is a nonpositive integer).
-    The empirical channel streams |t_n|, n = 0 .. n_max, in float64 through
-    the chunked driver stream_terms and its reused workspace, so no array
-    grows with n_max.  It reports Cauchy gaps S_{2n} - S_n at dyadic
-    checkpoints (shrinking gaps are the observable signature of a summable
-    tail) and fits the decay exponent of the terms
+    The parameters are rational, read by Hyp2F1Params.  The verdict uses the
+    classical criterion, decided exactly: absolutely convergent iff
+    c - a - b > 0 (with termination when a or b is a nonpositive integer).
+    The empirical channel rounds each parameter to float64 once and streams
+    |t_n|, n = 0 .. n_max, through the chunked driver stream_terms and its
+    reused workspace, so no array grows with n_max.  It reports Cauchy gaps
+    S_{2n} - S_n at dyadic checkpoints (shrinking gaps are the observable
+    signature of a summable tail) and fits the decay exponent of the terms
     by least squares of ln |t_n| on ln n over [n_max/4, n_max], accumulated
     chunk by chunk as running sums.  The sums are centred at ln n_max and
     ln t_{n_max/4}, so the normal equations do not cancel even when the
     exponent is near 0.  A parameter that float64 moves onto what the exact
     one is not, a nonzero one onto 0 or c onto a pole, raises InputError.
     """
-    Hyp2F1Params(a, b, c)  # validates c
+    params = Hyp2F1Params(a, b, c)
     if n_max < 1 << 12:
         raise InvalidParams("n_max too small for dyadic diagnostics")
+    a, b, c = params.a, params.b, params.c
     terminated = _is_nonpositive_integer(a) or _is_nonpositive_integer(b)
-
-    def _c(v):
-        try:
-            return complex(float(v), 0.0) if isinstance(v, Fraction) else complex(v)
-        except OverflowError as exc:
-            raise InputError("gauss parameter does not fit in float64") from exc
-
-    ac, bc, cc = _c(a), _c(b), _c(c)
-    if any(z == 0 and v != 0 for z, v in ((ac, a), (bc, b), (cc, c))):
+    try:
+        af, bf, cf = float(a), float(b), float(c)
+    except OverflowError as exc:
+        raise InputError("gauss parameter does not fit in float64") from exc
+    if any(f == 0.0 and v != 0 for f, v in ((af, a), (bf, b), (cf, c))):
         raise InputError("gauss parameter does not fit in float64: it rounds to 0")
-    if cc.imag == 0 and cc.real <= 0 and cc.real.is_integer():
-        raise InputError(f"gauss lower parameter c rounds to the pole c = {cc.real:g} in float64")
-    s_val = (cc - ac - bc).real
-    if is_exact(a) and is_exact(b) and is_exact(c):
-        s_exact = Fraction(c) - Fraction(a) - Fraction(b)
-        convergent = s_exact > 0
-    else:
-        convergent = s_val > 0
+    if cf <= 0 and cf.is_integer():
+        raise InputError(f"gauss lower parameter c rounds to the pole c = {cf:g} in float64")
     if terminated:
         verdict = "TERMINATING"
     else:
-        verdict = "ABS_CONVERGENT" if convergent else "DIVERGENT"
+        verdict = "ABS_CONVERGENT" if c - a - b > 0 else "DIVERGENT"
 
     lo, top = n_max // 4, math.log(n_max)
     fit = [0, 0.0, 0.0, 0.0, 0.0]  # count, sum x, sum y, sum x^2, sum x y
@@ -722,7 +709,7 @@ def gauss_test(a, b, c, n_max: int = 1 << 20) -> GaussReport:
         for i, v in enumerate((np.count_nonzero(keep), x.sum(), y.sum(), xx.sum(), xy.sum())):
             fit[i] += v
 
-    checkpoints, _ = stream_terms(_ratio_step(ac, bc, cc, terminated), 1.0,
+    checkpoints, _ = stream_terms(_ratio_step(af, bf, cf, terminated), 1.0,
                                   n_max + 1, n_max, visit)
     gaps = tuple(round(b2 - b1, 12) for (_, b1), (_, b2) in zip(checkpoints, checkpoints[1:]))
     ratios_g = []
@@ -747,7 +734,6 @@ def gauss_test(a, b, c, n_max: int = 1 << 20) -> GaussReport:
         slope = float((count * sxy - sx * sy) / (count * sxx - sx * sx))
         if not math.isfinite(slope):
             slope = float("nan")
-    predicted = (ac + bc - cc).real - 1.0
-    return GaussReport(verdict, float(s_val), float(predicted), slope,
+    return GaussReport(verdict, cf - af - bf, af + bf - cf - 1.0, slope,
                        tuple(checkpoints), gaps, tuple(round(q, 12) for q in ratios_g),
                        trend, bool(terminated), n_max)

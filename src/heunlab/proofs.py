@@ -324,7 +324,7 @@ def minorant_partial(N: int, h2: int, limits, eps=Fraction(1, 100), m: int = 2,
         raise InvalidParams(f"the minorant takes two lag limits, got {len(limits)}")
     if not (is_exact(eps) and all(is_exact(L) for L in limits)):
         raise InputError("the minorant's regime is decided exactly: eps and the limits must be rational")
-    eta_v, z_v = eta_z(limits, boundary_radius(limits, prec, "closed"), prec)
+    eta_v, z_v = eta_z(limits, boundary_radius(limits, prec), prec)
     with mp.workprec(prec):
         eps_v, K_v = as_mp(eps, prec), as_mp(K, prec)
         # eta_v and z_v are exactly 0 when L_1 or L_2 is, so this refuses those
@@ -366,9 +366,9 @@ def minorant_partial(N: int, h2: int, limits, eps=Fraction(1, 100), m: int = 2,
         # drop the cross-check anyway
         if not divergent and (h2 < 0 or cap * mp.log(x) <= mp.log(tol) + 1):
             f1, ok1 = hyp2f1_series(
-                Hyp2F1Params(1, mp.mpf(c0) / 2, mp.mpf(c0 - h2) / 2), x, tol, cap, prec)
+                Hyp2F1Params(1, Fraction(c0, 2), Fraction(c0 - h2, 2)), x, tol, cap, prec)
             f2, ok2 = hyp2f1_series(
-                Hyp2F1Params(1, mp.mpf(c0 + 1) / 2, mp.mpf(c0 + 1 - h2) / 2), x, tol, cap, prec)
+                Hyp2F1Params(1, Fraction(c0 + 1, 2), Fraction(c0 + 1 - h2, 2)), x, tol, cap, prec)
             if ok1 and ok2:
                 value_closed = prefactor * (-g0 + g0 * f1 + w * g1 * f2) * z_tail
         return MinorantReport(value, value_closed, growing, w,

@@ -30,8 +30,8 @@ with it.
   domination_bounds zips four of its streams, and the audit's path tables
   (rearrange) hold unreduced integers over the same divisors, read from
   cleared_steps.
-- iter_values steps the same sequences at a bit count, rounding each of
-  cleared_steps' lag values once, correctly, from its integer pair
+- iter_values steps the same sequences at the working precision, rounding
+  each of cleared_steps' lag values once, correctly, from its integer pair
   (scalars.rational_to_mp, the rule as_mp applies to a Fraction).
 
 Every lag has rational coefficients (RationalFnInN refuses any other), so
@@ -180,16 +180,15 @@ def cleared_steps(system: RecurrenceSystem, offset: int = 0, *, modulus: bool = 
             yield ([abs(a) for a in values] if modulus else values), g
 
 
-def iter_values(system: RecurrenceSystem, precision: int, offset: int = 0, *,
-                modulus: bool = False):
-    """Yield s_0 = 1, s_1, ... as mpmath numbers at `precision` bits.
+def iter_values(system: RecurrenceSystem, offset: int = 0, *, modulus: bool = False):
+    """Yield s_0 = 1, s_1, ... as mpmath numbers at the working precision.
 
     The sequence is iter_cleared's for the same offset and modulus: the
     step into s_{j+1} reads the lags at n = offset + j, through their
     absolute values with modulus.  The lags come from cleared_steps, each
     rounded once from its integer pair.  Values are computed at the working
     precision in force when the generator is advanced, so callers advance it
-    inside workprec(precision).  A negative offset raises InvalidParams.
+    inside workprec.  A negative offset raises InvalidParams.
     """
     steps = ([rational_to_mp(a, g, mp.prec) for a in values]
              for values, g in cleared_steps(system, offset, modulus=modulus))
@@ -253,7 +252,7 @@ def stream_coefficients(system: RecurrenceSystem, count: int,
     else:
         with mp.workprec(precision):
             values = list(itertools.islice(
-                iter_values(system, precision, offset, modulus=modulus), count))
+                iter_values(system, offset, modulus=modulus), count))
     return CoefficientStream(tuple(values), precision)
 
 

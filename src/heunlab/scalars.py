@@ -27,6 +27,9 @@ from mpmath.libmp import from_man_exp, mpf_div, round_nearest
 from .errors import InputError
 
 DEFAULT_PRECISION = 256  # bits
+# mpmath's cost grows faster than linearly in the bits; at 2^20 `domain` takes
+# seconds, and far past it a working precision exhausts memory
+MAX_PRECISION = 1 << 20
 ENV_PRECISION = "HEUNLAB_PRECISION"
 # Fraction builds 10^|e| for a decimal exponent e, which past Python's limit
 # on integer digits takes seconds to minutes
@@ -63,6 +66,8 @@ def parse_precision(raw: int | str) -> int | str:
             raise InputError(f"precision must be 'exact' or a bit count, got {raw!r}") from None
     if bits < 2:
         raise InputError(f"precision must be at least 2 bits, got {bits}")
+    if bits > MAX_PRECISION:
+        raise InputError(f"precision must be at most {MAX_PRECISION} bits, got {bits}")
     return bits
 
 
@@ -151,6 +156,14 @@ def to_scalar(value, prec: int = DEFAULT_PRECISION) -> Scalar:
     if isinstance(value, str):
         return parse_number(value)
     raise InputError(f"cannot interpret {value!r} as a scalar")
+
+
+def to_rational(value, name: str) -> Fraction:
+    """value through to_scalar; InputError unless it is rational."""
+    value = to_scalar(value)
+    if not is_exact(value):
+        raise InputError(f"{name} must be rational, got {value}")
+    return value
 
 
 def as_mp(x, prec: int = DEFAULT_PRECISION):

@@ -12,11 +12,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import mpmath
 from mpmath import mp
 
 from .errors import DomainError, InvalidC
-from .scalars import DEFAULT_PRECISION, as_mp, is_exact, scalar_abs
+from .scalars import DEFAULT_PRECISION, as_mp, is_exact, scalar_abs, to_rational
 
 
 def pochhammer(a, k: int):
@@ -29,28 +28,24 @@ def pochhammer(a, k: int):
     return acc
 
 
-def _is_nonpositive_integer(c) -> bool:
-    if isinstance(c, int):
-        return c <= 0
-    if isinstance(c, Fraction):
-        return c.denominator == 1 and c <= 0
-    if isinstance(c, (mpmath.mpf, mpmath.mpc)):
-        if mp.im(c) != 0:
-            return False
-        re = mp.re(c)
-        return re <= 0 and mpmath.isint(re)
-    return False
+def _is_nonpositive_integer(c: Fraction) -> bool:
+    return c.denominator == 1 and c <= 0
 
 
 @dataclass(frozen=True)
 class Hyp2F1Params:
-    """Upper parameters a, b and lower parameter c of a Gauss series."""
+    """Rational upper parameters a, b and lower parameter c of a Gauss series.
+    Each is read by to_scalar, as HeunParams' are, so ints, Fractions,
+    rational strings and finite Python floats are exact; an mpmath or
+    complex value raises InputError."""
 
     a: object
     b: object
     c: object
 
     def __post_init__(self):
+        for name in ("a", "b", "c"):
+            object.__setattr__(self, name, to_rational(getattr(self, name), name))
         if _is_nonpositive_integer(self.c):
             raise InvalidC(f"lower parameter c = {self.c} is a nonpositive integer")
 
@@ -65,8 +60,7 @@ def hyp2f1_series(params: Hyp2F1Params, x, tol, n_max: int, prec: int = DEFAULT_
         (value, converged): the partial sum and whether the tolerance was met.
     """
     a, b, c = params.a, params.b, params.c
-    exact = is_exact(a) and is_exact(b) and is_exact(c) and is_exact(x) and is_exact(tol)
-    if exact:
+    if is_exact(x) and is_exact(tol):
         term = Fraction(1)
         total = Fraction(0)
         xv = Fraction(x)

@@ -22,6 +22,7 @@ from heunlab import (HeunParams, OutsideDomain, absolute_profile_sum,
                      pochhammer_ratio_lower_bound, series_limits,
                      stream_coefficients, term_scan, verify_proof_constants)
 from heunlab.cli import main as cli_main
+from heunlab.convergence import _bisect_radius
 from heunlab.rearrange import (grouped_partial_sum, path_table,
                                path_table_enumerate, table_matches_stream)
 
@@ -81,8 +82,8 @@ def test_c03_domain_boundary_geometry():
             if A == 0 and B == 0:
                 continue
             limits = (A, B)
-            closed = boundary_radius(limits, 256, "closed")
-            bisect = boundary_radius(limits, 256, "bisect")
+            closed = boundary_radius(limits, 256)
+            bisect = _bisect_radius(limits, 256)
             assert mp.fabs(closed - bisect) < tol, limits
             eta, z = eta_z(limits, closed, 256)
             assert mp.fabs(eta + z - 1) < tol, limits

@@ -119,7 +119,7 @@ def test_trace_log_mags_match_a_400_bit_reference(golden_traces):
 def test_trace_values_match_the_reduced_fraction_path(golden_traces):
     # the trace before the integer stepper: reduced Fractions through as_mp
     for params, rows in golden_traces:
-        r = boundary_radius(series_limits(params), 256, "closed")
+        r = boundary_radius(series_limits(params), 256)
         expect = []
         with mp.workprec(256):
             partial, power = mp.mpf(0), mp.mpf(1)

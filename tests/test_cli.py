@@ -693,6 +693,22 @@ def test_env_precision(tmp_path, capsys, monkeypatch):
     assert code == 3
 
 
+def test_precision_past_the_cap_exits_3(tmp_path, capsys, monkeypatch):
+    # from the flag, the instance and the environment alike: one line, no traceback
+    huge = "100000000000"
+    path = tmp_path / "huge.json"
+    path.write_text(A2_JSON.replace('"precision": "exact"', f'"precision": "{huge}"'))
+    plain = tmp_path / "noprec.json"
+    plain.write_text(A2_JSON.replace(', "precision": "exact"', ""))
+    for argv in (["eval", str(plain), "--x", "1/10", "--precision", huge],
+                 ["eval", str(path), "--x", "1/10"]):
+        code, _, err = run(capsys, argv)
+        assert code == 3 and err.count("\n") == 1 and "Traceback" not in err, err
+    monkeypatch.setenv("HEUNLAB_PRECISION", huge)
+    code, _, err = run(capsys, ["domain", str(plain)])
+    assert code == 3 and err.count("\n") == 1, err
+
+
 def test_precision_flag_beats_instance(a2_file, capsys):
     doc = run_doc(capsys, ["domain", str(a2_file), "--precision", "96"])
     assert doc["precision"] == 96

@@ -9,7 +9,7 @@ from mpmath import mp
 from heunlab import (AllZeroLimits, HeunParams, InputError, InvalidC,
                      InvalidParams, boundary_radius, domain_sum, eta_z,
                      gauss_test, membership_sum, series_limits)
-from heunlab.convergence import exact_membership_sum, radius_bracketed
+from heunlab.convergence import _bisect_radius, exact_membership_sum, radius_bracketed
 
 from conftest import A_POOL
 
@@ -92,8 +92,8 @@ def test_boundary_radius_named_anchors():
 
 def test_boundary_radius_methods_agree():
     for limits in (A2_LIMITS, (F(5, 3), F(7, 2)), (F(1, 10), F(1, 10))):
-        closed = boundary_radius(limits, method="closed")
-        bisect = boundary_radius(limits, method="bisect")
+        closed = boundary_radius(limits)
+        bisect = _bisect_radius(limits, 256)
         assert abs(closed - bisect) < mp.mpf(2) ** -248
 
 
@@ -104,15 +104,14 @@ def test_boundary_radius_three_lags_by_bisection():
         # independent oracle: the real root of r^3 + r^2 + r - 1
         ref = [z for z in mp.polyroots([1, 1, 1, -1]) if abs(mp.im(z)) < 1e-30][0]
         assert abs(r - mp.re(ref)) < mp.mpf("1e-70")
-    with pytest.raises(InvalidParams):
-        boundary_radius((1, 1, 1), method="closed")
+    assert r == _bisect_radius((1, 1, 1), 256)
 
 
 def test_boundary_radius_input_guards():
     with pytest.raises(AllZeroLimits):
         boundary_radius((0, 0))
-    with pytest.raises(InvalidParams):
-        boundary_radius(A2_LIMITS, method="newton")
+    with pytest.raises(AllZeroLimits):
+        boundary_radius((0, 0, 0))
 
 
 # recorded bit for bit before the three S(r) loops became one: per limit set,
@@ -150,7 +149,7 @@ S_PINS = [
 
 @pytest.mark.parametrize("limits, r_mpf, weights, sum_mpf, exact", S_PINS)
 def test_membership_loops_are_pinned_bit_for_bit(limits, r_mpf, weights, sum_mpf, exact):
-    r = boundary_radius(limits, 256, "bisect")
+    r = _bisect_radius(limits, 256)
     assert r._mpf_ == r_mpf
     assert tuple(w._mpf_ for w in eta_z(limits, r, 256)) == weights
     assert membership_sum(limits, mp.mpc(0.2, 0.3), 256)._mpf_ == sum_mpf
@@ -227,6 +226,21 @@ def test_gauss_refuses_parameters_float64_moves(abc):
     # a nonzero parameter that rounds to 0, or a c that rounds onto a pole
     with pytest.raises(InputError):
         gauss_test(*abc, n_max=1 << 12)
+
+
+@pytest.mark.parametrize("value", [mp.mpf("0.5"), mp.mpc(1, 2), 1 + 2j],
+                         ids=["mpf", "mpc", "complex"])
+@pytest.mark.parametrize("slot", range(3))
+def test_gauss_parameters_must_be_rational(value, slot):
+    abc = [F(1, 2), F(1, 3), F(5, 2)]
+    abc[slot] = value
+    with pytest.raises(InputError):
+        gauss_test(*abc, n_max=1 << 12)
+
+
+def test_gauss_parameters_are_read_as_fractions():
+    assert (gauss_test(1, "1/3", 2.5, n_max=1 << 12)
+            == gauss_test(F(1), F(1, 3), F(5, 2), n_max=1 << 12))
 
 
 def test_gauss_input_guards():

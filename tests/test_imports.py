@@ -2,9 +2,9 @@
 package exports exactly what its __init__ imports plus its lazy names,
 raw mpf arithmetic (mpmath.libmp) stays in the modules allowed to use it,
 numpy is imported by probes alone, pyproject.toml reads the
-package's one version, the benchmark's tracing wraps find their targets and
-its counter hooks read real results, and the CLI accepts every analysis key
-it reads."""
+package's one version, the benchmark's tracing wraps find their targets,
+bill the two-lag boundary radius to its closed form and its counter hooks
+read real results, and the CLI accepts every analysis key it reads."""
 
 import ast
 import importlib.util
@@ -137,15 +137,44 @@ STALE_WRAPS = {
 }
 
 
-def test_tracing_wraps_find_their_functions():
-    # loaded by path and only read: the tracer is never installed here
+def _tracing():
+    """bench/tracing.py, loaded by path and only read: the tracer is never installed."""
     spec = importlib.util.spec_from_file_location(
         "bench_tracing", PACKAGE.parents[1] / "bench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_tracing_wraps_find_their_functions():
+    tracing = _tracing()
     missing = {f"{module}.{attr}" for module, attr, _, _ in tracing.WRAPS
                if not callable(getattr(importlib.import_module(module), attr, None))}
     assert missing == STALE_WRAPS
+
+
+def radius_calls(source: str) -> list:
+    """(positional arguments, keyword names) of each boundary_radius call in the module."""
+    return [(len(node.args), [k.arg for k in node.keywords])
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "boundary_radius"]
+
+
+def test_radius_calls_are_found():
+    source = "boundary_radius(x, 8)\ndef f():\n    boundary_radius(x, prec=8)\nr.boundary_radius(x)\n"
+    assert radius_calls(source) == [(2, []), (1, ["prec"])]
+
+
+def test_tracing_bills_the_audit_and_cli_radius_to_the_closed_form(a2_params):
+    # each call passes (limits, prec) and a Heun system has two lags, so the
+    # tracer's convergence.radius_closed span keeps reading them
+    for name in ("audit.py", "cli.py"):
+        calls = radius_calls((PACKAGE / name).read_text())
+        assert calls and all(call == (2, []) for call in calls), (name, calls)
+    name = _tracing()._radius_name
+    assert name((heun_recurrence(a2_params).limits, 256), {}) == "convergence.radius_closed"
+    assert name(((1, 1, 1), 256), {}) == "convergence.radius_bisect"
 
 
 def analysis_reads(source: str) -> dict:
@@ -205,10 +234,7 @@ class _Counts:
 
 def test_tracing_counter_hooks_read_real_results(a2_params):
     # a renamed result attribute would break only traced bench runs
-    spec = importlib.util.spec_from_file_location(
-        "bench_tracing", PACKAGE.parents[1] / "bench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _tracing()
     hooks = {(module, attr): hook for module, attr, _, hook in tracing.WRAPS}
     assert hooks[("heunlab.audit", "find_proof_constants")] is tracing._count_rechecked
     assert hooks[("heunlab.audit", "stream_coefficients")] is tracing._count_values

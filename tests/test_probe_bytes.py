@@ -111,6 +111,10 @@ def test_boundary_bytes_default_size(case, tmp_path, capsys):
 
 
 GAUSS_DIGEST = "af8d104f82795aef"  # gauss 1/2 1/3 5/2 at the default 2^20 terms
+# recorded at 0.3.0 while the ratio ran on complex128: a terminating series,
+# whose ratio reaches 0, and one whose terms overflow to inf and whose fit is nan
+GAUSS_TERMINATING_DIGEST = "249c26eaa7ccd00d"  # gauss -3 1/2 2
+GAUSS_OVERFLOW_DIGEST = "14caaeccd55d81ab"  # gauss 201/2 201/2 1/2
 
 
 def test_gauss_bytes(tmp_path, capsys):
@@ -118,6 +122,17 @@ def test_gauss_bytes(tmp_path, capsys):
     capsys.readouterr()
     got = hashlib.sha256((tmp_path / "gauss.json").read_bytes()).hexdigest()[:16]
     assert got == GAUSS_DIGEST
+
+
+@pytest.mark.parametrize("abc, digest", [
+    (("-3", "1/2", "2"), GAUSS_TERMINATING_DIGEST),
+    (("201/2", "201/2", "1/2"), GAUSS_OVERFLOW_DIGEST),
+], ids=["terminating", "overflowing"])
+def test_gauss_bytes_at_zero_and_overflowing_ratios(tmp_path, capsys, abc, digest):
+    assert main(["gauss", *abc, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    got = hashlib.sha256((tmp_path / "gauss.json").read_bytes()).hexdigest()[:16]
+    assert got == digest
 
 
 # radii 0.75 * 2^+-1000, so k = +-1000: past j = 2^31 / 1000 (about 2.1e6)

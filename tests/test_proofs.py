@@ -195,7 +195,7 @@ def _reference_monic(poly):
 def _reference_sweep(num_m, den, h, n_hi):
     """The 0.1.0 float64 margin sweep over [1, n_hi], re-deciding margins
     below 1e-6 exactly; returns the last violation."""
-    fn_num, fn_den = num_m.as_float(), den.as_float()
+    fn_num, fn_den = (poly_from(*(float(c) for c in p.coeffs)) for p in (num_m, den))
     n = np.arange(1, n_hi + 1, dtype=np.float64)
     margins = np.abs(fn_num(n)) / np.abs(fn_den(n)) - (1.0 - h / n)
     last = 0
@@ -501,7 +501,7 @@ def test_minorant_closed_route_skip_is_conservative(monkeypatch):
             continue
         skipped += 1
         c0 = 1 + 301 + 2
-        converged = [hyp2f1_series(Hyp2F1Params(1, mp.mpf(c) / 2, mp.mpf(c - 3) / 2),
+        converged = [hyp2f1_series(Hyp2F1Params(1, F(c, 2), F(c - 3, 2)),
                                    rep.w * rep.w, mp.mpf(2) ** (8 - DEFAULT_PRECISION),
                                    3000, DEFAULT_PRECISION)[1] for c in (c0, c0 + 1)]
         assert not all(converged), delta

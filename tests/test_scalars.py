@@ -39,6 +39,14 @@ def test_parse_precision_accepts_exact_and_bits():
         parse_precision(1)
 
 
+def test_parse_precision_caps_the_bits():
+    # refused before any working precision is set, so nothing is allocated
+    assert parse_precision(scalars.MAX_PRECISION) == scalars.MAX_PRECISION
+    for bits in (scalars.MAX_PRECISION + 1, 10 ** 11, "100000000000"):
+        with pytest.raises(InputError):
+            parse_precision(bits)
+
+
 def test_precision_env_override(monkeypatch):
     monkeypatch.delenv(ENV_PRECISION, raising=False)
     assert precision_from_env() == DEFAULT_PRECISION

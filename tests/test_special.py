@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from heunlab import (DomainError, Hyp2F1Params, InvalidC, hyp2f1_series,
+from heunlab import (DomainError, Hyp2F1Params, InputError, InvalidC, hyp2f1_series,
                      min_index_for_ratio_bound, pochhammer_ratio_lower_bound)
 from heunlab.special import _pi_enclosure, pochhammer, ratio_bound_holds
 
@@ -30,6 +30,16 @@ def test_hyp2f1_params_rejects_nonpositive_integer_c():
         with pytest.raises(InvalidC):
             Hyp2F1Params(1, 1, c)
     Hyp2F1Params(1, 1, F(-1, 2))  # negative but not an integer
+
+
+def test_hyp2f1_params_are_rational():
+    params = Hyp2F1Params(2, "1/3", 0.5)
+    assert (params.a, params.b, params.c) == (F(2), F(1, 3), F(1, 2))
+    assert all(type(v) is Fraction for v in (params.a, params.b, params.c))
+    for value in (mp.mpf("0.5"), mp.mpc(1, 2), 1 + 2j):
+        for abc in ((value, 1, 1), (1, value, 1), (1, 1, value)):
+            with pytest.raises(InputError):
+                Hyp2F1Params(*abc)
 
 
 def test_hyp2f1_geometric_case_exact():

@@ -207,7 +207,7 @@ def test_values_stepper_from_any_offset_is_within_2_to_the_minus_240(instance_po
         for modulus in (False, True):
             expected = reference_from(system, offset, 40, modulus)
             with mp.workprec(256):
-                values = itertools.islice(iter_values(system, 256, offset, modulus=modulus), 40)
+                values = itertools.islice(iter_values(system, offset, modulus=modulus), 40)
                 for v, e in zip(values, expected):
                     e = as_mp(e, 256)
                     assert abs(v - e) <= bound * abs(e), (system, offset, modulus)
@@ -272,7 +272,7 @@ def test_exact_readers_evaluate_no_lag_polynomial(a2_params, monkeypatch):
 
     monkeypatch.setattr(PolynomialInN, "__call__", counting)
     with mp.workprec(256):
-        assert len(list(itertools.islice(iter_values(system, 256), 200))) == 200
+        assert len(list(itertools.islice(iter_values(system), 200))) == 200
     path_table(system, 301, 30)
     domination_bounds(system, 301, 30)
     assert calls == []
