@@ -25,7 +25,7 @@ exponents, terms, sums) lives in one workspace that is allocated once and
 reused through out=, so a stream's memory does not grow with the number of
 terms and no chunk-sized array is allocated afresh for each chunk.  Two
 buffers share memory wherever no stage of a chunk reads both at once (the
-stage by stage table is in _Workspace), which keeps the workspace under 64
+stage by stage table is in _Workspace), which keeps the workspace under 40
 bytes per term.  No index table is stored: _indices forms a chunk's indices
 from a _BLOCK-long column or the row of block starts, in whichever buffer
 is free.  The mantissas and exponents stay in block order, over the steps'
@@ -117,9 +117,17 @@ def _lag_coefficients(system: RecurrenceSystem) -> tuple:
 
 
 def _horner(coeffs: tuple, n: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """p(n) into out, by the operations PolynomialInN.__call__ does on arrays."""
-    out.fill(coeffs[-1] if coeffs else 0.0)
-    for c in reversed(coeffs[:-1]):
+    """p(n) into out, by the operations PolynomialInN.__call__ does on arrays.
+
+    The first step multiplies n by the leading coefficient directly, with no
+    fill pass: float multiplication commutes, so the bits are the same.
+    """
+    if len(coeffs) < 2:
+        out.fill(coeffs[-1] if coeffs else 0.0)
+        return out
+    np.multiply(n, coeffs[-1], out=out)
+    np.add(out, coeffs[-2], out=out)
+    for c in reversed(coeffs[:-2]):
         np.multiply(out, n, out=out)
         np.add(out, c, out=out)
     return out
@@ -182,33 +190,36 @@ class _Workspace:
 
     One workspace serves chunks of up to `size` terms and is reused from
     stream to stream: steps, the driver and visits write into these buffers
-    through out=, so no chunk-sized array is allocated per chunk.  A visit
-    may overwrite any of them except the terms, sums, mant and expo it is
-    handed.
+    through out=, so no chunk-sized array is allocated per chunk.  The
+    driver reads nothing of a chunk after its visit, so a visit may
+    overwrite any buffer, the sums it is handed among them, once it has
+    read what it needs; the probe's visit writes none.
 
-    Per term it owns 52.9 bytes: a, b, z (2 floats), zexp (int32), terms
-    and sums, plus per-block rows (the block starts among them) and the
-    column col.  What each holds, stage by stage:
+    Per term it owns 36.9 bytes: a, b, z (2 floats, terms and sums being
+    its first two `size` slices), zexp (int32), plus per-block rows (the
+    block starts among them) and the column col.  What each holds, stage
+    by stage:
 
     * 2x2 rule (_lag_step): terms holds the step indices n, in block order,
       and sums the lags' shared denominator while _lag_values fills a and b;
       then _segment_steps reads |a| and |b| through sums and terms; the scan
-      fills z and zexp; the broadcast forms the mantissas over a and the
-      second product over b, then the int64 exponents over b; the k-shift
+      fills z, over terms, sums and a tail of 2 floats per block, and
+      zexp; the broadcast forms the mantissas over a and the second product
+      over b, then the int64 exponents over b; the k-shift, once z is read,
       forms j k in an int64 view of sums.  Mantissas and exponents stay in
       block order.
     * k = 1 rule (_ratio_step): terms holds the indices n; a holds n + a
       and then the numerator (n + a)(n + b), with n + b in b; sums its
       modulus, the ratio once divided; b holds n + c and then the
-      denominator (n + c)(n + 1), with n + 1 in z, and then its modulus.
-      np.cumprod then writes the terms over the indices.
+      denominator (n + c)(n + 1), with n + 1 formed over the indices, and
+      then its modulus.  np.cumprod then writes the terms over n + 1.
     * the driver: for block-order steps, an int32 view of zexp holds the
-      clipped exponents, z the terms in block order (ldexp of mant and
+      clipped exponents, sums the terms in block order (ldexp of mant and
       expo) and terms, after one transposed copy, the terms in stream
-      order; sums the partial sums.
+      order; then sums the partial sums.
     * visits: the probe's visit reads only what it is handed; gauss_test's
-      fit puts ln n in a, ln t_n in b and its two products in z, and keep,
-      a bool view of zexp, marks the positive terms.
+      fit puts ln n in a, ln t_n in b and each of its two products in turn
+      in sums, and keep, a bool view of zexp, marks the positive terms.
     """
 
     def __init__(self, size: int):
@@ -220,7 +231,8 @@ class _Workspace:
         self.a, self.b = np.empty((2, size))  # a step's coefficients
         self.z = np.empty(2 * (size + nb))  # per-block prefix products of the scan
         self.zexp = np.empty(size + nb, dtype=np.int32)  # their exponents, per block
-        self.terms, self.sums = np.empty((2, size))
+        # the scan writes z only while terms and sums hold nothing
+        self.terms, self.sums = _view(self.z, 2, size)
         self.keep = self.zexp.view(bool)[:size]
         # per block: the scan's previous values, a product and four magnitudes
         self.prev, self.prod = np.empty((2, 2 * nb))
@@ -303,7 +315,8 @@ def _scan_chunk(ws: _Workspace, a: np.ndarray, b: np.ndarray, count: int,
     before the chunk as u 2^e and w 2^e.  Returns (mantissas, exponents) of
     every u_j of the chunk in block order, the layout of a and b, over
     which they are formed (the exponents as int64), and the state after it;
-    ws.sums and ws.terms serve as scratch.  Values past float64 range
+    ws.sums and ws.terms serve as scratch, and then ws.z, formed over them,
+    holds the prefix products.  Values past float64 range
     saturate to inf or nan; the caller silences numpy's warnings about that.
     """
     nb = a.shape[1]
@@ -372,8 +385,9 @@ def stream_terms(step, state, n_terms: int, mark_limit: int, visit) -> tuple:
     (_BLOCK, blocks) arrays in block order: t_j = mant[q] 2^expo[q] at
     q = (p % _BLOCK, p // _BLOCK), p = j - j0.  For the latter the driver
     clips expo to +-2^30 into an int32 view of ws.zexp, runs ldexp into
-    ws.z, both in block order, and copies the terms into ws.terms in stream
-    order, transposed; so such a step may leave nothing in zexp, z or terms.
+    ws.sums, both in block order, and copies the terms into ws.terms in
+    stream order, transposed; so such a step may leave nothing in zexp, z,
+    terms or sums.
     numpy's ldexp has a vector loop for int32 exponents only, and any finite
     mantissa saturates to inf or 0 far inside that range.  The driver forms
     the partial sums, seeded with the carried total so that they add the
@@ -382,7 +396,8 @@ def stream_terms(step, state, n_terms: int, mark_limit: int, visit) -> tuple:
     ln |t_{n-1}| (-inf when zero), the latter from frexp of the mantissa so
     that it does not depend on how the step split the term.  Then
     visit(ws, j0, mant, expo, terms, sums) sees the chunk, terms and sums
-    in stream order.  Returns (checkpoints, term_log_mags).
+    in stream order; the driver reads nothing of the chunk after it.
+    Returns (checkpoints, term_log_mags).
     """
     try:
         ws = _IDLE.pop()
@@ -403,7 +418,7 @@ def stream_terms(step, state, n_terms: int, mark_limit: int, visit) -> tuple:
                     terms = mant
                 else:
                     e32 = np.clip(expo, -_EXP_CLIP, _EXP_CLIP, out=_view(ws.zexp, *expo.shape))
-                    blocked = np.ldexp(mant, e32, out=_view(ws.z, *mant.shape))
+                    blocked = np.ldexp(mant, e32, out=_view(ws.sums, *mant.shape))
                     _view(ws.terms, mant.shape[1], _BLOCK)[...] = blocked.T
                     terms = ws.terms[:j1 - j0]
                 sums = ws.sums[:j1 - j0]
@@ -626,16 +641,16 @@ def _ratio_step(af: float, bf: float, cf: float, terminated: bool):
     is t_{j0-1}, and a cumulative product seeded with it gives the chunk's
     terms in stream order.  The indices are in terms, the numerator in a
     (n + b in b), its modulus and then the ratio in sums, and the
-    denominator in b (n + 1 in z); no other buffer is touched.
+    denominator in b (n + 1 over the indices); no other buffer is touched.
     """
 
     def step(ws, j0, j1, carry):
         count = j1 - j0
         n = _indices(ws, j0 - 1, count, ws.terms, False)
         num, den = ws.a[:count], ws.b[:count]
-        ratio, scratch = ws.sums[:count], ws.z[:count]
+        ratio = ws.sums[:count]
         np.abs(np.multiply(np.add(n, af, out=num), np.add(n, bf, out=den), out=num), out=ratio)
-        np.multiply(np.add(n, cf, out=den), np.add(n, 1.0, out=scratch), out=den)
+        np.multiply(np.add(n, cf, out=den), np.add(n, 1.0, out=n), out=den)
         np.divide(ratio, np.abs(den, out=den), out=ratio)
         ratio[0] *= carry
         terms = np.cumprod(ratio, out=ws.terms[:count])
@@ -704,9 +719,12 @@ def gauss_test(a, b, c, n_max: int = 1 << 20) -> GaussReport:
         np.log(vals, out=y, where=keep)
         y -= level
         # products by ufunc, not BLAS: a threaded BLAS's spinning workers
-        # would bill their wait to this op and the next
-        xx, xy = np.multiply(x, x, out=ws.z[:size]), np.multiply(x, y, out=ws.z[size:2 * size])
-        for i, v in enumerate((np.count_nonzero(keep), x.sum(), y.sum(), xx.sum(), xy.sum())):
+        # would bill their wait to this op and the next; each is summed
+        # before the next is formed over it, in sums, which is read by now
+        prod = ws.sums[:size]
+        for i, v in enumerate((np.count_nonzero(keep), x.sum(), y.sum(),
+                               np.multiply(x, x, out=prod).sum(),
+                               np.multiply(x, y, out=prod).sum())):
             fit[i] += v
 
     checkpoints, _ = stream_terms(_ratio_step(af, bf, cf, terminated), 1.0,

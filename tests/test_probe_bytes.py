@@ -4,8 +4,9 @@ The digests below were recorded at version 0.3.0, before the kernel wrote
 its terms in block order, handed ldexp int32 exponents and shared the lags'
 denominator.  Those changes reorder no float operation, so every `boundary`
 JSON and CSV and every `gauss` JSON must keep each byte.  The small-chunk
-cases stream through two-block chunks, so every chunk and block edge of the
-scan is crossed many times.
+cases stream through two- and three-block chunks, so every chunk and block
+edge of the scan is crossed many times; the bytes do not depend on the chunk
+size, so both share one set of digests.
 """
 
 import hashlib
@@ -89,12 +90,22 @@ SMALL_CHUNK_DIGESTS = {
 }
 
 
+def _small_chunk_digest(tmp_path, capsys, monkeypatch, case, blocks):
+    monkeypatch.setattr(probes, "_CHUNK", blocks * probes._BLOCK)
+    idx, which, scale = case.split("-")
+    return _boundary_digest(tmp_path, capsys, int(idx), which, scale, "--n-max", "16384")
+
+
 @pytest.mark.parametrize("case", sorted(SMALL_CHUNK_DIGESTS))
 def test_boundary_bytes_small_chunks(case, tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(probes, "_CHUNK", 2 * probes._BLOCK)
-    idx, which, scale = case.split("-")
-    got = _boundary_digest(tmp_path, capsys, int(idx), which, scale, "--n-max", "16384")
-    assert got == SMALL_CHUNK_DIGESTS[case]
+    assert _small_chunk_digest(tmp_path, capsys, monkeypatch, case, 2) == SMALL_CHUNK_DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(SMALL_CHUNK_DIGESTS))
+def test_boundary_bytes_three_block_chunks(case, tmp_path, capsys, monkeypatch):
+    # an odd block count: 16384 terms end in a padded chunk, and the scan's
+    # prefix products run past the sums into the workspace's per-block tail
+    assert _small_chunk_digest(tmp_path, capsys, monkeypatch, case, 3) == SMALL_CHUNK_DIGESTS[case]
 
 
 # the default 2^20 terms in 2^16-term chunks, one op per channel

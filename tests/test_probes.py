@@ -130,15 +130,17 @@ def test_coefficient_rounding_to_zero_is_refused(a2_params):
 
 def test_workspace_footprint():
     # buffers that no stage of a chunk reads at the same time share memory;
-    # a new buffer has to fit in what is left under 64 bytes per term
+    # a new buffer has to fit in what is left under 40 bytes per term
     ws = probes._Workspace(probes._CHUNK)
+    # the scan's prefix products live over the terms and the sums
+    assert np.shares_memory(ws.z, ws.terms) and np.shares_memory(ws.z, ws.sums)
     owners = {}
     for buf in vars(ws).values():
         if isinstance(buf, np.ndarray):
             while buf.base is not None:
                 buf = buf.base
             owners[id(buf)] = buf
-    assert sum(buf.nbytes for buf in owners.values()) <= 64 * probes._CHUNK
+    assert sum(buf.nbytes for buf in owners.values()) <= 40 * probes._CHUNK
 
 
 def test_trace_matches_exact_majorant(a2_params):
