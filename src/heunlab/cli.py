@@ -3,7 +3,8 @@
 Every command prints a deterministic JSON result document to stdout; with
 --out DIR the document plus any CSV trace are also written there.  When the
 instance argument is a directory, the command fans out over every .json file
-in it (--jobs workers, one per file at most) and prints a status line each.
+in it but the result documents it writes there (--jobs workers, one per file
+at most) and prints a status line each.
 
 Exit codes: 0 success, 2 evaluation refused on convergence-domain grounds,
 3 bad input.
@@ -34,7 +35,7 @@ from .instances import (Instance, build_document, document_bytes,
                         load_instance, render_value, write_trace)
 from .recurrence import limit_profile
 from .scalars import (DEFAULT_PRECISION, parse_int, parse_number, parse_point,
-                      parse_precision, precision_from_env)
+                      parse_precision, precision_from_env, to_float64)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -192,13 +193,11 @@ def _cmd_boundary(instance, args, precision):
     stride = _int_opt(args, instance, "stride", max(1, n_terms // 4096))
     r_star = boundary_radius(instance.system.limits, prec)
     raw_r = _opt(args, instance, "radius")
-    try:
-        if raw_r is not None:
-            r = float(parse_number(str(raw_r)))
-        else:
-            r = float(r_star) * float(parse_number(str(_opt(args, instance, "radius-scale", 1))))
-    except OverflowError as exc:
-        raise InputError("probe radius does not fit in float64") from exc
+    if raw_r is not None:
+        r = to_float64(parse_number(str(raw_r)), "probe radius")
+    else:
+        scale = parse_number(str(_opt(args, instance, "radius-scale", 1)))
+        r = float(r_star) * to_float64(scale, "probe radius")
     if stride < 1:
         raise InvalidParams("trace stride must be at least 1")
     # the trace rows are built only for a CSV that will be written
@@ -252,6 +251,8 @@ _HANDLERS = {
     "boundary": _cmd_boundary,
     "proof-audit": _cmd_proof_audit,
 }
+# <stem>.<command>.json, the name _process_file writes a document under
+_RESULT_SUFFIXES = tuple(f".{command}.json" for command in _HANDLERS)
 
 
 def _process_file(path: Path, args) -> bytes:
@@ -300,7 +301,8 @@ def _dispatch(args) -> int:
     if not path.is_dir():
         sys.stdout.write(_process_file(path, args).decode("utf-8"))
         return EXIT_OK
-    files = sorted(path.glob("*.json"))
+    # the documents earlier runs wrote beside the instances are not instances
+    files = sorted(f for f in path.glob("*.json") if not f.name.endswith(_RESULT_SUFFIXES))
     if not files:
         raise InputError(f"{path}: no .json instance files found")
     ns = {k: v for k, v in vars(args).items() if k != "func"}

@@ -53,8 +53,8 @@ class InsufficientData(HeunLabError):
     """Not enough terms or samples to run the requested estimate."""
 
 
-class MagnitudeOverflow(HeunLabError):
-    """Magnitude left the representable range of the requested numeric channel."""
+class MagnitudeOverflow(InputError):
+    """An exact value past the range of float64, or nonzero and rounding to 0."""
 
 
 class TruncationTooLarge(HeunLabError):

@@ -263,15 +263,18 @@ def heun_eval(params: HeunParams, x, root=0, tol=Fraction(1, 10 ** 30),
 
     Raises:
         InvalidParams: when n_max < 1.
+        InputError: when tol < 0, a stop no term can meet.
         IndicialPole: when the recurrence at `root` cannot advance past a
             pole; the system is built before the point is judged.
         OutsideDomain: when force is False and the membership sum is >= 1.
     """
     if n_max < 1:
         raise InvalidParams(f"n_max {n_max} must be at least 1: an empty sum is no value")
+    if to_scalar(tol) < 0:
+        raise InputError(f"tol {tol} must be nonnegative: no term falls below a negative one")
     precision = parse_precision(precision)
     lam = _check_root(params, root)
-    x = to_scalar(x, precision if precision != "exact" else DEFAULT_PRECISION)
+    x = to_scalar(x)
     prec = DEFAULT_PRECISION if precision == "exact" else precision
     system = heun_recurrence(params, lam)
     dsum = domain_sum(system.limits, x, prec)

@@ -35,8 +35,7 @@ from .errors import InputError
 from .heun import HeunParams, heun_recurrence, indicial_roots
 from .polynomials import PolynomialInN, RationalFnInN
 from .recurrence import RecurrenceSystem
-from .scalars import (DEFAULT_PRECISION, fmt_scalar, is_exact, parse_int,
-                      parse_number, parse_precision)
+from .scalars import DEFAULT_PRECISION, fmt_scalar, parse_int, parse_number, parse_precision
 
 HEUN_KEYS = ("a", "q", "alpha", "beta", "gamma", "delta")
 TRACE_HEADER = ("n", "value_re", "value_im", "log_mag", "term_at_r", "partial_sum")
@@ -50,10 +49,8 @@ def render_value(x, prec: int = DEFAULT_PRECISION):
     """
     if x is None or isinstance(x, (int, float)):  # bool is an int
         return x
-    if is_exact(x):
-        return fmt_scalar(x)
     with mp.workprec(prec):
-        return fmt_scalar(x, 30)
+        return fmt_scalar(x)
 
 
 @dataclass(frozen=True, eq=False)

@@ -75,8 +75,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, InsufficientData, InvalidParams, MagnitudeOverflow
+from .errors import InputError, InsufficientData, InvalidParams
 from .recurrence import CoefficientStream, RecurrenceSystem, stream_coefficients
+from .scalars import to_float64
 from .special import Hyp2F1Params, _is_nonpositive_integer
 
 VERDICT_CONVERGES = "converges-empirically"
@@ -102,17 +103,12 @@ def _lag_coefficients(system: RecurrenceSystem) -> tuple:
 
     A coefficient past float64 range, or a nonzero one that rounds to 0.0
     (a denominator's constant term would then put a pole at n = 0), raises
-    MagnitudeOverflow.
+    MagnitudeOverflow (scalars.to_float64).
     """
     if system.k != 2:
         raise InvalidParams("probes are stated for three-term recurrences")
-    polys = [p for fn in system.lags for p in (fn.num, fn.den)]
-    try:
-        floats = [tuple(map(float, p.coeffs)) for p in polys]
-    except OverflowError as exc:
-        raise MagnitudeOverflow("a lag coefficient does not fit in float64") from exc
-    if any(f == 0.0 and c != 0 for p, fs in zip(polys, floats) for c, f in zip(p.coeffs, fs)):
-        raise MagnitudeOverflow("a lag coefficient does not fit in float64")
+    floats = [tuple(to_float64(c, "a lag coefficient") for c in p.coeffs)
+              for fn in system.lags for p in (fn.num, fn.den)]
     return tuple(zip(floats[::2], floats[1::2]))
 
 
@@ -474,10 +470,7 @@ def _probe(system: RecurrenceSystem, r, n_terms: int, which: str, offset: int,
     """Validate, then stream t_0 .. t_{n_terms-1} once through the kernel."""
     if which not in ("modulus", "signed"):
         raise InvalidParams(f"unknown probe channel {which!r}")
-    try:
-        rf = float(r)
-    except OverflowError:
-        rf = math.inf
+    rf = to_float64(r, "probe radius")
     if not (rf > 0.0 and math.isfinite(rf)):
         raise InvalidParams("probe radius must be a positive finite number")
     if n_terms < min_terms:
@@ -675,20 +668,16 @@ def gauss_test(a, b, c, n_max: int = 1 << 20) -> GaussReport:
     by least squares of ln |t_n| on ln n over [n_max/4, n_max], accumulated
     chunk by chunk as running sums.  The sums are centred at ln n_max and
     ln t_{n_max/4}, so the normal equations do not cancel even when the
-    exponent is near 0.  A parameter that float64 moves onto what the exact
-    one is not, a nonzero one onto 0 or c onto a pole, raises InputError.
+    exponent is near 0.  A parameter past float64's range or rounding to 0
+    raises MagnitudeOverflow (scalars.to_float64), and a c that rounds onto a
+    pole InputError.
     """
     params = Hyp2F1Params(a, b, c)
     if n_max < 1 << 12:
         raise InvalidParams("n_max too small for dyadic diagnostics")
     a, b, c = params.a, params.b, params.c
     terminated = _is_nonpositive_integer(a) or _is_nonpositive_integer(b)
-    try:
-        af, bf, cf = float(a), float(b), float(c)
-    except OverflowError as exc:
-        raise InputError("gauss parameter does not fit in float64") from exc
-    if any(f == 0.0 and v != 0 for f, v in ((af, a), (bf, b), (cf, c))):
-        raise InputError("gauss parameter does not fit in float64: it rounds to 0")
+    af, bf, cf = (to_float64(v, "gauss parameter") for v in (a, b, c))
     if cf <= 0 and cf.is_integer():
         raise InputError(f"gauss lower parameter c rounds to the pole c = {cf:g} in float64")
     if terminated:

@@ -1,15 +1,18 @@
-"""Two-tier scalar arithmetic.
+"""Three-tier scalar arithmetic.
 
-Every quantity in this package lives in one of two tiers:
+Every quantity in this package lives in one of three tiers:
 
 * exact: ``fractions.Fraction`` (integers are promoted on entry), closed under
   the arithmetic the recurrences need, so residual checks can assert equality
   with zero rather than smallness;
-* floating: ``mpmath`` real/complex numbers at an explicit binary precision,
-  used where roots, logarithms, or gamma functions force approximation.
+* mpmath: real/complex numbers at an explicit binary precision, used where
+  roots, logarithms, or gamma functions force approximation;
+* float64: the probes' plain floats, rounded from exact values.
 
 Functions here never silently change tier.  Callers choose a tier by passing
-``precision="exact"`` or a bit count, and the helpers below convert on demand.
+``precision="exact"`` or a bit count, and each crossing has one function:
+to_rational into the exact tier, rational_to_mp from it into mpmath, and
+to_float64 from it into float64.
 """
 
 from __future__ import annotations
@@ -18,13 +21,12 @@ import math
 import os
 import re
 from fractions import Fraction
-from typing import Union
 
 import mpmath
 from mpmath import mp
 from mpmath.libmp import from_man_exp, mpf_div, round_nearest
 
-from .errors import InputError
+from .errors import InputError, MagnitudeOverflow
 
 DEFAULT_PRECISION = 256  # bits
 # mpmath's cost grows faster than linearly in the bits; at 2^20 `domain` takes
@@ -36,8 +38,6 @@ ENV_PRECISION = "HEUNLAB_PRECISION"
 MAX_EXPONENT = 4300
 _EXPONENT = re.compile(r"e[-+]?(\d+(?:_\d+)*)$", re.IGNORECASE)
 _LN2 = math.log(2.0)
-
-Scalar = Union[Fraction, mpmath.mpf, mpmath.mpc]
 
 
 def precision_from_env() -> int | str:
@@ -54,7 +54,7 @@ def precision_from_env() -> int | str:
 
 
 def parse_precision(raw: int | str) -> int | str:
-    if isinstance(raw, int):
+    if isinstance(raw, int) and not isinstance(raw, bool):
         bits = raw
     else:
         text = str(raw).strip().lower()
@@ -136,8 +136,9 @@ def parse_point(text: str, prec: int = DEFAULT_PRECISION):
         return mp.mpc(z.real, z.imag)
 
 
-def to_scalar(value, prec: int = DEFAULT_PRECISION) -> Scalar:
-    """Promote a Python value into the scalar union, keeping exactness when possible."""
+def to_scalar(value):
+    """Promote a Python value to a Fraction, or keep an mpmath number; a
+    complex becomes an mpc at 53 bits, which holds it exactly."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -151,7 +152,7 @@ def to_scalar(value, prec: int = DEFAULT_PRECISION) -> Scalar:
     if isinstance(value, (mpmath.mpf, mpmath.mpc)):
         return value
     if isinstance(value, complex):
-        with mp.workprec(prec):
+        with mp.workprec(53):
             return mp.mpc(value.real, value.imag)
     if isinstance(value, str):
         return parse_number(value)
@@ -164,6 +165,21 @@ def to_rational(value, name: str) -> Fraction:
     if not is_exact(value):
         raise InputError(f"{name} must be rational, got {value}")
     return value
+
+
+def to_float64(value, name: str) -> float:
+    """value rounded once to float64.
+
+    A finite value past float64's range, or a nonzero one that rounds to 0,
+    raises MagnitudeOverflow naming it; inf and nan pass through.
+    """
+    try:
+        f = float(value)
+    except OverflowError as exc:
+        raise MagnitudeOverflow(f"{name} does not fit in float64") from exc
+    if f == 0.0 and value != 0:
+        raise MagnitudeOverflow(f"{name} does not fit in float64: it rounds to 0")
+    return f
 
 
 def as_mp(x, prec: int = DEFAULT_PRECISION):
@@ -219,31 +235,16 @@ def rational_to_mp(num: int, den: int, prec: int = DEFAULT_PRECISION):
     return mp.make_mpf(mpf_div(_exact_mpf(num), _exact_mpf(den), prec, round_nearest))
 
 
-def scalar_abs(x, prec: int = DEFAULT_PRECISION):
-    """Absolute value in the same tier as the input.
-
-    Complex exact values do not occur in this package (rational instances stay
-    rational), so the exact tier only handles real Fractions.
-    """
-    if isinstance(x, (int, Fraction)):
-        return abs(Fraction(x))
-    with mp.workprec(prec):
-        return mp.fabs(x)
-
-
 def log_abs(x) -> float:
     """ln |x| as a float, -inf at zero, from the mantissa and exponent.
 
     x = f 2^e with 1/2 <= |f| < 1 read from the mantissa's top 53 bits, and
     ln |x| = ln |f| + e ln 2, so huge and tiny values lose nothing to a
     cancellation between two large logs.  A rational is first rounded once
-    to 53 bits and an mpc is taken through its modulus; 0, inf and nan give
-    -inf, inf and nan.
+    to 53 bits; 0, inf and nan give -inf, inf and nan.
     """
     if isinstance(x, (int, Fraction)):
         x = rational_to_mp(x.numerator, x.denominator, 53)
-    elif isinstance(x, mpmath.mpc):
-        x = mp.fabs(x)
     _, man, exp, bc = x._mpf_
     if not man:
         return -math.inf if x == 0 else abs(float(x))
@@ -252,8 +253,9 @@ def log_abs(x) -> float:
     return math.log(f) + (e + exp + drop) * _LN2
 
 
-def fmt_scalar(x, digits: int = 17) -> str:
-    """Deterministic human-readable rendering, exact tier as 'p/q'."""
+def fmt_scalar(x) -> str:
+    """Deterministic human-readable rendering: exact tier as 'p/q', mpmath
+    tier as 30 significant digits."""
     if isinstance(x, (int, Fraction)):
         f = Fraction(x)
         try:
@@ -261,6 +263,4 @@ def fmt_scalar(x, digits: int = 17) -> str:
         except ValueError:  # Python's limit on integer digits
             raise InputError(f"an exact value of more than {MAX_EXPONENT} digits cannot be "
                              f"rendered; use a bit precision or a shorter value") from None
-    if isinstance(x, mpmath.mpc):
-        return mpmath.nstr(x, digits)
-    return mpmath.nstr(mpmath.mpf(x), digits)
+    return mpmath.nstr(x if isinstance(x, mpmath.mpc) else mpmath.mpf(x), 30)

@@ -15,7 +15,7 @@ from functools import lru_cache
 from mpmath import mp
 
 from .errors import DomainError, InvalidC
-from .scalars import DEFAULT_PRECISION, as_mp, is_exact, scalar_abs, to_rational
+from .scalars import DEFAULT_PRECISION, as_mp, is_exact, to_rational
 
 
 def pochhammer(a, k: int):
@@ -70,11 +70,11 @@ def hyp2f1_series(params: Hyp2F1Params, x, tol, n_max: int, prec: int = DEFAULT_
             total = as_mp(0, prec)
             xv = as_mp(x, prec)
             a, b, c = as_mp(a, prec), as_mp(b, prec), as_mp(c, prec)
-    tol_abs = scalar_abs(tol, prec)
     with mp.workprec(prec):
+        tol_abs = abs(tol)
         for k in range(n_max):
             total = total + term
-            if scalar_abs(term, prec) < tol_abs:
+            if abs(term) < tol_abs:
                 return total, True
             term = term * (a + k) * (b + k) * xv / ((c + k) * (k + 1))
     return total, False

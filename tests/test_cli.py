@@ -141,6 +141,19 @@ def test_eval_without_terms_exits_3(a2_file, capsys, precision, n_max):
     assert doc["outputs"]["n_used"] == 1 and doc["outputs"]["value"] in ("1", "1.0")
 
 
+@pytest.mark.parametrize("precision", ["64", "exact"])
+def test_eval_negative_tolerance_exits_3_before_summing(a2_file, capsys, monkeypatch, precision):
+    def no_summing(*args):
+        raise AssertionError("summed a term under a negative tolerance")
+
+    monkeypatch.setattr(heunlab.heun, "_sum_mp", no_summing)
+    monkeypatch.setattr(heunlab.heun, "_sum_exact", no_summing)
+    code, out, err = run(capsys, ["eval", str(a2_file), "--x", "1/10", "--tol", "-1",
+                                  "--precision", precision])
+    assert (code, out) == (3, "")
+    assert "tol -1 must be nonnegative" in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["eval", "--x=nan", "--force"], ["eval", "--x=inf"], ["eval", "--x=1e400j", "--force"],
     ["domain", "--x=nan"], ["domain", "--x=inf"], ["domain", "--x=nanj"],
@@ -293,6 +306,37 @@ def test_boundary_overflowing_coefficient_exits_3(tmp_path, capsys):
     code, _, err = run(capsys, ["boundary", str(path), "--n-max", "4096"])
     assert code == 3
     assert err.count("\n") == 1 and "float64" in err
+
+
+def _lag_instance(constant: str) -> str:
+    return ('{"recurrence": {"lags": [{"num": ["%s", "1"], "den": ["1", "1"]}, '
+            '{"num": ["1"], "den": ["4"]}]}}' % constant)
+
+
+@pytest.mark.parametrize("command, name, rounds_to_0", [
+    (["boundary", "{big}", "--n-max", "4096"], "a lag coefficient", False),
+    (["boundary", "{tiny}", "--n-max", "4096"], "a lag coefficient", True),
+    (["gauss", "1e400", "1", "3", "--n-max", "4096"], "gauss parameter", False),
+    (["gauss", "1e-400", "1", "3", "--n-max", "4096"], "gauss parameter", True),
+    (["boundary", "{a2}", "--radius", "1e400"], "probe radius", False),
+    (["boundary", "{a2}", "--radius", "1e-400"], "probe radius", True),
+    (["boundary", "{a2}", "--radius-scale", "1e-400"], "probe radius", True),
+], ids=["lag-1e400", "lag-1e-400", "gauss-1e400", "gauss-1e-400", "radius-1e400",
+        "radius-1e-400", "radius-scale-1e-400"])
+def test_values_past_float64_exit_3_naming_the_value(tmp_path, capsys, monkeypatch,
+                                                      command, name, rounds_to_0):
+    def no_streaming(*args):
+        raise AssertionError("streamed before the value was refused")
+
+    monkeypatch.setattr(probes, "_scan_chunk", no_streaming)
+    files = {"big": _lag_instance("1e400"), "tiny": _lag_instance("1e-400"), "a2": A2_JSON}
+    for key, text in files.items():
+        (tmp_path / f"{key}.json").write_text(text)
+    argv = [arg.format(**{key: tmp_path / f"{key}.json" for key in files}) for arg in command]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (3, "")
+    message = f"{name} does not fit in float64" + (": it rounds to 0" if rounds_to_0 else "")
+    assert err == f"heunlab: {message}\n"
 
 
 def test_boundary_pole_cluster_far_out_exits_3(tmp_path, capsys):
@@ -520,6 +564,21 @@ def test_directory_fan_out(tmp_path, capsys):
     assert all(line.endswith(": ok") for line in lines)
     assert (tmp_path / "one.domain.json").exists()
     assert (tmp_path / "two.domain.json").exists()
+
+
+def test_directory_fan_out_skips_the_documents_it_wrote(tmp_path, capsys):
+    # without --out the documents land beside the instances; a rerun must not
+    # read them back as instances
+    (tmp_path / "a2.json").write_text(A2_JSON)
+    (tmp_path / "rec.json").write_text(REC_JSON)
+    for command in ("domain", "domain", "classify"):
+        code, out, _ = run(capsys, [command, str(tmp_path)])
+        assert code == 0, out
+        assert [line.rsplit(": ", 1) for line in out.strip().splitlines()] == [
+            [str(tmp_path / "a2.json"), "ok"], [str(tmp_path / "rec.json"), "ok"]]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "a2.classify.json", "a2.domain.json", "a2.json",
+        "rec.classify.json", "rec.domain.json", "rec.json"]
 
 
 def test_directory_fan_out_clamps_jobs_to_the_files(tmp_path, capsys, monkeypatch):

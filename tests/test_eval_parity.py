@@ -2,7 +2,7 @@
 
 The reference below is the earlier `heun_eval`: an exact loop over reduced
 Fractions and a fixed-precision loop that converts every lag value through
-`as_mp` and takes every absolute value through `scalar_abs`.  The current
+`as_mp` and takes every absolute value with `abs` at the working precision.  The current
 loops must return the same value (equal and of the same type), the same
 term count and the same convergence flag, or raise the same error.  The
 document goldens were recorded with the earlier code.
@@ -20,7 +20,7 @@ from heunlab import (HeunLabError, HeunParams, InputError, OutsideDomain,
                      heun_recurrence, parse_precision, series_limits)
 from heunlab.cli import main
 from heunlab.heun import _check_root
-from heunlab.scalars import DEFAULT_PRECISION, as_mp, is_exact, scalar_abs, to_scalar
+from heunlab.scalars import DEFAULT_PRECISION, as_mp, is_exact, to_scalar
 
 F = Fraction
 
@@ -29,7 +29,7 @@ def _reference_eval(params, x, root=0, tol=F(1, 10 ** 30), n_max=10 ** 5,
                     force=False, precision=DEFAULT_PRECISION):
     precision = parse_precision(precision)
     lam = _check_root(params, root)
-    x = to_scalar(x, precision if precision != "exact" else DEFAULT_PRECISION)
+    x = to_scalar(x)
     prec = DEFAULT_PRECISION if precision == "exact" else precision
     dsum = absolute_profile_sum(params, x, prec)
     if not dsum < 1 and not force:
@@ -60,10 +60,10 @@ def _reference_eval(params, x, root=0, tol=F(1, 10 ** 30), n_max=10 ** 5,
             term = d_curr * power
             total = total + term
             n_used = n + 1
-            scale = scalar_abs(total, prec)
+            scale = abs(total)
             if scale < 1:
                 scale = scale * 0 + 1
-            if scalar_abs(term, prec) < tol_v * scale:
+            if abs(term) < tol_v * scale:
                 small_run += 1
                 if small_run >= 3:
                     converged = True

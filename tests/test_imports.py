@@ -1,10 +1,11 @@
 """Every top-level import of a package module is read somewhere in it, the
 package exports exactly what its __init__ imports plus its lazy names,
 raw mpf arithmetic (mpmath.libmp) stays in the modules allowed to use it,
-numpy is imported by probes alone, pyproject.toml reads the
-package's one version, the benchmark's tracing wraps find their targets,
-bill the two-lag boundary radius to its closed form and its counter hooks
-read real results, and the CLI accepts every analysis key it reads."""
+numpy is imported by probes alone, MagnitudeOverflow is raised by scalars
+alone, pyproject.toml reads the package's one version, the benchmark's
+tracing wraps find their targets, bill the two-lag boundary radius to its
+closed form and its counter hooks read real results, and the CLI accepts
+every analysis key it reads."""
 
 import ast
 import importlib.util
@@ -119,6 +120,28 @@ def test_imported_packages_are_found():
 def test_only_probes_imports_numpy():
     users = {p.name for p in PACKAGE.glob("*.py") if "numpy" in imported_packages(p.read_text())}
     assert users == {"probes.py"}
+
+
+def raised_names(source: str) -> set:
+    """Names of the exceptions the module raises, called or bare."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+    return names
+
+
+def test_raised_names_are_found():
+    source = "def f():\n    raise A('x') from None\nraise B\ntry:\n    pass\nexcept C:\n    raise\n"
+    assert raised_names(source) == {"A", "B"}
+
+
+def test_only_scalars_raises_magnitude_overflow():
+    # the one float64 rounding rule, scalars.to_float64; a copy elsewhere would drift
+    users = {p.name for p in PACKAGE.glob("*.py") if "MagnitudeOverflow" in raised_names(p.read_text())}
+    assert users == {"scalars.py"}
 
 
 def test_pyproject_reads_the_package_version():

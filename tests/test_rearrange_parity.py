@@ -20,7 +20,7 @@ from heunlab import (HeunParams, IndicialPole, InputError, RationalFnInN,
                      path_table_enumerate, poly_from, run_system_audit,
                      series_limits, table_matches_stream)
 from heunlab.rearrange import row_series_coefficients
-from heunlab.scalars import as_mp, rational_to_mp, scalar_abs
+from heunlab.scalars import as_mp, rational_to_mp
 
 F = Fraction
 M = 30
@@ -28,7 +28,7 @@ ENUM_DEPTH = 14
 
 
 def factor(system, offset, i, j):
-    return scalar_abs(system.coefficient(i, j + offset))
+    return abs(system.coefficient(i, j + offset))
 
 
 def reference_table(system, offset, depth):

@@ -22,7 +22,7 @@ from heunlab import (InputError, PolynomialInN, RationalFnInN, RecurrenceSystem,
                      heun_recurrence, path_table, poly_from, stream_coefficients)
 from heunlab.recurrence import (cleared_steps, domination_bounds, iter_cleared,
                                 iter_values)
-from heunlab.scalars import as_mp, is_exact, scalar_abs
+from heunlab.scalars import as_mp, is_exact
 
 from conftest import admissible_roots
 
@@ -80,7 +80,7 @@ def reference_modulus(system, offset, count, precision):
         for j in range(count - 1):
             acc = values[0] * 0
             for i in range(1, min(system.k, j + 1) + 1):
-                factor = scalar_abs(system.coefficient(i, j + offset))
+                factor = abs(system.coefficient(i, j + offset))
                 acc += convert(factor) * values[j + 1 - i]
             values.append(acc)
     return values
